@@ -68,6 +68,8 @@ def run_melspec(cfg: dict) -> tuple[str, int]:
 
 
 def run_gradcheck(cfg: dict) -> tuple[str, int]:
+    if cfg["seeds"] < 1:
+        raise ContractError(f"--seeds must be >= 1, got {cfg['seeds']}")
     worst = 0.0
     for i in range(cfg["seeds"]):
         report = projectors.check_gradients(
@@ -252,8 +254,8 @@ def _command(name, runner, defaults, flags):
     _COMMANDS[name] = {"runner": runner, "defaults": defaults, "flags": flags}
 
 
-def _flag(name, type_, help_, choices=None):
-    return {"name": name, "type": type_, "help": help_, "choices": choices}
+def _flag(name, type_, help_, choices=None, required=False):
+    return dict(name=name, type=type_, help=help_, choices=choices, required=required)
 
 
 _command(
@@ -261,8 +263,8 @@ _command(
     run_tile,
     {"width": None, "height": None, "max_tiles": 9, "out": None},
     [
-        _flag("width", int, "image width in pixels (required)"),
-        _flag("height", int, "image height in pixels (required)"),
+        _flag("width", int, "image width in pixels", required=True),
+        _flag("height", int, "image height in pixels", required=True),
         _flag("max_tiles", int, "grid tile cap"),
         _flag("out", str, "write the JSON plan to this path"),
     ],
@@ -278,8 +280,8 @@ _command(
         "out": None,
     },
     [
-        _flag("duration", float, "video duration in seconds (required)"),
-        _flag("source_frames", int, "total frames in the source video (required)"),
+        _flag("duration", float, "video duration in seconds", required=True),
+        _flag("source_frames", int, "total frames in the source video", required=True),
         _flag("frame_width", int, "frame width in pixels"),
         _flag("frame_height", int, "frame height in pixels"),
         _flag("out", str, "write the JSON plan to this path"),
@@ -290,7 +292,7 @@ _command(
     run_melspec,
     {"wav": None, "out": None},
     [
-        _flag("wav", str, "mono 16-bit 16 kHz WAV input (required)"),
+        _flag("wav", str, "mono 16-bit 16 kHz WAV input", required=True),
         _flag("out", str, "write the full 3000x128 tensor JSON to this path"),
     ],
 )
@@ -310,8 +312,9 @@ _command(
         _flag(
             "projector",
             str,
-            "projector to check (required)",
+            "projector to check",
             choices=list(projectors.VISUAL_VARIANTS) + ["conv_gmlp"],
+            required=True,
         ),
         _flag("rate", int, "down-sampling rate for conv_gmlp"),
         _flag("seeds", int, "number of random seeds to check"),
@@ -350,8 +353,8 @@ _command(
     run_pack,
     {"manifest": None, "capacity": None, "policy": "first_fit", "out": None},
     [
-        _flag("manifest", str, 'JSON lines of {"id":...,"len":...} (required)'),
-        _flag("capacity", int, "bin capacity in tokens (required)"),
+        _flag("manifest", str, 'JSON lines of {"id":...,"len":...}', required=True),
+        _flag("capacity", int, "bin capacity in tokens", required=True),
         _flag("policy", str, "packing heuristic", choices=list(packing.PACK_POLICIES)),
         _flag("out", str, "write the packed batch JSON to this path"),
     ],
@@ -385,7 +388,7 @@ _command(
     run_filter_loss,
     {"losses": None, "out": None},
     [
-        _flag("losses", str, 'CSV with an "id,loss" header (required)'),
+        _flag("losses", str, 'CSV with an "id,loss" header', required=True),
         _flag("out", str, "write the JSON report to this path"),
     ],
 )
@@ -394,7 +397,7 @@ _command(
     run_split_crossmodal,
     {"input": None, "seed": 0, "out": None},
     [
-        _flag("input", str, 'JSON lines of {"text":...} (required)'),
+        _flag("input", str, 'JSON lines of {"text":...}', required=True),
         _flag("seed", int, "seed for timbre assignment"),
         _flag("out", str, "write the manifest (JSON lines) to this path"),
     ],
@@ -404,8 +407,8 @@ _command(
     run_mix,
     {"sizes": None, "budget": None, "seed": 0, "out": None},
     [
-        _flag("sizes", str, "JSON object of dataset name -> size (required)"),
-        _flag("budget", int, "total samples to draw (required)"),
+        _flag("sizes", str, "JSON object of dataset name -> size", required=True),
+        _flag("budget", int, "total samples to draw", required=True),
         _flag("seed", int, "seed carried into the plan"),
         _flag("out", str, "write the mix plan JSON to this path"),
     ],
@@ -415,8 +418,8 @@ _command(
     run_metrics,
     {"metric": None, "pairs": None, "out": None},
     [
-        _flag("metric", str, "metric to compute (required)", choices=["wer", "cer", "bleu"]),
-        _flag("pairs", str, 'JSON lines of {"ref":...,"hyp":...} (required)'),
+        _flag("metric", str, "metric to compute", choices=["wer", "cer", "bleu"], required=True),
+        _flag("pairs", str, 'JSON lines of {"ref":...,"hyp":...}', required=True),
         _flag("out", str, "write results (JSON lines) to this path"),
     ],
 )
@@ -425,7 +428,7 @@ _command(
     run_normalize_scores,
     {"scores": None, "format": "csv", "out": None},
     [
-        _flag("scores", str, 'CSV with a "model,benchmark,raw" header (required)'),
+        _flag("scores", str, 'CSV with a "model,benchmark,raw" header', required=True),
         _flag("format", str, "report format", choices=["csv", "json"]),
         _flag("out", str, "write the report to this path"),
     ],
@@ -447,12 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="print the resolved configuration and exit",
         )
         for flag in spec["flags"]:
-            default = spec["defaults"][flag["name"]]
-            shown = "required" if default is None and "required" in flag["help"] else default
+            shown = "required" if flag["required"] else spec["defaults"][flag["name"]]
             kwargs = {
                 "type": flag["type"],
                 "default": None,
-                "help": f"{flag['help'].split(' (required)')[0]} (default: {shown})",
+                "help": f"{flag['help']} (default: {shown})",
             }
             if flag["choices"]:
                 kwargs["choices"] = flag["choices"]
@@ -487,7 +489,7 @@ def _check_required(command: str, cfg: dict) -> None:
     spec = _COMMANDS[command]
     for flag in spec["flags"]:
         name = flag["name"]
-        if cfg[name] is None and "required" in flag["help"]:
+        if flag["required"] and cfg[name] is None:
             raise ContractError(f"--{name.replace('_', '-')} is required")
 
 

@@ -77,6 +77,20 @@ class TilePlan:
         }
 
 
+def _tile_grid(width_px: int, height_px: int, max_tiles: int) -> tuple[int, int, int]:
+    """Ceil-divide by 384 px, shrink the larger side to at most max_tiles, and
+    count a global tile when the grid holds more than one: (rows, cols, tiles)."""
+    rows = math.ceil(height_px / TILE_PX)
+    cols = math.ceil(width_px / TILE_PX)
+    while rows * cols > max_tiles:
+        if rows >= cols:
+            rows -= 1
+        else:
+            cols -= 1
+    tiles = rows * cols
+    return rows, cols, tiles + (1 if tiles > 1 else 0)
+
+
 def plan_tiles(width_px: int, height_px: int, max_tiles: int = MAX_GRID_TILES) -> TilePlan:
     """Plan the tile grid for an image: ceil-divide by 384 px, cap the grid,
     and add a down-sampled global tile whenever the grid exceeds 1x1."""
@@ -86,21 +100,11 @@ def plan_tiles(width_px: int, height_px: int, max_tiles: int = MAX_GRID_TILES) -
         )
     if max_tiles < 1:
         raise ContractError(f"max_tiles must be >= 1, got {max_tiles}")
-    rows = math.ceil(height_px / TILE_PX)
-    cols = math.ceil(width_px / TILE_PX)
-    while rows * cols > max_tiles:
-        if rows >= cols:
-            rows -= 1
-        else:
-            cols -= 1
-    rows = max(rows, 1)
-    cols = max(cols, 1)
-    has_global = not (rows == 1 and cols == 1)
-    n_tiles = rows * cols + (1 if has_global else 0)
+    rows, cols, n_tiles = _tile_grid(width_px, height_px, max_tiles)
     return TilePlan(
         grid_rows=rows,
         grid_cols=cols,
-        has_global_tile=has_global,
+        has_global_tile=n_tiles > rows * cols,
         total_tokens=n_tiles * TOKENS_PER_TILE,
     )
 
@@ -177,9 +181,9 @@ def frame_tokens(width_px: int, height_px: int) -> int:
     scale = min(1.0, FRAME_LONG_PX / long_px, FRAME_SHORT_PX / short_px)
     scaled_w = max(1, int(round(width_px * scale)))
     scaled_h = max(1, int(round(height_px * scale)))
-    tiles = math.ceil(scaled_w / TILE_PX) * math.ceil(scaled_h / TILE_PX)
-    n_blocks = tiles + (1 if tiles > 1 else 0)
-    return n_blocks * TOKENS_PER_TILE
+    # the rescaled frame spans at most 2x1 tiles, so the cap never binds
+    _, _, n_tiles = _tile_grid(scaled_w, scaled_h, MAX_GRID_TILES)
+    return n_tiles * TOKENS_PER_TILE
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,12 @@ def mel_to_hz(mel: float) -> float:
     return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
 
 
+def _mel_edges_hz(n_bins: int, fmin: float, fmax: float) -> np.ndarray:
+    """Edges evenly spaced in mel; filter j peaks at edge j + 1, its centre."""
+    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bins + 2)
+    return np.array([mel_to_hz(m) for m in mel_points])
+
+
 _filterbank_cache: dict[tuple, np.ndarray] = {}
 
 
@@ -227,8 +237,7 @@ def mel_filterbank(
     cached = _filterbank_cache.get(key)
     if cached is not None:
         return cached
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bins + 2)
-    hz_points = np.array([mel_to_hz(m) for m in mel_points])
+    hz_points = _mel_edges_hz(n_bins, fmin, fmax)
     fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
     bank = np.zeros((fft_freqs.size, n_bins), dtype=np.float64)
     for j in range(n_bins):
@@ -242,8 +251,7 @@ def mel_filterbank(
 
 def mel_bin_for_hz(hz: float) -> int:
     """Index of the mel filter whose centre frequency is nearest ``hz``."""
-    mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), MEL_BINS + 2)
-    centres = np.array([mel_to_hz(m) for m in mel_points[1:-1]])
+    centres = _mel_edges_hz(MEL_BINS, MEL_FMIN_HZ, MEL_FMAX_HZ)[1:-1]
     return int(np.argmin(np.abs(centres - hz)))
 
 

@@ -3,6 +3,8 @@
 Tensors, the handful of layer operations the projectors need, a hand-written
 adjoint for each operation (no general autodiff tape), and a finite-difference
 gradient checker. Everything is float64: the gradient checker relies on it.
+No ``<op>_backward`` calls a forward op. ``grad_check`` probes a loss-only
+function and compares against gradients the caller computed once.
 """
 
 from __future__ import annotations
@@ -168,7 +170,15 @@ POOL_PAD_COLS = "pad_cols"
 _POOL_POLICIES = (POOL_FLOOR_ROWS, POOL_PAD_COLS)
 
 
-def _pool2x2_geometry(x: Tensor, pad_policy: str):
+def pool2x2_size(h: int, w: int, pad_policy: str) -> tuple[int, int]:
+    """Output rows and columns of pool2x2 on an h x w grid."""
+    w_out = (w + w % 2) // 2 if pad_policy == POOL_PAD_COLS else (w - 2) // 2 + 1
+    return (h - 2) // 2 + 1, w_out
+
+
+def _pool2x2_windows(x: Tensor, pad_policy: str):
+    """The in-bounds (rows, cols) of each of the four window offsets, and the
+    number of in-bounds cells in each output window."""
     _require_ndim(x, 3, "pool2x2 input")
     if pad_policy not in _POOL_POLICIES:
         raise ContractError(
@@ -179,12 +189,16 @@ def _pool2x2_geometry(x: Tensor, pad_policy: str):
         raise ShapeError(f"pool2x2 window underflow: height {h} < 2")
     if pad_policy == POOL_FLOOR_ROWS and w < 2:
         raise ShapeError(f"pool2x2 window underflow: width {w} < 2 without padding")
-    h_out = (h - 2) // 2 + 1
-    if pad_policy == POOL_PAD_COLS:
-        w_out = (w + (w % 2)) // 2
-    else:
-        w_out = (w - 2) // 2 + 1
-    return h, w, h_out, w_out
+    h_out, w_out = pool2x2_size(h, w, pad_policy)
+    windows = []
+    counts = np.zeros((h_out, w_out), dtype=np.float64)
+    for di in (0, 1):
+        for dj in (0, 1):
+            cols = np.arange(w_out) * 2 + dj
+            cols = cols[cols < w]  # a prefix: only the padded last column drops
+            windows.append((np.arange(h_out) * 2 + di, cols))
+            counts[:, : cols.size] += 1.0
+    return windows, counts
 
 
 def pool2x2(x: Tensor, pad_policy: str = POOL_PAD_COLS) -> Tensor:
@@ -193,41 +207,25 @@ def pool2x2(x: Tensor, pad_policy: str = POOL_PAD_COLS) -> Tensor:
     Rows are floored to whole windows; columns are floored or right-padded to
     even per pad_policy. A constant field pools to the same constant.
     """
-    h, w, h_out, w_out = _pool2x2_geometry(x, pad_policy)
-    c = x.shape[2]
-    out = np.zeros((h_out, w_out, c), dtype=np.float64)
-    counts = np.zeros((h_out, w_out), dtype=np.float64)
-    for di in (0, 1):
-        for dj in (0, 1):
-            rows = np.arange(h_out) * 2 + di
-            cols = np.arange(w_out) * 2 + dj
-            valid_cols = cols[cols < w]
-            out[:, : valid_cols.size] += x.array[np.ix_(rows, valid_cols)]
-            counts[:, : valid_cols.size] += 1.0
+    windows, counts = _pool2x2_windows(x, pad_policy)
+    out = np.zeros(counts.shape + (x.shape[2],), dtype=np.float64)
+    for rows, cols in windows:
+        out[:, : cols.size] += x.array[np.ix_(rows, cols)]
     return Tensor(out / counts[:, :, None])
 
 
 def pool2x2_backward(x: Tensor, pad_policy: str, grad_out: Tensor) -> Tensor:
-    h, w, h_out, w_out = _pool2x2_geometry(x, pad_policy)
-    c = x.shape[2]
-    if grad_out.shape != (h_out, w_out, c):
+    windows, counts = _pool2x2_windows(x, pad_policy)
+    expected = counts.shape + (x.shape[2],)
+    if grad_out.shape != expected:
         raise ShapeError(
             f"pool2x2 upstream gradient has shape {grad_out.shape}, "
-            f"expected {(h_out, w_out, c)}"
+            f"expected {expected}"
         )
-    counts = np.zeros((h_out, w_out), dtype=np.float64)
-    for di in (0, 1):
-        for dj in (0, 1):
-            cols = np.arange(w_out) * 2 + dj
-            counts[:, : cols[cols < w].size] += 1.0
     scaled = grad_out.array / counts[:, :, None]
     grad_x = np.zeros_like(x.array)
-    for di in (0, 1):
-        for dj in (0, 1):
-            rows = np.arange(h_out) * 2 + di
-            cols = np.arange(w_out) * 2 + dj
-            keep = cols < w
-            grad_x[np.ix_(rows, cols[keep])] += scaled[:, keep]
+    for rows, cols in windows:
+        grad_x[np.ix_(rows, cols)] += scaled[:, : cols.size]
     return Tensor(grad_x)
 
 
@@ -266,13 +264,13 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor(out)
 
 
-def sigmoid_backward(x: Tensor, grad_out: Tensor) -> Tensor:
-    if grad_out.shape != x.shape:
+def sigmoid_backward(s: Tensor, grad_out: Tensor) -> Tensor:
+    """Adjoint of sigmoid, given its output s."""
+    if grad_out.shape != s.shape:
         raise ShapeError(
-            f"sigmoid upstream gradient shape {grad_out.shape} != input {x.shape}"
+            f"sigmoid upstream gradient shape {grad_out.shape} != output {s.shape}"
         )
-    s = sigmoid(x).array
-    return Tensor(grad_out.array * s * (1.0 - s))
+    return Tensor(grad_out.array * s.array * (1.0 - s.array))
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
@@ -301,12 +299,10 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     return Tensor(x.array + bias.array[None, :])
 
 
-def add_bias_backward(x: Tensor, grad_out: Tensor) -> tuple[Tensor, Tensor]:
-    if grad_out.shape != x.shape:
-        raise ShapeError(
-            f"add_bias upstream gradient shape {grad_out.shape} != input {x.shape}"
-        )
-    return Tensor(grad_out.array.copy()), Tensor(grad_out.array.sum(axis=0))
+def add_bias_backward(grad_out: Tensor) -> Tensor:
+    """Gradient wrt the bias; the gradient wrt the input is grad_out itself."""
+    _require_ndim(grad_out, 2, "add_bias upstream gradient")
+    return Tensor(grad_out.array.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +314,6 @@ class GradCheckReport:
     max_relative_error: float
     worst_parameter_index: int
     passed: bool
-
-
-LossFn = Callable[[list[Tensor], Tensor], tuple[object, list[Tensor]]]
 
 
 def _scalar_loss(value) -> float:
@@ -337,26 +330,24 @@ def _scalar_loss(value) -> float:
 
 
 def grad_check(
-    f: LossFn,
+    loss_fn: Callable[[list[Tensor], Tensor], object],
     params: list[Tensor],
     x: Tensor,
+    grads: list[Tensor],
     eps: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
-    """Compare f's reverse-mode gradients against central finite differences.
+    """Compare analytic gradients against central finite differences.
 
-    f(params, x) must return (scalar loss, gradient tensor per parameter).
+    loss_fn(params, x) returns the scalar loss and is called twice per
+    parameter entry; grads holds the caller's gradient for each parameter.
     The relative error per entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8);
     worst_parameter_index is the flat index into the concatenated parameters.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-    loss, grads = f(params, x)
-    _scalar_loss(loss)
     if len(grads) != len(params):
-        raise ContractError(
-            f"f returned {len(grads)} gradients for {len(params)} parameters"
-        )
+        raise ContractError(f"got {len(grads)} gradients for {len(params)} parameters")
     for g, p in zip(grads, params):
         if g.shape != p.shape:
             raise ContractError(
@@ -367,19 +358,18 @@ def grad_check(
     worst = 0
     offset = 0
     for i, p in enumerate(params):
-        flat = p.data
+        # one working copy per parameter, perturbed and restored in place
+        probe = p.copy()
+        probed = list(params)
+        probed[i] = probe
+        flat, base = probe.data, p.data
         g_ad = grads[i].data
         for j in range(flat.size):
-            plus = p.array.copy().reshape(-1)
-            plus[j] += eps
-            minus = p.array.copy().reshape(-1)
-            minus[j] -= eps
-            params_plus = list(params)
-            params_plus[i] = Tensor(plus.reshape(p.shape))
-            params_minus = list(params)
-            params_minus[i] = Tensor(minus.reshape(p.shape))
-            loss_plus = _scalar_loss(f(params_plus, x)[0])
-            loss_minus = _scalar_loss(f(params_minus, x)[0])
+            flat[j] = base[j] + eps
+            loss_plus = _scalar_loss(loss_fn(probed, x))
+            flat[j] = base[j] - eps
+            loss_minus = _scalar_loss(loss_fn(probed, x))
+            flat[j] = base[j]
             g_fd = (loss_plus - loss_minus) / (2.0 * eps)
             rel = float(abs(g_ad[j] - g_fd) / max(abs(g_ad[j]), abs(g_fd), _REL_FLOOR))
             if rel > max_rel:

@@ -6,6 +6,10 @@ projector that shortens a feature sequence by a configurable rate while
 expanding channels proportionally, with a mean-pooled residual shortcut.
 A toy gradient-descent fit and a down-sampling-rate ablation harness verify
 the backward passes end to end.
+
+Each projector's private trunk runs it up to the output layer and returns
+the cache its backward reads; the private forward adds that layer and returns
+``(out, cache)``; the private backward reads the cache and runs no forward op.
 """
 
 from __future__ import annotations
@@ -55,9 +59,7 @@ class VisualProjectorConfig:
     def output_tokens(self) -> int:
         if self.variant == "mlp":
             return self.input_tokens
-        rows = (self.grid[0] - 2) // 2 + 1
-        cols = (self.grid[1] + self.grid[1] % 2) // 2
-        return rows * cols
+        return math.prod(numkit.pool2x2_size(*self.grid, numkit.POOL_PAD_COLS))
 
 
 @dataclass(frozen=True)
@@ -183,37 +185,28 @@ def _check_visual_input(cfg: VisualProjectorConfig, x: Tensor) -> None:
 def _concat_groups(cfg: VisualProjectorConfig) -> np.ndarray:
     """Token indices of each 2x2 neighbourhood, -1 where the grid was padded."""
     rows, cols = cfg.grid
-    out_rows = (rows - 2) // 2 + 1
-    out_cols = (cols + cols % 2) // 2
-    idx = np.full((out_rows * out_cols, 4), -1, dtype=np.int64)
-    g = 0
-    for i in range(out_rows):
-        for j in range(out_cols):
-            for m, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                r, c = 2 * i + di, 2 * j + dj
-                if r < rows and c < cols:
-                    idx[g, m] = r * cols + c
-            g += 1
-    return idx
+    out_rows, out_cols = numkit.pool2x2_size(rows, cols, numkit.POOL_PAD_COLS)
+    # window (i, j) covers rows 2i + (0, 0, 1, 1) and columns 2j + (0, 1, 0, 1);
+    # rows are floored to whole windows, so only a column can fall outside
+    r = 2 * np.arange(out_rows)[:, None, None] + np.array([0, 0, 1, 1])
+    c = 2 * np.arange(out_cols)[None, :, None] + np.array([0, 1, 0, 1])
+    return np.where(c < cols, r * cols + c, -1).reshape(-1, 4)
 
 
-def _mlp_forward(x_arr: np.ndarray, p: dict[str, Tensor]):
-    xt = Tensor(x_arr)
-    z1 = numkit.add_bias(numkit.matmul(xt, p["w1"]), p["b1"])
-    h = numkit.gelu(z1)
-    out = numkit.add_bias(numkit.matmul(h, p["w2"]), p["b2"])
-    return out, (xt, z1, h)
+def _pool_tokens(cfg: VisualProjectorConfig, tokens: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The token grid and its 2x2 mean pool, one row per window."""
+    grid = Tensor(tokens.reshape(*cfg.grid, tokens.shape[1]))
+    pooled = numkit.pool2x2(grid, numkit.POOL_PAD_COLS)
+    return grid, Tensor(pooled.array.reshape(-1, tokens.shape[1]))
 
 
-def _mlp_backward(cache, p: dict[str, Tensor], grad_out: Tensor):
-    xt, z1, h = cache
-    g_pre2, g_b2 = numkit.add_bias_backward(numkit.matmul(h, p["w2"]), grad_out)
-    g_h, g_w2 = numkit.matmul_backward(h, p["w2"], g_pre2)
-    g_z1 = numkit.gelu_backward(z1, g_h)
-    g_b1 = Tensor(g_z1.array.sum(axis=0))
-    g_x, g_w1 = numkit.matmul_backward(xt, p["w1"], g_z1)
-    grads = {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
-    return g_x, grads
+def _unpool_tokens(grid: Tensor, g_pooled: Tensor) -> Tensor:
+    """Adjoint of _pool_tokens: one gradient row per grid token."""
+    rows, cols, c = grid.shape
+    out_rows, out_cols = numkit.pool2x2_size(rows, cols, numkit.POOL_PAD_COLS)
+    g_windows = Tensor(g_pooled.array.reshape(out_rows, out_cols, c))
+    g_grid = numkit.pool2x2_backward(grid, numkit.POOL_PAD_COLS, g_windows)
+    return Tensor(g_grid.array.reshape(rows * cols, c))
 
 
 def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> Tensor:
@@ -222,34 +215,65 @@ def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tenso
     return out
 
 
-def _visual_forward(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor):
+def _visual_trunk(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> dict:
+    """The backward's cache; ``last`` is the output layer's input."""
     _check_visual_input(cfg, x)
     p = params.tensors
-    rows, cols = cfg.grid
-    if cfg.variant == "mlp":
-        return _mlp_forward(x.array, p)
+    if cfg.variant == "c_abs":  # pointwise conv, GELU, pool, pointwise conv
+        z1 = numkit.add_bias(numkit.conv1d(x, p["conv1"]), p["b1"])
+        grid, last = _pool_tokens(cfg, numkit.gelu(z1).array)
+        return {"first": x, "z1": z1, "grid": grid, "last": last}
+    cache = {}
     if cfg.variant == "mean_pool":
-        grid = Tensor(x.array.reshape(rows, cols, cfg.in_dim))
-        pooled = numkit.pool2x2(grid, numkit.POOL_PAD_COLS)
-        flat = pooled.array.reshape(-1, cfg.in_dim)
-        out, mlp_cache = _mlp_forward(flat, p)
-        return out, ("mean_pool", grid, pooled.shape, mlp_cache)
-    if cfg.variant == "concat":
-        idx = _concat_groups(cfg)
+        cache["grid"], first = _pool_tokens(cfg, x.array)
+    elif cfg.variant == "concat":
+        idx = cache["idx"] = _concat_groups(cfg)
         gathered = np.where(
             (idx >= 0)[:, :, None], x.array[np.clip(idx, 0, None)], 0.0
         )
-        feat = gathered.reshape(idx.shape[0], 4 * cfg.in_dim)
-        out, mlp_cache = _mlp_forward(feat, p)
-        return out, ("concat", idx, mlp_cache)
-    # c_abs: pointwise conv, pool, pointwise conv
-    z1 = numkit.add_bias(numkit.conv1d(x, p["conv1"]), p["b1"])
-    h = numkit.gelu(z1)
-    grid = Tensor(h.array.reshape(rows, cols, cfg.llm_dim))
-    pooled = numkit.pool2x2(grid, numkit.POOL_PAD_COLS)
-    flat = Tensor(pooled.array.reshape(-1, cfg.llm_dim))
-    out = numkit.add_bias(numkit.conv1d(flat, p["conv2"]), p["b2"])
-    return out, ("c_abs", x, z1, h, grid, pooled.shape, flat)
+        first = Tensor(gathered.reshape(idx.shape[0], 4 * cfg.in_dim))
+    else:
+        first = x
+    z1 = numkit.add_bias(numkit.matmul(first, p["w1"]), p["b1"])
+    cache.update(first=first, z1=z1, last=numkit.gelu(z1))
+    return cache
+
+
+def _visual_forward(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor):
+    cache = _visual_trunk(cfg, params, x)
+    p = params.tensors
+    if cfg.variant == "c_abs":
+        pre_out = numkit.conv1d(cache["last"], p["conv2"])
+    else:
+        pre_out = numkit.matmul(cache["last"], p["w2"])
+    return numkit.add_bias(pre_out, p["b2"]), cache
+
+
+def _visual_backward(
+    cfg: VisualProjectorConfig, params: ProjectorParams, cache: dict, grad_out: Tensor
+) -> tuple[dict[str, Tensor], Tensor]:
+    p = params.tensors
+    if cfg.variant == "c_abs":
+        w1, w2 = "conv1", "conv2"
+        g_last, g_w2 = numkit.conv1d_backward(cache["last"], p[w2], 1, 0, grad_out)
+        g_z1 = numkit.gelu_backward(cache["z1"], _unpool_tokens(cache["grid"], g_last))
+        g_x, g_w1 = numkit.conv1d_backward(cache["first"], p[w1], 1, 0, g_z1)
+    else:
+        w1, w2 = "w1", "w2"
+        g_h, g_w2 = numkit.matmul_backward(cache["last"], p[w2], grad_out)
+        g_z1 = numkit.gelu_backward(cache["z1"], g_h)
+        g_x, g_w1 = numkit.matmul_backward(cache["first"], p[w1], g_z1)
+    if cfg.variant == "mean_pool":
+        g_x = _unpool_tokens(cache["grid"], g_x)
+    elif cfg.variant == "concat":
+        idx = cache["idx"]
+        g_groups = g_x.array.reshape(idx.shape[0], 4, cfg.in_dim)
+        g_tokens = np.zeros((cfg.input_tokens, cfg.in_dim), dtype=np.float64)
+        valid = idx >= 0
+        np.add.at(g_tokens, idx[valid], g_groups[valid])
+        g_x = Tensor(g_tokens)
+    b1, b2 = numkit.add_bias_backward(g_z1), numkit.add_bias_backward(grad_out)
+    return {w1: g_w1, "b1": b1, w2: g_w2, "b2": b2}, g_x
 
 
 def visual_project_backward(
@@ -258,44 +282,12 @@ def visual_project_backward(
     x: Tensor,
     upstream_grad: Tensor,
 ) -> tuple[dict[str, Tensor], Tensor]:
-    """Gradients of a scalar loss wrt every parameter and the input."""
-    out, cache = _visual_forward(cfg, params, x)
-    if upstream_grad.shape != out.shape:
-        raise ShapeError(
-            f"upstream gradient shape {upstream_grad.shape} != output {out.shape}"
-        )
-    p = params.tensors
-    rows, cols = cfg.grid
-    if cfg.variant == "mlp":
-        g_x, grads = _mlp_backward(cache, p, upstream_grad)
-        return grads, g_x
-    if cfg.variant == "mean_pool":
-        _, grid, pooled_shape, mlp_cache = cache
-        g_flat, grads = _mlp_backward(mlp_cache, p, upstream_grad)
-        g_pooled = Tensor(g_flat.array.reshape(pooled_shape))
-        g_grid = numkit.pool2x2_backward(grid, numkit.POOL_PAD_COLS, g_pooled)
-        return grads, Tensor(g_grid.array.reshape(x.shape))
-    if cfg.variant == "concat":
-        _, idx, mlp_cache = cache
-        g_feat, grads = _mlp_backward(mlp_cache, p, upstream_grad)
-        g_groups = g_feat.array.reshape(idx.shape[0], 4, cfg.in_dim)
-        g_x = np.zeros_like(x.array)
-        valid = idx >= 0
-        np.add.at(g_x, idx[valid], g_groups[valid])
-        return grads, Tensor(g_x)
-    # c_abs
-    _, xt, z1, h, grid, pooled_shape, flat = cache
-    pre_out = numkit.conv1d(flat, p["conv2"])
-    g_pre_out, g_b2 = numkit.add_bias_backward(pre_out, upstream_grad)
-    g_flat, g_conv2 = numkit.conv1d_backward(flat, p["conv2"], 1, 0, g_pre_out)
-    g_pooled = Tensor(g_flat.array.reshape(pooled_shape))
-    g_grid = numkit.pool2x2_backward(grid, numkit.POOL_PAD_COLS, g_pooled)
-    g_h = Tensor(g_grid.array.reshape(h.shape))
-    g_z1 = numkit.gelu_backward(z1, g_h)
-    g_b1 = Tensor(g_z1.array.sum(axis=0))
-    g_x, g_conv1 = numkit.conv1d_backward(xt, p["conv1"], 1, 0, g_z1)
-    grads = {"conv1": g_conv1, "b1": g_b1, "conv2": g_conv2, "b2": g_b2}
-    return grads, g_x
+    """Gradients of a scalar loss wrt every parameter and the input.
+
+    Runs the forward once, up to the output layer, whose result it never reads.
+    """
+    cache = _visual_trunk(cfg, params, x)
+    return _visual_backward(cfg, params, cache, upstream_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +331,8 @@ def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: Tensor) -> None:
         )
 
 
-def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
+def _conv_gmlp_trunk(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> dict:
+    """The backward's cache: every value before the output layer."""
     _check_conv_gmlp_input(cfg, x)
     p = params.tensors
     s1, s2 = cfg.strides
@@ -349,26 +342,27 @@ def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
     pre2 = numkit.add_bias(numkit.conv1d(h, p["conv_mid"], s2, 0), p["b_mid"])
     width = cfg.hidden_channels
     value = Tensor(pre2.array[:, :width])
-    gate = Tensor(pre2.array[:, width:])
-    sig = numkit.sigmoid(gate)
-    gated = numkit.elementwise_mul(value, sig)
-    proj = numkit.add_bias(numkit.matmul(gated, p["w_out"]), p["b_out"])
-    mp_arr, counts = _block_mean(x.array, cfg.rate_n)
-    mp = Tensor(mp_arr)
-    res = numkit.matmul(mp, p["w_res"])
-    out = Tensor(proj.array + res.array)
-    cache = {
+    sig = numkit.sigmoid(Tensor(pre2.array[:, width:]))
+    mp, counts = _block_mean(x.array, cfg.rate_n)
+    return {
+        "x": x,
         "pad": pad,
         "z1": z1,
         "h": h,
         "value": value,
-        "gate": gate,
         "sig": sig,
-        "gated": gated,
-        "mp": mp,
+        "gated": numkit.elementwise_mul(value, sig),
+        "mp": Tensor(mp),
         "counts": counts,
     }
-    return out, cache
+
+
+def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
+    cache = _conv_gmlp_trunk(cfg, params, x)
+    p = params.tensors
+    proj = numkit.add_bias(numkit.matmul(cache["gated"], p["w_out"]), p["b_out"])
+    res = numkit.matmul(cache["mp"], p["w_res"])
+    return Tensor(proj.array + res.array), cache
 
 
 def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> Tensor:
@@ -383,56 +377,55 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
     return out
 
 
-def conv_gmlp_backward(
-    cfg: ConvGmlpConfig,
-    params: ProjectorParams,
-    x: Tensor,
-    upstream_grad: Tensor,
+def _conv_gmlp_backward(
+    cfg: ConvGmlpConfig, params: ProjectorParams, cache: dict, grad_out: Tensor
 ) -> tuple[dict[str, Tensor], Tensor]:
-    """Gradients wrt every parameter tensor and the input."""
-    out, cache = _conv_gmlp_forward(cfg, params, x)
-    if upstream_grad.shape != out.shape:
-        raise ShapeError(
-            f"upstream gradient shape {upstream_grad.shape} != output {out.shape}"
-        )
     p = params.tensors
     s1, s2 = cfg.strides
-    g = upstream_grad
+    x = cache["x"]
 
     # residual shortcut
-    g_w_res = Tensor(cache["mp"].array.T @ g.array)
-    g_mp = g.array @ p["w_res"].array.T
-    per_row = g_mp / cache["counts"][:, None]
+    g_mp, g_w_res = numkit.matmul_backward(cache["mp"], p["w_res"], grad_out)
+    per_row = g_mp.array / cache["counts"][:, None]
     g_x_res = np.repeat(per_row, cfg.rate_n, axis=0)[: x.shape[0]]
 
     # gated projection path
-    g_proj, g_b_out = numkit.add_bias_backward(
-        numkit.matmul(cache["gated"], p["w_out"]), g
-    )
-    g_gated, g_w_out = numkit.matmul_backward(cache["gated"], p["w_out"], g_proj)
+    g_gated, g_w_out = numkit.matmul_backward(cache["gated"], p["w_out"], grad_out)
     g_value, g_sig = numkit.elementwise_mul_backward(
         cache["value"], cache["sig"], g_gated
     )
-    g_gate = numkit.sigmoid_backward(cache["gate"], g_sig)
+    g_gate = numkit.sigmoid_backward(cache["sig"], g_sig)
     g_pre2 = Tensor(np.concatenate([g_value.array, g_gate.array], axis=1))
-    g_b_mid = Tensor(g_pre2.array.sum(axis=0))
     g_h, g_conv_mid = numkit.conv1d_backward(cache["h"], p["conv_mid"], s2, 0, g_pre2)
     g_z1 = numkit.gelu_backward(cache["z1"], g_h)
-    g_b_in = Tensor(g_z1.array.sum(axis=0))
     g_x_conv, g_conv_in = numkit.conv1d_backward(
         x, p["conv_in"], s1, cache["pad"], g_z1
     )
 
     grads = {
         "conv_in": g_conv_in,
-        "b_in": g_b_in,
+        "b_in": numkit.add_bias_backward(g_z1),
         "conv_mid": g_conv_mid,
-        "b_mid": g_b_mid,
+        "b_mid": numkit.add_bias_backward(g_pre2),
         "w_out": g_w_out,
-        "b_out": g_b_out,
+        "b_out": numkit.add_bias_backward(grad_out),
         "w_res": g_w_res,
     }
     return grads, Tensor(g_x_conv.array + g_x_res)
+
+
+def conv_gmlp_backward(
+    cfg: ConvGmlpConfig,
+    params: ProjectorParams,
+    x: Tensor,
+    upstream_grad: Tensor,
+) -> tuple[dict[str, Tensor], Tensor]:
+    """Gradients wrt every parameter tensor and the input.
+
+    Runs the forward once, up to the output layer, whose result it never reads.
+    """
+    cache = _conv_gmlp_trunk(cfg, params, x)
+    return _conv_gmlp_backward(cfg, params, cache, upstream_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -454,38 +447,33 @@ def check_gradients(
     """Finite-difference check of one projector's backward pass.
 
     The loss is half the squared Frobenius norm of the output, so the
-    upstream gradient is the output itself.
+    upstream gradient is the output itself. The backward runs once; each
+    finite-difference probe runs only the forward.
     """
     rng = np.random.default_rng(seed)
     if projector == "conv_gmlp":
         cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=channels)
         params = init_conv_gmlp_params(cfg, seed)
-        names = sorted(params.tensors)
         x = Tensor(rng.normal(0.0, 1.0, (seq_len, channels)))
-
-        def f(plist, xin):
-            pp = ProjectorParams(tensors=dict(zip(names, plist)), init_seed=seed)
-            out = conv_gmlp_forward(cfg, pp, xin)
-            loss = 0.5 * float(np.sum(out.array**2))
-            grads, _ = conv_gmlp_backward(cfg, pp, xin, out)
-            return loss, [grads[n] for n in names]
-
+        forward, backward = _conv_gmlp_forward, _conv_gmlp_backward
     else:
         cfg = VisualProjectorConfig(
             variant=projector, in_dim=in_dim, llm_dim=llm_dim, grid=grid
         )
         params = init_visual_params(cfg, seed)
-        names = sorted(params.tensors)
         x = Tensor(rng.normal(0.0, 1.0, (cfg.input_tokens, in_dim)))
+        forward, backward = _visual_forward, _visual_backward
+    names = sorted(params.tensors)
 
-        def f(plist, xin):
-            pp = ProjectorParams(tensors=dict(zip(names, plist)), init_seed=seed)
-            out = visual_project(cfg, pp, xin)
-            loss = 0.5 * float(np.sum(out.array**2))
-            grads, _ = visual_project_backward(cfg, pp, xin, out)
-            return loss, [grads[n] for n in names]
+    def loss(plist, xin):
+        pp = ProjectorParams(tensors=dict(zip(names, plist)), init_seed=seed)
+        out, _ = forward(cfg, pp, xin)
+        return 0.5 * float(np.sum(out.array**2))
 
-    return numkit.grad_check(f, [params.tensors[n] for n in names], x, eps=eps, tol=tol)
+    out, cache = forward(cfg, params, x)
+    grads, _ = backward(cfg, params, cache, out)
+    plist = [params.tensors[n] for n in names]
+    return numkit.grad_check(loss, plist, x, [grads[n] for n in names], eps=eps, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +509,13 @@ def toy_fit(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             try:
-                out, _ = _conv_gmlp_forward(cfg, params, x)
+                out, cache = _conv_gmlp_forward(cfg, params, x)
                 err = out.array - target
                 loss = 0.5 * float(np.sum(err * err)) / t_len
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 losses.append(loss)
-                grads, _ = conv_gmlp_backward(cfg, params, x, Tensor(err / t_len))
+                grads, _ = _conv_gmlp_backward(cfg, params, cache, Tensor(err / t_len))
                 params = ProjectorParams(
                     tensors={
                         name: Tensor(t.array - lr * grads[name].array)

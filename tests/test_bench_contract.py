@@ -1,0 +1,43 @@
+"""The benchmark's calls into omnipipe still work.
+
+``bench/workloads.py`` drives omnipipe's public functions and its CLI by
+position and by name. These tests run its prepare -> run -> check loop,
+without timing, for the first train step and one full evaluate cycle, so a
+signature change that would break the benchmark fails here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("omnipipe_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _problems(workload, ops: int) -> list[str]:
+    workload.setup()
+    workload.generate()
+    problems = []
+    for i in range(ops):
+        inp = workload.prepare(i)
+        found, _ = workload.check(inp, workload.run(inp))
+        problems += [f"op {i}: {p}" for p in found]
+    return problems
+
+
+def test_train_first_step(workloads, tmp_path):
+    assert _problems(workloads.Train(0, tmp_path), 1) == []
+
+
+def test_evaluate_full_cycle(workloads, tmp_path):
+    evaluate = workloads.Evaluate(0, tmp_path)
+    assert evaluate.cycle == 19
+    assert _problems(evaluate, evaluate.cycle) == []

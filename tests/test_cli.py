@@ -51,6 +51,12 @@ class TestExitCodes:
         assert main(["gradcheck", "--projector", "conv_gmlp", "--rate", "16"]) == 1
         assert "unsupported rate" in capsys.readouterr().err
 
+    def test_gradcheck_zero_seeds_is_exit_1(self, capsys):
+        assert main(["gradcheck", "--projector", "mlp", "--seeds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seeds must be >= 1, got 0\n"
+
     def test_unknown_subcommand_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

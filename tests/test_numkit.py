@@ -163,12 +163,13 @@ class TestPointwise:
 
 class TestGradCheck:
     def test_quadratic(self):
-        def f(params, _):
-            theta = params[0]
-            loss = float(theta.array[0] ** 2)
-            return loss, [Tensor([2.0 * theta.array[0]])]
-
-        report = grad_check(f, [Tensor([3.0])], Tensor([0.0]))
+        theta = Tensor([3.0])
+        report = grad_check(
+            lambda params, _: float(params[0].array[0] ** 2),
+            [theta],
+            Tensor([0.0]),
+            [Tensor([2.0 * theta.array[0]])],
+        )
         assert isinstance(report, GradCheckReport)
         assert report.passed
         assert report.max_relative_error < 1e-6
@@ -177,34 +178,60 @@ class TestGradCheck:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(4, 3)))
 
-        def f(params, xin):
-            w = params[0]
-            out = matmul(xin, w)
-            loss = 0.5 * float(np.sum(out.array**2))
-            _, gw = matmul_backward(xin, w, out)
-            return loss, [gw]
+        def loss(params, xin):
+            return 0.5 * float(np.sum(matmul(xin, params[0]).array ** 2))
 
-        report = grad_check(f, [Tensor(rng.normal(size=(3, 2)))], x, eps=1e-5, tol=1e-4)
+        w = Tensor(rng.normal(size=(3, 2)))
+        _, gw = matmul_backward(x, w, matmul(x, w))
+        report = grad_check(loss, [w], x, [gw], eps=1e-5, tol=1e-4)
         assert report.passed
 
     def test_vector_loss_rejected(self):
-        def f(params, _):
-            return Tensor([1.0, 2.0]), [Tensor([0.0])]
-
         with pytest.raises(ContractError, match="scalar"):
-            grad_check(f, [Tensor([1.0])], Tensor([0.0]))
+            grad_check(
+                lambda params, _: Tensor([1.0, 2.0]),
+                [Tensor([1.0])],
+                Tensor([0.0]),
+                [Tensor([0.0])],
+            )
 
     def test_non_positive_eps_rejected(self):
         with pytest.raises(ContractError):
-            grad_check(lambda p, x: (0.0, [Tensor([0.0])]), [Tensor([1.0])], Tensor([0.0]), eps=0.0)
+            grad_check(lambda p, x: 0.0, [Tensor([1.0])], Tensor([0.0]), [Tensor([0.0])], eps=0.0)
 
     def test_wrong_gradient_detected(self):
-        def f(params, _):
-            theta = params[0]
-            return float(theta.array[0] ** 2), [Tensor([3.0 * theta.array[0]])]
-
-        report = grad_check(f, [Tensor([2.0])], Tensor([0.0]))
+        theta = Tensor([2.0])
+        report = grad_check(
+            lambda params, _: float(params[0].array[0] ** 2),
+            [theta],
+            Tensor([0.0]),
+            [Tensor([3.0 * theta.array[0]])],
+        )
         assert not report.passed
+
+    def test_loss_only_probes_two_per_entry(self):
+        calls = []
+
+        def loss(params, _):
+            calls.append([p.array.copy() for p in params])
+            return float(sum(np.sum(p.array**2) for p in params))
+
+        params = [Tensor([[1.0, -2.0], [0.5, 3.0]]), Tensor([0.25, -1.5, 2.0])]
+        before = [p.array.copy() for p in params]
+        grads = [Tensor(2.0 * p.array) for p in params]
+        report = grad_check(loss, params, Tensor([0.0]), grads)
+        assert report.passed
+        assert len(calls) == 2 * sum(p.size for p in params)
+        # each probe moves exactly one entry, and the caller's tensors are untouched
+        for probed in calls:
+            assert sum(int(np.sum(a != b)) for a, b in zip(probed, before)) == 1
+        assert all(np.array_equal(p.array, b) for p, b in zip(params, before))
+
+    def test_gradient_count_and_shapes_checked(self):
+        with pytest.raises(ContractError, match="gradients"):
+            grad_check(lambda p, x: 0.0, [Tensor([1.0])], Tensor([0.0]), [])
+        with pytest.raises(ContractError, match="shape"):
+            grad_check(lambda p, x: 0.0, [Tensor([1.0])], Tensor([0.0]), [Tensor([1.0, 2.0])])
 
 
 def _op_gradcheck(forward, backward_to_grads, param_shapes, seed):
@@ -212,12 +239,11 @@ def _op_gradcheck(forward, backward_to_grads, param_shapes, seed):
     rng = np.random.default_rng(seed)
     params = [Tensor(rng.normal(size=s)) for s in param_shapes]
 
-    def f(plist, _):
-        out = forward(plist)
-        loss = 0.5 * float(np.sum(out.array**2))
-        return loss, backward_to_grads(plist, out)
+    def loss(plist, _):
+        return 0.5 * float(np.sum(forward(plist).array ** 2))
 
-    return grad_check(f, params, Tensor([0.0]), eps=1e-5, tol=1e-4)
+    grads = backward_to_grads(params, forward(params))
+    return grad_check(loss, params, Tensor([0.0]), grads, eps=1e-5, tol=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -258,7 +284,7 @@ def test_every_op_backward_over_seeds(seed):
     reports.append(
         _op_gradcheck(
             lambda p: sigmoid(p[0]),
-            lambda p, out: [sigmoid_backward(p[0], out)],
+            lambda p, out: [sigmoid_backward(sigmoid(p[0]), out)],
             [(4, 3)],
             seed,
         )
@@ -274,7 +300,7 @@ def test_every_op_backward_over_seeds(seed):
     reports.append(
         _op_gradcheck(
             lambda p: add_bias(p[0], p[1]),
-            lambda p, out: list(add_bias_backward(p[0], out)),
+            lambda p, out: [out, add_bias_backward(out)],
             [(4, 3), (3,)],
             seed,
         )

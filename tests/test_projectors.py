@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from omnipipe import numkit, projectors
 from omnipipe.errors import ContractError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.projectors import (
     ConvGmlpConfig,
     ProjectorParams,
     VisualProjectorConfig,
+    _concat_groups,
+    _conv_gmlp_backward,
     _conv_gmlp_forward,
+    _visual_backward,
+    _visual_forward,
     ablate_rates,
     ablation_csv,
     check_gradients,
@@ -20,6 +25,7 @@ from omnipipe.projectors import (
     init_visual_params,
     toy_fit,
     visual_project,
+    visual_project_backward,
 )
 
 
@@ -64,7 +70,30 @@ class TestConfigs:
             assert np.array_equal(back.tensors[name].array, params.tensors[name].array)
 
 
+def _concat_groups_loop(rows, cols):
+    """Reference for the vectorised _concat_groups: one window at a time."""
+    out_rows, out_cols = (rows - 2) // 2 + 1, (cols + cols % 2) // 2
+    idx = np.full((out_rows * out_cols, 4), -1, dtype=np.int64)
+    g = 0
+    for i in range(out_rows):
+        for j in range(out_cols):
+            for m, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                r, c = 2 * i + di, 2 * j + dj
+                if r < rows and c < cols:
+                    idx[g, m] = r * cols + c
+            g += 1
+    return idx
+
+
 class TestVisualProject:
+    def test_concat_groups_match_loop_reference(self):
+        for rows in range(2, 12):
+            for cols in range(1, 12):
+                cfg = VisualProjectorConfig("concat", in_dim=2, llm_dim=2, grid=(rows, cols))
+                assert np.array_equal(_concat_groups(cfg), _concat_groups_loop(rows, cols))
+                assert cfg.output_tokens == len(_concat_groups_loop(rows, cols))
+
+
     def test_full_size_mlp_keeps_729_tokens(self):
         cfg = VisualProjectorConfig(variant="mlp", in_dim=1152, llm_dim=4096)
         params = init_visual_params(cfg, 0)
@@ -122,6 +151,67 @@ class TestGradients:
         report = check_gradients("mean_pool", seed=1)  # default 27x27 grid
         assert report.passed, report
 
+    @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool", "conv_gmlp"])
+    def test_backward_reads_the_cache_and_runs_no_forward_op(self, variant, monkeypatch):
+        rng = np.random.default_rng(3)
+        if variant == "conv_gmlp":
+            cfg = ConvGmlpConfig(rate_n=4, llm_dim=3, in_channels=4)
+            params = init_conv_gmlp_params(cfg, 3)
+            x = Tensor(rng.normal(size=(13, 4)))
+            forward, backward = _conv_gmlp_forward, _conv_gmlp_backward
+        else:
+            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 7))
+            params = init_visual_params(cfg, 3)
+            x = Tensor(rng.normal(size=(cfg.input_tokens, 4)))
+            forward, backward = _visual_forward, _visual_backward
+        out, cache = forward(cfg, params, x)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("backward ran a forward op")
+
+        for op in ("matmul", "conv1d", "pool2x2", "gelu", "sigmoid", "elementwise_mul", "add_bias"):
+            monkeypatch.setattr(numkit, op, forbidden)
+        grads, g_x = backward(cfg, params, cache, out)
+        assert sorted(grads) == sorted(params.tensors)
+        assert g_x.shape == x.shape
+
+    @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool", "conv_gmlp"])
+    def test_wrong_upstream_shape_rejected(self, variant):
+        rng = np.random.default_rng(4)
+        if variant == "conv_gmlp":
+            cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+            params = init_conv_gmlp_params(cfg, 4)
+            x = Tensor(rng.normal(size=(9, 4)))
+            out = conv_gmlp_forward(cfg, params, x)
+            backward = conv_gmlp_backward
+        else:
+            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 5))
+            params = init_visual_params(cfg, 4)
+            x = Tensor(rng.normal(size=(cfg.input_tokens, 4)))
+            out = visual_project(cfg, params, x)
+            backward = visual_project_backward
+        rows, cols = out.shape
+        for shape in ((rows + 1, cols), (rows, cols + 1), (rows * cols,)):
+            with pytest.raises(ShapeError):
+                backward(cfg, params, x, Tensor(np.ones(shape)))
+
+    def test_check_gradients_runs_backward_once(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(projectors, "_conv_gmlp_forward", counted("forward", _conv_gmlp_forward))
+        monkeypatch.setattr(projectors, "_conv_gmlp_backward", counted("backward", _conv_gmlp_backward))
+        assert check_gradients("conv_gmlp", seed=0, rate=2, seq_len=16).passed
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+        entries = init_conv_gmlp_params(cfg, 0).param_count
+        assert calls == {"forward": 1 + 2 * entries, "backward": 1}
+
     def test_zero_upstream_gives_zero_parameter_gradients(self):
         cfg = ConvGmlpConfig(rate_n=4, llm_dim=3, in_channels=4)
         params = init_conv_gmlp_params(cfg, 5)
@@ -138,15 +228,12 @@ class TestGradients:
         params = init_conv_gmlp_params(cfg, 6)
         from omnipipe.numkit import grad_check
 
-        def f(plist, _):
-            x = plist[0]
-            out = conv_gmlp_forward(cfg, params, x)
-            loss = 0.5 * float(np.sum(out.array**2))
-            _, g_x = conv_gmlp_backward(cfg, params, x, out)
-            return loss, [g_x]
+        def loss(plist, _):
+            return 0.5 * float(np.sum(conv_gmlp_forward(cfg, params, plist[0]).array ** 2))
 
         x0 = Tensor(np.random.default_rng(6).normal(size=(10, 4)))
-        assert grad_check(f, [x0], x0).passed
+        _, g_x = conv_gmlp_backward(cfg, params, x0, conv_gmlp_forward(cfg, params, x0))
+        assert grad_check(loss, [x0], x0, [g_x]).passed
 
 
 class TestConvGmlpShapes:
