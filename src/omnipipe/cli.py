@@ -3,10 +3,20 @@
 Subcommands: tile, frames, melspec, gradcheck, ablate-rates, pack,
 stream-sim, filter-loss, split-crossmodal, mix, metrics, normalize-scores.
 
-Configuration precedence is flags > --config JSON file > built-in defaults;
---dump-config prints the resolved configuration instead of running. Exit
-codes: 0 success, 1 contract error, 2 usage error. All outputs are
-deterministic for a fixed configuration and written atomically.
+Each subcommand is one entry of the command table below: its help, its
+runner and its flags, each flag declared once with its type, default,
+choices and whether it is required. Configuration precedence is flags >
+--config JSON file > defaults; --dump-config prints the resolved
+configuration instead of running.
+
+All outside input passes one type rule (``fileio.json_value``): int takes an
+integral number, float a finite number, str a string. Argparse applies it to
+argv values, and resolve_config to --config values. The JSONL and CSV
+readers apply it to every declared field and name FILE:LINE on failure.
+
+Exit codes: 0 success, 1 contract error (one ``error:`` line on stderr), 2
+usage error (argparse). All outputs are deterministic for a fixed
+configuration and written atomically.
 """
 
 from __future__ import annotations
@@ -15,28 +25,91 @@ import argparse
 import csv
 import json
 import sys
-from pathlib import Path
 
 from . import curation, evalkit, modality, packing, projectors, stream
 from .errors import ContractError, FormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, json_value
 
 
 def _jsonl(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+# ---------------------------------------------------------------------------
+# typed input readers
+# ---------------------------------------------------------------------------
+
+def _load_json(path: str):
+    """One JSON document from a file (configs, sizes, frame plans)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+_REQUIRED = object()
+
+
+def _field(obj: dict, name: str, type_, default=_REQUIRED):
+    if name not in obj:
+        if default is _REQUIRED:
+            raise FormatError(f"missing field {name!r}")
+        return default
+    try:
+        return json_value(obj[name], type_)
+    except FormatError as exc:
+        raise FormatError(f"field {name!r} {exc}") from None
+
+
+def _read_jsonl(path: str, fields: dict) -> list[tuple]:
+    """One tuple per non-blank line of a JSON-lines file, in ``fields`` order.
+
+    ``fields`` maps a name to its type, or to ``(type, default)`` when the
+    field may be absent. A line that is not a JSON object, lacks a required
+    field or holds a value of the wrong type raises FormatError naming
+    PATH:LINE.
+    """
+    specs = [(n, *(s if isinstance(s, tuple) else (s, _REQUIRED))) for n, s in fields.items()]
+    rows = []
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise FormatError("expected a JSON object")
+                rows.append(tuple([_field(obj, n, t, d) for n, t, d in specs]))
+            except FormatError as exc:
+                raise FormatError(f"{path}:{line_no}: {exc}") from None
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"{path}:{line_no}: invalid JSON ({exc})") from None
+    return rows
+
+
+def _read_csv(path: str, fields: dict) -> list[tuple]:
+    """One tuple per non-empty row of a CSV file whose header starts with
+    the names in ``fields`` (name -> type); each cell is parsed with its type
+    and checked by the type rule. Errors name PATH:LINE."""
+    types = list(fields.values())
+    rows = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-    return records
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[: len(types)]] != list(fields):
+                raise FormatError(f'header must start with "{",".join(fields)}"')
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(types):
+                    raise FormatError(f"expected {len(types)} columns, got {len(row)}")
+                rows.append(tuple([json_value(t(cell), t) for t, cell in zip(types, row)]))
+        except (csv.Error, ValueError) as exc:
+            raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +165,12 @@ def run_gradcheck(cfg: dict) -> tuple[str, int]:
 
 
 def run_ablate_rates(cfg: dict) -> tuple[str, int]:
-    rates = [int(r) for r in str(cfg["rates"]).split(",") if r != ""]
+    try:
+        rates = [int(r) for r in cfg["rates"].split(",") if r != ""]
+    except ValueError:
+        raise FormatError(
+            f"--rates must be comma-separated integers, got {cfg['rates']!r}"
+        ) from None
     rows = projectors.ablate_rates(
         rates,
         task_seed=cfg["seed"],
@@ -106,16 +184,11 @@ def run_ablate_rates(cfg: dict) -> tuple[str, int]:
 
 
 def run_pack(cfg: dict) -> tuple[str, int]:
-    records = _read_jsonl(cfg["manifest"])
-    try:
-        ids = [r["id"] for r in records]
-        lengths = [int(r["len"]) for r in records]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"manifest lines must carry id and len: {exc}") from exc
-    batch = packing.pack(lengths, cfg["capacity"], cfg["policy"])
+    rows = _read_jsonl(cfg["manifest"], {"id": object, "len": int})
+    batch = packing.pack([n for _, n in rows], cfg["capacity"], cfg["policy"])
     payload = batch.to_json()
     for bin_obj in payload["bins"]:
-        bin_obj["samples"] = [ids[i] for i in bin_obj["samples"]]
+        bin_obj["samples"] = [rows[i][0] for i in bin_obj["samples"]]
     return json.dumps(payload, sort_keys=True) + "\n", 0
 
 
@@ -123,14 +196,17 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
     if bool(cfg["events"]) == bool(cfg["wav"]):
         raise ContractError("provide exactly one of --events or --wav")
     if cfg["events"]:
-        events = stream.read_events_jsonl(Path(cfg["events"]).read_text(encoding="utf-8"))
+        fields = {"t": int, "kind": str, "tokens": (int, 0)}
+        events = [stream.StreamEvent(*row) for row in _read_jsonl(cfg["events"], fields)]
     else:
         spec = modality.melspec(modality.load_wav(cfg["wav"]))
         plan = None
         if cfg["frame_plan"]:
-            plan = modality.FramePlan.from_json(
-                json.loads(Path(cfg["frame_plan"]).read_text(encoding="utf-8"))
-            )
+            plan_json = _load_json(cfg["frame_plan"])
+            try:
+                plan = modality.FramePlan.from_json(plan_json)
+            except ContractError as exc:
+                raise FormatError(f"{cfg['frame_plan']}: {exc}") from None
         vad_cfg = stream.VadConfig(
             threshold_db=cfg["threshold_db"],
             hangover_frames=cfg["hangover"],
@@ -143,50 +219,33 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
 
 
 def run_filter_loss(cfg: dict) -> tuple[str, int]:
-    losses: dict[str, float] = {}
-    with open(cfg["losses"], newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["id", "loss"]:
-            raise FormatError('loss file must start with an "id,loss" header')
-        for row in reader:
-            if not row:
-                continue
-            try:
-                losses[row[0]] = float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"bad loss row {row!r}: {exc}") from exc
+    losses = dict(_read_csv(cfg["losses"], {"id": str, "loss": float}))
     report = curation.gaussian_filter(losses)
     return json.dumps(report.to_json(), sort_keys=True) + "\n", 0
 
 
 def run_split_crossmodal(cfg: dict) -> tuple[str, int]:
-    records = _read_jsonl(cfg["input"])
-    try:
-        texts = [r["text"] for r in records]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"input lines must carry a text field: {exc}") from exc
-    samples = [curation.split_one_three(t) for t in texts]
+    rows = _read_jsonl(cfg["input"], {"text": str})
+    samples = [curation.split_one_three(text) for (text,) in rows]
     samples = curation.assign_timbres(samples, cfg["seed"])
     return _jsonl(s.to_json() for s in samples), 0
 
 
 def run_mix(cfg: dict) -> tuple[str, int]:
-    sizes = json.loads(Path(cfg["sizes"]).read_text(encoding="utf-8"))
+    sizes = _load_json(cfg["sizes"])
     if not isinstance(sizes, dict):
-        raise FormatError("sizes file must be a JSON object of name -> size")
+        raise FormatError(f"{cfg['sizes']}: must be a JSON object of name -> size")
+    try:
+        sizes = {name: _field(sizes, name, int) for name in sizes}
+    except FormatError as exc:
+        raise FormatError(f"{cfg['sizes']}: {exc}") from None
     plan = curation.mix_plan(sizes, cfg["budget"], cfg["seed"])
     return json.dumps(plan.to_json(), sort_keys=True) + "\n", 0
 
 
 def run_metrics(cfg: dict) -> tuple[str, int]:
-    records = _read_jsonl(cfg["pairs"])
     results = []
-    for r in records:
-        try:
-            ref, hyp = r["ref"], r["hyp"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"pair lines must carry ref and hyp: {exc}") from exc
+    for ref, hyp in _read_jsonl(cfg["pairs"], {"ref": str, "hyp": str}):
         if cfg["metric"] == "wer":
             results.append(evalkit.wer(ref, hyp))
         elif cfg["metric"] == "cer":
@@ -211,228 +270,123 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
 
 
 def run_normalize_scores(cfg: dict) -> tuple[str, int]:
-    rows = []
-    with open(cfg["scores"], newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["model", "benchmark", "raw"]:
-            raise FormatError('scores file must start with a "model,benchmark,raw" header')
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append((row[0], row[1], float(row[2])))
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"bad score row {row!r}: {exc}") from exc
+    rows = _read_csv(cfg["scores"], {"model": str, "benchmark": str, "raw": float})
     table = evalkit.ScoreTable.from_rows(rows)
     return evalkit.render_report(table, cfg["format"]), 0
 
 
 # ---------------------------------------------------------------------------
-# parser construction
+# the command table
 # ---------------------------------------------------------------------------
 
 _COMMANDS: dict[str, dict] = {}
 
-_HELP = {
-    "tile": "plan the tile grid and token budget for an image",
-    "frames": "sample video frames at 1 fps and budget tokens per frame",
-    "melspec": "compute 30 s / 128-bin log-mel features from a WAV file",
-    "gradcheck": "verify a projector's backward pass with finite differences",
-    "ablate-rates": "fit the audio projector at several down-sampling rates",
-    "pack": "pack a manifest of sample lengths into fixed-capacity bins",
-    "stream-sim": "replay or derive a stream and emit the injection trace",
-    "filter-loss": "keep samples whose loss lies within one sigma of the mean",
-    "split-crossmodal": "split texts 1:3 and assign speech timbres",
-    "mix": "draw a size-proportional sample budget across datasets",
-    "metrics": "compute wer, cer, or bleu over ref/hyp pairs",
-    "normalize-scores": "normalize a score table per benchmark column",
-}
+
+def _flag(name, type_, help_, default=None, choices=None, required=False):
+    return dict(
+        name=name, type=type_, help=help_, default=default, choices=choices, required=required
+    )
 
 
-def _command(name, runner, defaults, flags):
-    _COMMANDS[name] = {"runner": runner, "defaults": defaults, "flags": flags}
+def _command(name, help_, runner, flags, writes_out=False):
+    """Register a subcommand. ``writes_out`` marks a runner that writes its
+    own --out file, so its payload always goes to stdout."""
+    _COMMANDS[name] = {
+        "help": help_,
+        "runner": runner,
+        "flags": {f["name"]: f for f in flags},
+        "writes_out": writes_out,
+    }
 
 
-def _flag(name, type_, help_, choices=None, required=False):
-    return dict(name=name, type=type_, help=help_, choices=choices, required=required)
+_command("tile", "plan the tile grid and token budget for an image", run_tile, [
+    _flag("width", int, "image width in pixels", required=True),
+    _flag("height", int, "image height in pixels", required=True),
+    _flag("max_tiles", int, "grid tile cap", 9),
+    _flag("out", str, "write the JSON plan to this path"),
+])
+_command("frames", "sample video frames at 1 fps and budget tokens per frame", run_frames, [
+    _flag("duration", float, "video duration in seconds", required=True),
+    _flag("source_frames", int, "total frames in the source video", required=True),
+    _flag("frame_width", int, "frame width in pixels", 384),
+    _flag("frame_height", int, "frame height in pixels", 384),
+    _flag("out", str, "write the JSON plan to this path"),
+])
+_command("melspec", "compute 30 s / 128-bin log-mel features from a WAV file", run_melspec, [
+    _flag("wav", str, "mono 16-bit 16 kHz WAV input", required=True),
+    _flag("out", str, "write the full 3000x128 tensor JSON to this path"),
+], writes_out=True)
+_command("gradcheck", "verify a projector's backward pass with finite differences", run_gradcheck, [
+    _flag("projector", str, "projector to check",
+          choices=list(projectors.VISUAL_VARIANTS) + ["conv_gmlp"], required=True),
+    _flag("rate", int, "down-sampling rate for conv_gmlp", 2),
+    _flag("seeds", int, "number of random seeds to check", 3),
+    _flag("seed", int, "base random seed", 0),
+    _flag("eps", float, "finite-difference step", 1e-5),
+    _flag("tol", float, "max relative error allowed", 1e-4),
+    _flag("out", str, "write the JSON report to this path"),
+])
+_command("ablate-rates", "fit the audio projector at several down-sampling rates", run_ablate_rates, [
+    _flag("rates", str, "comma-separated down-sampling rates", "2,4,8"),
+    _flag("seed", int, "random seed for the toy task", 0),
+    _flag("steps", int, "gradient-descent steps per rate", 200),
+    _flag("lr", float, "learning rate", 1e-3),
+    _flag("channels", int, "input channels of the toy projector", 32),
+    _flag("llm_dim", int, "output embedding width", 16),
+    _flag("length", int, "input sequence length", 128),
+    _flag("out", str, "write the CSV table to this path"),
+])
+_command("pack", "pack a manifest of sample lengths into fixed-capacity bins", run_pack, [
+    _flag("manifest", str, 'JSON lines of {"id":...,"len":...}', required=True),
+    _flag("capacity", int, "bin capacity in tokens", required=True),
+    _flag("policy", str, "packing heuristic", "first_fit", choices=list(packing.PACK_POLICIES)),
+    _flag("out", str, "write the packed batch JSON to this path"),
+])
+_command("stream-sim", "replay or derive a stream and emit the injection trace", run_stream_sim, [
+    _flag("events", str, "raw event trace (JSON lines) to replay"),
+    _flag("wav", str, "derive events from this WAV via the energy VAD"),
+    _flag("frame_plan", str, "frame-plan JSON accompanying the WAV"),
+    _flag("threshold_db", float, "VAD activity threshold", -60.0),
+    _flag("hangover", int, "VAD merge gap in mel frames", 20),
+    _flag("rate", int, "audio token down-sampling rate", 2),
+    _flag("chunk_frames", int, "mel frames per audio_frame event", 10),
+    _flag("out", str, "write the injection trace (JSON lines) to this path"),
+])
+_command("filter-loss", "keep samples whose loss lies within one sigma of the mean", run_filter_loss, [
+    _flag("losses", str, 'CSV with an "id,loss" header', required=True),
+    _flag("out", str, "write the JSON report to this path"),
+])
+_command("split-crossmodal", "split texts 1:3 and assign speech timbres", run_split_crossmodal, [
+    _flag("input", str, 'JSON lines of {"text":...}', required=True),
+    _flag("seed", int, "seed for timbre assignment", 0),
+    _flag("out", str, "write the manifest (JSON lines) to this path"),
+])
+_command("mix", "draw a size-proportional sample budget across datasets", run_mix, [
+    _flag("sizes", str, "JSON object of dataset name -> size", required=True),
+    _flag("budget", int, "total samples to draw", required=True),
+    _flag("seed", int, "seed carried into the plan", 0),
+    _flag("out", str, "write the mix plan JSON to this path"),
+])
+_command("metrics", "compute wer, cer, or bleu over ref/hyp pairs", run_metrics, [
+    _flag("metric", str, "metric to compute", choices=["wer", "cer", "bleu"], required=True),
+    _flag("pairs", str, 'JSON lines of {"ref":...,"hyp":...}', required=True),
+    _flag("out", str, "write results (JSON lines) to this path"),
+])
+_command("normalize-scores", "normalize a score table per benchmark column", run_normalize_scores, [
+    _flag("scores", str, 'CSV with a "model,benchmark,raw" header', required=True),
+    _flag("format", str, "report format", "csv", choices=["csv", "json"]),
+    _flag("out", str, "write the report to this path"),
+])
 
 
-_command(
-    "tile",
-    run_tile,
-    {"width": None, "height": None, "max_tiles": 9, "out": None},
-    [
-        _flag("width", int, "image width in pixels", required=True),
-        _flag("height", int, "image height in pixels", required=True),
-        _flag("max_tiles", int, "grid tile cap"),
-        _flag("out", str, "write the JSON plan to this path"),
-    ],
-)
-_command(
-    "frames",
-    run_frames,
-    {
-        "duration": None,
-        "source_frames": None,
-        "frame_width": 384,
-        "frame_height": 384,
-        "out": None,
-    },
-    [
-        _flag("duration", float, "video duration in seconds", required=True),
-        _flag("source_frames", int, "total frames in the source video", required=True),
-        _flag("frame_width", int, "frame width in pixels"),
-        _flag("frame_height", int, "frame height in pixels"),
-        _flag("out", str, "write the JSON plan to this path"),
-    ],
-)
-_command(
-    "melspec",
-    run_melspec,
-    {"wav": None, "out": None},
-    [
-        _flag("wav", str, "mono 16-bit 16 kHz WAV input", required=True),
-        _flag("out", str, "write the full 3000x128 tensor JSON to this path"),
-    ],
-)
-_command(
-    "gradcheck",
-    run_gradcheck,
-    {
-        "projector": None,
-        "rate": 2,
-        "seeds": 3,
-        "seed": 0,
-        "eps": 1e-5,
-        "tol": 1e-4,
-        "out": None,
-    },
-    [
-        _flag(
-            "projector",
-            str,
-            "projector to check",
-            choices=list(projectors.VISUAL_VARIANTS) + ["conv_gmlp"],
-            required=True,
-        ),
-        _flag("rate", int, "down-sampling rate for conv_gmlp"),
-        _flag("seeds", int, "number of random seeds to check"),
-        _flag("seed", int, "base random seed"),
-        _flag("eps", float, "finite-difference step"),
-        _flag("tol", float, "max relative error allowed"),
-        _flag("out", str, "write the JSON report to this path"),
-    ],
-)
-_command(
-    "ablate-rates",
-    run_ablate_rates,
-    {
-        "rates": "2,4,8",
-        "seed": 0,
-        "steps": 200,
-        "lr": 1e-3,
-        "channels": 32,
-        "llm_dim": 16,
-        "length": 128,
-        "out": None,
-    },
-    [
-        _flag("rates", str, "comma-separated down-sampling rates"),
-        _flag("seed", int, "random seed for the toy task"),
-        _flag("steps", int, "gradient-descent steps per rate"),
-        _flag("lr", float, "learning rate"),
-        _flag("channels", int, "input channels of the toy projector"),
-        _flag("llm_dim", int, "output embedding width"),
-        _flag("length", int, "input sequence length"),
-        _flag("out", str, "write the CSV table to this path"),
-    ],
-)
-_command(
-    "pack",
-    run_pack,
-    {"manifest": None, "capacity": None, "policy": "first_fit", "out": None},
-    [
-        _flag("manifest", str, 'JSON lines of {"id":...,"len":...}', required=True),
-        _flag("capacity", int, "bin capacity in tokens", required=True),
-        _flag("policy", str, "packing heuristic", choices=list(packing.PACK_POLICIES)),
-        _flag("out", str, "write the packed batch JSON to this path"),
-    ],
-)
-_command(
-    "stream-sim",
-    run_stream_sim,
-    {
-        "events": None,
-        "wav": None,
-        "frame_plan": None,
-        "threshold_db": -60.0,
-        "hangover": 20,
-        "rate": 2,
-        "chunk_frames": 10,
-        "out": None,
-    },
-    [
-        _flag("events", str, "raw event trace (JSON lines) to replay"),
-        _flag("wav", str, "derive events from this WAV via the energy VAD"),
-        _flag("frame_plan", str, "frame-plan JSON accompanying the WAV"),
-        _flag("threshold_db", float, "VAD activity threshold"),
-        _flag("hangover", int, "VAD merge gap in mel frames"),
-        _flag("rate", int, "audio token down-sampling rate"),
-        _flag("chunk_frames", int, "mel frames per audio_frame event"),
-        _flag("out", str, "write the injection trace (JSON lines) to this path"),
-    ],
-)
-_command(
-    "filter-loss",
-    run_filter_loss,
-    {"losses": None, "out": None},
-    [
-        _flag("losses", str, 'CSV with an "id,loss" header', required=True),
-        _flag("out", str, "write the JSON report to this path"),
-    ],
-)
-_command(
-    "split-crossmodal",
-    run_split_crossmodal,
-    {"input": None, "seed": 0, "out": None},
-    [
-        _flag("input", str, 'JSON lines of {"text":...}', required=True),
-        _flag("seed", int, "seed for timbre assignment"),
-        _flag("out", str, "write the manifest (JSON lines) to this path"),
-    ],
-)
-_command(
-    "mix",
-    run_mix,
-    {"sizes": None, "budget": None, "seed": 0, "out": None},
-    [
-        _flag("sizes", str, "JSON object of dataset name -> size", required=True),
-        _flag("budget", int, "total samples to draw", required=True),
-        _flag("seed", int, "seed carried into the plan"),
-        _flag("out", str, "write the mix plan JSON to this path"),
-    ],
-)
-_command(
-    "metrics",
-    run_metrics,
-    {"metric": None, "pairs": None, "out": None},
-    [
-        _flag("metric", str, "metric to compute", choices=["wer", "cer", "bleu"], required=True),
-        _flag("pairs", str, 'JSON lines of {"ref":...,"hyp":...}', required=True),
-        _flag("out", str, "write results (JSON lines) to this path"),
-    ],
-)
-_command(
-    "normalize-scores",
-    run_normalize_scores,
-    {"scores": None, "format": "csv", "out": None},
-    [
-        _flag("scores", str, 'CSV with a "model,benchmark,raw" header', required=True),
-        _flag("format", str, "report format", choices=["csv", "json"]),
-        _flag("out", str, "write the report to this path"),
-    ],
-)
+def _argv_type(type_):
+    """The type rule for an argv value; named after type_ so argparse's
+    usage error reads "invalid float value: 'inf'"."""
+    def parse(text: str):
+        return json_value(type_(text), type_)
+
+    parse.__name__ = type_.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,76 +396,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
     for name, spec in _COMMANDS.items():
-        sp = sub.add_parser(name, help=_HELP[name], description=_HELP[name])
+        sp = sub.add_parser(name, help=spec["help"], description=spec["help"])
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument(
             "--dump-config",
             action="store_true",
             help="print the resolved configuration and exit",
         )
-        for flag in spec["flags"]:
-            shown = "required" if flag["required"] else spec["defaults"][flag["name"]]
-            kwargs = {
-                "type": flag["type"],
-                "default": None,
-                "help": f"{flag['help']} (default: {shown})",
-            }
-            if flag["choices"]:
-                kwargs["choices"] = flag["choices"]
-            sp.add_argument("--" + flag["name"].replace("_", "-"), **kwargs)
+        for flag in spec["flags"].values():
+            shown = "required" if flag["required"] else flag["default"]
+            sp.add_argument(
+                "--" + flag["name"].replace("_", "-"),
+                type=_argv_type(flag["type"]),
+                default=None,
+                choices=flag["choices"],
+                help=f"{flag['help']} (default: {shown})",
+            )
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    spec = _COMMANDS[args.command]
-    cfg = dict(spec["defaults"])
+    """Defaults, then --config values, then flags; each --config value passes
+    the flag's type rule and choices. Required flags are checked unless the
+    configuration is only being dumped."""
+    flags = _COMMANDS[args.command]["flags"]
+    cfg = {name: flag["default"] for name, flag in flags.items()}
     if args.config:
-        try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file is not valid JSON: {exc}") from exc
+        file_cfg = _load_json(args.config)
         if not isinstance(file_cfg, dict):
-            raise FormatError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            if key not in cfg:
+            raise FormatError(f"{args.config}: config file must hold a JSON object")
+        for key in file_cfg:
+            if key not in flags:
+                raise ContractError(f"config key {key!r} is not a flag of {args.command!r}")
+            flag = flags[key]
+            try:
+                cfg[key] = _field(file_cfg, key, flag["type"])
+            except FormatError as exc:
+                raise FormatError(f"{args.config}: {exc}") from None
+            if flag["choices"] and cfg[key] not in flag["choices"]:
                 raise ContractError(
-                    f"config key {key!r} is not a flag of {args.command!r}"
+                    f"{args.config}: field {key!r} must be one of {flag['choices']}, "
+                    f"got {cfg[key]!r}"
                 )
-            cfg[key] = value
     for key in cfg:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
+    if not args.dump_config:
+        for name, flag in flags.items():
+            if flag["required"] and cfg[name] is None:
+                raise ContractError(f"--{name.replace('_', '-')} is required")
     return cfg
 
 
-def _check_required(command: str, cfg: dict) -> None:
-    spec = _COMMANDS[command]
-    for flag in spec["flags"]:
-        name = flag["name"]
-        if flag["required"] and cfg[name] is None:
-            raise ContractError(f"--{name.replace('_', '-')} is required")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    spec = _COMMANDS[args.command]
     try:
         cfg = resolve_config(args)
         if args.dump_config:
             print(json.dumps({"command": args.command, **cfg}, sort_keys=True))
             return 0
-        _check_required(args.command, cfg)
-        payload, code = _COMMANDS[args.command]["runner"](cfg)
-        if cfg.get("out") and args.command != "melspec":
+        payload, code = spec["runner"](cfg)
+        if cfg["out"] and not spec["writes_out"]:
             atomic_write(cfg["out"], payload)
         else:
             sys.stdout.write(payload)
         return code
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -77,15 +77,10 @@ def tokenize_words(text: str) -> list[str]:
     return tokens
 
 
-def wer(reference: str, hypothesis: str) -> MetricResult:
-    """(S + D + I) / N over whitespace-tokenized, lightly normalized words."""
-    ref = tokenize_words(reference)
-    hyp = tokenize_words(hypothesis)
-    if not ref:
-        raise ContractError("reference is empty after tokenization")
+def _error_rate(metric: str, ref: list, hyp: list) -> MetricResult:
     s, d, i = _edit_ops(ref, hyp)
     return MetricResult(
-        metric="wer",
+        metric=metric,
         value=(s + d + i) / len(ref),
         counts={
             "substitutions": s,
@@ -94,25 +89,21 @@ def wer(reference: str, hypothesis: str) -> MetricResult:
             "reference_length": len(ref),
         },
     )
+
+
+def wer(reference: str, hypothesis: str) -> MetricResult:
+    """(S + D + I) / N over whitespace-tokenized, lightly normalized words."""
+    ref = tokenize_words(reference)
+    if not ref:
+        raise ContractError("reference is empty after tokenization")
+    return _error_rate("wer", ref, tokenize_words(hypothesis))
 
 
 def cer(reference: str, hypothesis: str) -> MetricResult:
     """Character-level edit rate; whitespace counts, code points compared."""
-    ref = list(reference)
-    hyp = list(hypothesis)
-    if not ref:
+    if not reference:
         raise ContractError("reference is empty")
-    s, d, i = _edit_ops(ref, hyp)
-    return MetricResult(
-        metric="cer",
-        value=(s + d + i) / len(ref),
-        counts={
-            "substitutions": s,
-            "deletions": d,
-            "insertions": i,
-            "reference_length": len(ref),
-        },
-    )
+    return _error_rate("cer", list(reference), list(hypothesis))
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:

@@ -2,9 +2,38 @@
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import tempfile
 from pathlib import Path
+
+from .errors import FormatError
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def json_value(value, type_):
+    """Return a value parsed from JSON as type_, or raise FormatError.
+
+    This is the one type rule for outside input: int takes an integral
+    number, float a finite number, str a string, object any value. A bool is
+    never a number. Text input (argv values, CSV cells) is parsed with
+    type_ first and then checked by the same rule.
+    """
+    if type_ is object or (type(value) is type_ and (type_ is not float or math.isfinite(value))):
+        return value
+    if type_ is not str and type(value) in (int, float):
+        try:
+            converted = type_(value)
+        except (OverflowError, ValueError):
+            converted = None
+        if converted == value and math.isfinite(converted):
+            return converted
+    shown = json.dumps(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    raise FormatError(f"must be {_KINDS[type_]}, got {shown}")
 
 
 def atomic_write(path, text: str) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .fileio import json_value
 from .numkit import Tensor
 
 TILE_PX = 384
@@ -141,10 +142,17 @@ class FramePlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FramePlan":
-        return cls(
-            frame_indices=tuple(int(i) for i in obj["frames"]),
-            per_frame_tokens=int(obj["per_frame_tokens"]),
-        )
+        """Inverse of to_json; a missing field or a non-integer value raises
+        FormatError."""
+        try:
+            frames = tuple(json_value(i, int) for i in obj["frames"])
+            tokens = json_value(obj["per_frame_tokens"], int)
+        except (KeyError, TypeError, FormatError) as exc:
+            raise FormatError(
+                'frame plan needs a "frames" list and "per_frame_tokens", all integers '
+                f"({type(exc).__name__}: {exc})"
+            ) from None
+        return cls(frame_indices=frames, per_frame_tokens=tokens)
 
 
 def plan_frames(

@@ -9,10 +9,11 @@ energy VAD, a trace file, or a test harness.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, replace
 
-from .errors import ContractError, FormatError, ProtocolError
+from .errors import ContractError, ProtocolError
 from .modality import FramePlan, MelSpec, MS_PER_MEL_FRAME, vad
 
 EVENT_KINDS = ("audio_start", "audio_frame", "audio_end", "video_frame", "image", "text")
@@ -40,14 +41,6 @@ class StreamEvent:
 
     def to_json(self) -> dict:
         return {"t": self.timestamp_ms, "kind": self.kind, "tokens": self.payload_tokens}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StreamEvent":
-        return cls(
-            timestamp_ms=int(obj["t"]),
-            kind=str(obj["kind"]),
-            payload_tokens=int(obj.get("tokens", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,27 +191,4 @@ def events_from_media(
                 StreamEvent(j * 1000, "video_frame", frame_plan.per_frame_tokens)
             )
 
-    merged: list[StreamEvent] = []
-    vi = ai = 0
-    while vi < len(video_events) or ai < len(audio_events):
-        if ai >= len(audio_events):
-            merged.append(video_events[vi]); vi += 1
-        elif vi >= len(video_events):
-            merged.append(audio_events[ai]); ai += 1
-        elif video_events[vi].timestamp_ms <= audio_events[ai].timestamp_ms:
-            merged.append(video_events[vi]); vi += 1
-        else:
-            merged.append(audio_events[ai]); ai += 1
-    return merged
-
-
-def read_events_jsonl(text: str) -> list[StreamEvent]:
-    events = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            events.append(StreamEvent.from_json(json.loads(line)))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"bad event on line {line_no}: {exc}") from exc
-    return events
+    return list(heapq.merge(video_events, audio_events, key=lambda e: e.timestamp_ms))

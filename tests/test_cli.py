@@ -5,7 +5,10 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from omnipipe import stream
 from omnipipe.cli import build_parser, main
 
 SUBCOMMANDS = [
@@ -111,6 +114,11 @@ class TestConfigPrecedence:
         assert dumped["height"] == 400
         assert dumped["max_tiles"] == 9
 
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_dump_config_needs_no_required_flag(self, name, capsys):
+        assert main([name, "--dump-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == name
+
 
 class TestSubcommandBehaviour:
     def test_frames_defaults(self, capsys):
@@ -177,6 +185,14 @@ class TestSubcommandBehaviour:
             {"t": 100, "modality": "video", "tokens": 182, "trigger_inference": False},
             {"t": 300, "modality": "audio", "tokens": 50, "trigger_inference": True},
         ]
+
+    def test_stream_sim_replays_serialized_events(self, tmp_path, capsys):
+        events = [stream.StreamEvent(0, "audio_start"), stream.StreamEvent(5, "audio_frame", 3),
+                  stream.StreamEvent(9, "audio_end"), stream.StreamEvent(9, "text", 4)]
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(json.dumps(e.to_json()) + "\n" for e in events))
+        assert main(["stream-sim", "--events", str(path)]) == 0
+        assert capsys.readouterr().out == stream.run(events).to_jsonl()
 
     def test_stream_sim_from_wav(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"
@@ -246,3 +262,115 @@ class TestSubcommandBehaviour:
         for out in (out1, out2):
             assert main(["tile", "--width", "1000", "--height", "700", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Each case: argv (with {NAME} standing for a file written from FILES), the
+# files, the expected exit code, and for reader errors the failing line.
+MALFORMED = {
+    "pack len not a number": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": "a", "len": "abc"}\n'}, 1, 1),
+    "pack len not integral": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"],
+        {"m": '{"id": "a", "len": 3}\n{"id": "b", "len": 3.7}\n'}, 1, 2),
+    "pack len missing": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": "a"}\n'}, 1, 1),
+    "pack line not an object": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": "\n[1, 2]\n"}, 1, 2),
+    "tile config width not a number": (
+        ["tile", "--config", "{c}"], {"c": '{"width": "abc", "height": 3}'}, 1, None),
+    "tile config out not a string": (
+        ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"out": 5}'}, 1, None),
+    "tile config max_tiles not integral": (
+        ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"max_tiles": 2.5}'},
+        1, None),
+    "frames duration inf": (["frames", "--duration", "inf", "--source-frames", "3"], {}, 2, None),
+    "frames config duration inf": (
+        ["frames", "--source-frames", "3", "--config", "{c}"], {"c": '{"duration": Infinity}'},
+        1, None),
+    "melspec config wav not a string": (["melspec", "--config", "{c}"], {"c": '{"wav": 5}'}, 1, None),
+    "gradcheck config seeds bool": (
+        ["gradcheck", "--projector", "mlp", "--config", "{c}"], {"c": '{"seeds": true}'}, 1, None),
+    "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
+    "stream-sim event t not a number": (
+        ["stream-sim", "--events", "{e}"], {"e": '{"t": "x", "kind": "text"}\n'}, 1, 1),
+    "stream-sim event tokens not integral": (
+        ["stream-sim", "--events", "{e}"], {"e": '{"t": 0, "kind": "text", "tokens": 1.7}\n'},
+        1, 1),
+    "stream-sim frame plan without per_frame_tokens": (
+        ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"], {"p": '{"frames": [0, 30]}'},
+        1, None),
+    "stream-sim frame plan frames not a list": (
+        ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
+        {"p": '{"frames": "ab", "per_frame_tokens": 182}'}, 1, None),
+    "filter-loss loss not finite": (
+        ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
+    "split-crossmodal text not a string": (
+        ["split-crossmodal", "--input", "{i}"], {"i": '{"text": 5}\n'}, 1, 1),
+    "mix size not a number": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": "x"}'}, 1, None),
+    "mix size not integral": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": 1.5}'}, 1, None),
+    "metrics ref not a string": (
+        ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),
+    "metrics config metric not a choice": (
+        ["metrics", "--pairs", "{p}", "--config", "{c}"],
+        {"p": '{"ref": "a", "hyp": "a"}\n', "c": '{"metric": "ter"}'}, 1, None),
+    "normalize-scores raw nan": (
+        ["normalize-scores", "--scores", "{s}"], {"s": "model,benchmark,raw\nm,b,nan\n"}, 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
+    argv, files, code, line = MALFORMED[case]
+    paths = {"wav": str(tmp_path / "tone.wav")}
+    _write_wav(paths["wav"])
+    for key, text in files.items():
+        paths[key] = str(tmp_path / f"{key}.in")
+        (tmp_path / f"{key}.in").write_text(text)
+    argv = [a.format(**paths) for a in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: omnipipe ")
+        assert [e for e in err if "error:" in e] == [err[-1]]
+        return
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    if files:
+        (named,) = [p for k, p in paths.items() if k in files and p in err[0]]
+        if line is not None:
+            assert err[0].startswith(f"error: {named}:{line}: ")
+
+
+def _equivalent_int(value):
+    if type(value) is int:
+        return value
+    if type(value) is float and np.isfinite(value) and value.is_integer():
+        return int(value)
+    return None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5)))
+def test_pack_len_is_an_integer_or_an_error(tmp_path, capsys, value):
+    manifest = tmp_path / "m.jsonl"
+    argv = ["pack", "--capacity", "8", "--manifest", str(manifest)]
+
+    def run(length):
+        manifest.write_text(json.dumps({"id": "a", "len": length}) + '\n{"id": "b", "len": 3}\n')
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    code, captured = run(value)
+    expected = _equivalent_int(value)
+    if expected is None:
+        assert code == 1 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert (code, captured) == run(expected)

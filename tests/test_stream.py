@@ -1,7 +1,5 @@
 """Streaming scheduler: protocol rules, trace invariants, media binding."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from omnipipe.stream import (
     StreamEvent,
     VadConfig,
     events_from_media,
-    read_events_jsonl,
     run,
     step,
 )
@@ -203,8 +200,8 @@ class TestEventsFromMedia:
         assert len(trace.audio_entries()) == 1
         assert len(trace.visual_text_entries()) == 3
 
-    def test_jsonl_roundtrip(self):
-        events = [StreamEvent(0, "audio_start"), StreamEvent(5, "audio_frame", 3),
-                  StreamEvent(9, "audio_end"), StreamEvent(9, "text", 4)]
-        text = "".join(json.dumps(e.to_json()) + "\n" for e in events)
-        assert read_events_jsonl(text) == events
+    def test_video_precedes_audio_at_the_same_ms(self):
+        spec = _spec_with_active(300, [(100, 200)])  # audio_start at 100 * 10 ms
+        events = events_from_media(spec, VadConfig(), plan_frames(2.0, 60))
+        at_1000 = [e.kind for e in events if e.timestamp_ms == 1000]
+        assert at_1000 == ["video_frame", "audio_start"]
