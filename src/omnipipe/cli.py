@@ -62,13 +62,14 @@ def _field(obj: dict, name: str, type_, default=_REQUIRED):
         raise FormatError(f"field {name!r} {exc}") from None
 
 
-def _read_jsonl(path: str, fields: dict) -> list[tuple]:
-    """One tuple per non-blank line of a JSON-lines file, in ``fields`` order.
+def _read_jsonl(path: str, fields: dict, row=lambda *values: values) -> list:
+    """One ``row(*values)`` per non-blank line of a JSON-lines file, with the
+    values in ``fields`` order (a tuple by default).
 
     ``fields`` maps a name to its type, or to ``(type, default)`` when the
     field may be absent. A line that is not a JSON object, lacks a required
-    field or holds a value of the wrong type raises FormatError naming
-    PATH:LINE.
+    field, holds a value of the wrong type or that ``row`` rejects with a
+    ContractError raises FormatError naming PATH:LINE.
     """
     specs = [(n, *(s if isinstance(s, tuple) else (s, _REQUIRED))) for n, s in fields.items()]
     rows = []
@@ -81,8 +82,8 @@ def _read_jsonl(path: str, fields: dict) -> list[tuple]:
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise FormatError("expected a JSON object")
-                rows.append(tuple([_field(obj, n, t, d) for n, t, d in specs]))
-            except FormatError as exc:
+                rows.append(row(*[_field(obj, n, t, d) for n, t, d in specs]))
+            except ContractError as exc:
                 raise FormatError(f"{path}:{line_no}: {exc}") from None
             except (ValueError, RecursionError) as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON ({exc})") from None
@@ -197,7 +198,7 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
         raise ContractError("provide exactly one of --events or --wav")
     if cfg["events"]:
         fields = {"t": int, "kind": str, "tokens": (int, 0)}
-        events = [stream.StreamEvent(*row) for row in _read_jsonl(cfg["events"], fields)]
+        events = _read_jsonl(cfg["events"], fields, stream.StreamEvent)
     else:
         spec = modality.melspec(modality.load_wav(cfg["wav"]))
         plan = None

@@ -120,6 +120,8 @@ def split_one_three(text: str) -> CrossModalSample:
 
 def assign_timbres(samples: list[CrossModalSample], seed: int) -> list[CrossModalSample]:
     """Assign each sample a uniformly random voice id, deterministically."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, TIMBRE_COUNT, size=len(samples))
     return [replace(s, timbre_id=int(t)) for s, t in zip(samples, draws)]

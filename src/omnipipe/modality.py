@@ -300,7 +300,8 @@ def load_wav(path) -> np.ndarray:
     try:
         reader = wave.open(str(path), "rb")
     except (wave.Error, EOFError) as exc:
-        raise FormatError(f"not a readable WAV file: {path} ({exc})") from exc
+        reason = str(exc) or type(exc).__name__
+        raise FormatError(f"not a readable WAV file: {path} ({reason})") from exc
     with reader:
         if reader.getcomptype() != "NONE":
             raise FormatError(f"WAV must be uncompressed PCM, got {reader.getcomptype()}")

@@ -1,17 +1,21 @@
 """Minimal float64 numeric kernel.
 
-Tensors, the handful of layer operations the projectors need, a hand-written
-adjoint for each operation (no general autodiff tape), and a finite-difference
-gradient checker. Everything is float64: the gradient checker relies on it.
-No ``<op>_backward`` calls a forward op. ``grad_check`` probes a loss-only
-function and compares against gradients the caller computed once.
+The handful of layer operations the projectors need, a hand-written adjoint
+for each operation (no general autodiff tape), and a finite-difference
+gradient checker. Every kernel takes and returns plain float64 numpy arrays
+and checks the shapes it relies on; ``Tensor`` is the validated type at the
+package's public edge (projector inputs and outputs, mel features, packed
+attention), not inside the kernels. Everything is float64: the gradient
+checker relies on it. No ``<op>_backward`` calls a forward op.
+``grad_check`` probes a loss-only function and compares against gradients
+the caller computed once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +29,11 @@ _REL_FLOOR = 1e-8
 
 
 class Tensor:
-    """Dense row-major float64 array with all dimension sizes >= 1."""
+    """Dense row-major float64 array with all dimension sizes >= 1.
+
+    The validated type at the package's public edge; the kernels below take
+    and return plain float64 arrays.
+    """
 
     __slots__ = ("array",)
 
@@ -37,19 +45,6 @@ class Tensor:
             raise ShapeError(f"tensor dimensions must all be >= 1, got {arr.shape}")
         self.array = arr
 
-    @classmethod
-    def from_flat(cls, shape: Sequence[int], data: Sequence[float]) -> "Tensor":
-        shape = tuple(int(d) for d in shape)
-        if any(d < 1 for d in shape):
-            raise ShapeError(f"tensor dimensions must all be >= 1, got {shape}")
-        n = math.prod(shape)
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.size != n:
-            raise ShapeError(
-                f"flat data has {arr.size} values, shape {shape} needs {n}"
-            )
-        return cls(arr.reshape(shape))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
@@ -58,27 +53,15 @@ class Tensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values."""
-        return self.array.reshape(-1)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.array.copy())
-
     def to_json(self) -> dict:
-        return {"shape": list(self.shape), "data": self.data.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Tensor":
-        return cls.from_flat(obj["shape"], obj["data"])
+        return {"shape": list(self.shape), "data": self.array.reshape(-1).tolist()}
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
 
-def _require_ndim(t: Tensor, ndim: int, name: str) -> None:
-    if t.array.ndim != ndim:
+def _require_ndim(t: np.ndarray, ndim: int, name: str) -> None:
+    if t.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {t.shape}")
 
 
@@ -86,29 +69,31 @@ def _require_ndim(t: Tensor, ndim: int, name: str) -> None:
 # matmul
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """c[i,j] = sum_k a[i,k] * b[k,j]."""
     _require_ndim(a, 2, "matmul lhs")
     _require_ndim(b, 2, "matmul rhs")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return Tensor(a.array @ b.array)
+    return a @ b
 
 
-def matmul_backward(a: Tensor, b: Tensor, grad_out: Tensor) -> tuple[Tensor, Tensor]:
+def matmul_backward(
+    a: np.ndarray, b: np.ndarray, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     if grad_out.shape != (a.shape[0], b.shape[1]):
         raise ShapeError(
             f"matmul upstream gradient has shape {grad_out.shape}, "
             f"expected {(a.shape[0], b.shape[1])}"
         )
-    return Tensor(grad_out.array @ b.array.T), Tensor(a.array.T @ grad_out.array)
+    return grad_out @ b.T, a.T @ grad_out
 
 
 # ---------------------------------------------------------------------------
 # conv1d: valid cross-correlation over a right-zero-padded sequence
 # ---------------------------------------------------------------------------
 
-def _conv1d_prepare(x: Tensor, kernel: Tensor, stride: int, pad_right: int):
+def _conv1d_prepare(x: np.ndarray, kernel: np.ndarray, stride: int, pad_right: int):
     _require_ndim(x, 2, "conv1d input")
     _require_ndim(kernel, 3, "conv1d kernel")
     if stride < 1:
@@ -126,7 +111,7 @@ def _conv1d_prepare(x: Tensor, kernel: Tensor, stride: int, pad_right: int):
             f"conv1d window underflow: length {length} + pad {pad_right} < kernel {k}"
         )
     l_out = (length + pad_right - k) // stride + 1
-    padded = x.array
+    padded = x
     if pad_right:
         padded = np.concatenate(
             [padded, np.zeros((pad_right, c_in), dtype=np.float64)], axis=0
@@ -135,16 +120,18 @@ def _conv1d_prepare(x: Tensor, kernel: Tensor, stride: int, pad_right: int):
     return padded, idx, l_out, (k, c_in, c_out)
 
 
-def conv1d(x: Tensor, kernel: Tensor, stride: int = 1, pad_right: int = 0) -> Tensor:
+def conv1d(
+    x: np.ndarray, kernel: np.ndarray, stride: int = 1, pad_right: int = 0
+) -> np.ndarray:
     """Strided valid cross-correlation; output length (L+pad-k)//stride + 1."""
     padded, idx, l_out, (k, c_in, c_out) = _conv1d_prepare(x, kernel, stride, pad_right)
     cols = padded[idx].reshape(l_out, k * c_in)
-    return Tensor(cols @ kernel.array.reshape(k * c_in, c_out))
+    return cols @ kernel.reshape(k * c_in, c_out)
 
 
 def conv1d_backward(
-    x: Tensor, kernel: Tensor, stride: int, pad_right: int, grad_out: Tensor
-) -> tuple[Tensor, Tensor]:
+    x: np.ndarray, kernel: np.ndarray, stride: int, pad_right: int, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     padded, idx, l_out, (k, c_in, c_out) = _conv1d_prepare(x, kernel, stride, pad_right)
     if grad_out.shape != (l_out, c_out):
         raise ShapeError(
@@ -152,13 +139,13 @@ def conv1d_backward(
             f"expected {(l_out, c_out)}"
         )
     cols = padded[idx].reshape(l_out, k * c_in)
-    grad_kernel = (cols.T @ grad_out.array).reshape(k, c_in, c_out)
-    grad_cols = (grad_out.array @ kernel.array.reshape(k * c_in, c_out).T).reshape(
+    grad_kernel = (cols.T @ grad_out).reshape(k, c_in, c_out)
+    grad_cols = (grad_out @ kernel.reshape(k * c_in, c_out).T).reshape(
         l_out, k, c_in
     )
     grad_padded = np.zeros_like(padded)
     np.add.at(grad_padded, idx, grad_cols)
-    return Tensor(grad_padded[: x.shape[0]]), Tensor(grad_kernel)
+    return grad_padded[: x.shape[0]], grad_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +163,7 @@ def pool2x2_size(h: int, w: int, pad_policy: str) -> tuple[int, int]:
     return (h - 2) // 2 + 1, w_out
 
 
-def _pool2x2_windows(x: Tensor, pad_policy: str):
+def _pool2x2_windows(x: np.ndarray, pad_policy: str):
     """The in-bounds (rows, cols) of each of the four window offsets, and the
     number of in-bounds cells in each output window."""
     _require_ndim(x, 3, "pool2x2 input")
@@ -201,7 +188,7 @@ def _pool2x2_windows(x: Tensor, pad_policy: str):
     return windows, counts
 
 
-def pool2x2(x: Tensor, pad_policy: str = POOL_PAD_COLS) -> Tensor:
+def pool2x2(x: np.ndarray, pad_policy: str = POOL_PAD_COLS) -> np.ndarray:
     """2x2 stride-2 mean pooling; the mean counts only in-bounds cells.
 
     Rows are floored to whole windows; columns are floored or right-padded to
@@ -210,11 +197,11 @@ def pool2x2(x: Tensor, pad_policy: str = POOL_PAD_COLS) -> Tensor:
     windows, counts = _pool2x2_windows(x, pad_policy)
     out = np.zeros(counts.shape + (x.shape[2],), dtype=np.float64)
     for rows, cols in windows:
-        out[:, : cols.size] += x.array[np.ix_(rows, cols)]
-    return Tensor(out / counts[:, :, None])
+        out[:, : cols.size] += x[np.ix_(rows, cols)]
+    return out / counts[:, :, None]
 
 
-def pool2x2_backward(x: Tensor, pad_policy: str, grad_out: Tensor) -> Tensor:
+def pool2x2_backward(x: np.ndarray, pad_policy: str, grad_out: np.ndarray) -> np.ndarray:
     windows, counts = _pool2x2_windows(x, pad_policy)
     expected = counts.shape + (x.shape[2],)
     if grad_out.shape != expected:
@@ -222,87 +209,84 @@ def pool2x2_backward(x: Tensor, pad_policy: str, grad_out: Tensor) -> Tensor:
             f"pool2x2 upstream gradient has shape {grad_out.shape}, "
             f"expected {expected}"
         )
-    scaled = grad_out.array / counts[:, :, None]
-    grad_x = np.zeros_like(x.array)
+    scaled = grad_out / counts[:, :, None]
+    grad_x = np.zeros_like(x)
     for rows, cols in windows:
         grad_x[np.ix_(rows, cols)] += scaled[:, : cols.size]
-    return Tensor(grad_x)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------
 # pointwise operations
 # ---------------------------------------------------------------------------
 
-def gelu(x: Tensor) -> Tensor:
+def gelu(x: np.ndarray) -> np.ndarray:
     """GELU, tanh approximation (fixed so outputs are reproducible)."""
-    a = x.array
-    inner = _GELU_C0 * (a + _GELU_C1 * a**3)
-    return Tensor(0.5 * a * (1.0 + np.tanh(inner)))
+    inner = _GELU_C0 * (x + _GELU_C1 * x**3)
+    return 0.5 * x * (1.0 + np.tanh(inner))
 
 
-def gelu_backward(x: Tensor, grad_out: Tensor) -> Tensor:
-    a = x.array
+def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     if grad_out.shape != x.shape:
         raise ShapeError(
             f"gelu upstream gradient shape {grad_out.shape} != input {x.shape}"
         )
-    inner = _GELU_C0 * (a + _GELU_C1 * a**3)
+    inner = _GELU_C0 * (x + _GELU_C1 * x**3)
     t = np.tanh(inner)
-    local = 0.5 * (1.0 + t) + 0.5 * a * (1.0 - t**2) * _GELU_C0 * (
-        1.0 + 3.0 * _GELU_C1 * a**2
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C0 * (
+        1.0 + 3.0 * _GELU_C1 * x**2
     )
-    return Tensor(grad_out.array * local)
+    return grad_out * local
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    a = x.array
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
-    return Tensor(out)
+    return out
 
 
-def sigmoid_backward(s: Tensor, grad_out: Tensor) -> Tensor:
+def sigmoid_backward(s: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of sigmoid, given its output s."""
     if grad_out.shape != s.shape:
         raise ShapeError(
             f"sigmoid upstream gradient shape {grad_out.shape} != output {s.shape}"
         )
-    return Tensor(grad_out.array * s.array * (1.0 - s.array))
+    return grad_out * s * (1.0 - s)
 
 
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
+def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"elementwise_mul shapes differ: {a.shape} vs {b.shape}")
-    return Tensor(a.array * b.array)
+    return a * b
 
 
 def elementwise_mul_backward(
-    a: Tensor, b: Tensor, grad_out: Tensor
-) -> tuple[Tensor, Tensor]:
+    a: np.ndarray, b: np.ndarray, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     if grad_out.shape != a.shape or a.shape != b.shape:
         raise ShapeError(
             f"elementwise_mul gradient shapes differ: {a.shape}, {b.shape}, "
             f"{grad_out.shape}"
         )
-    return Tensor(grad_out.array * b.array), Tensor(grad_out.array * a.array)
+    return grad_out * b, grad_out * a
 
 
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-column bias to every row of a 2-D tensor."""
+def add_bias(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Add a per-column bias to every row of a 2-D array."""
     _require_ndim(x, 2, "add_bias input")
     _require_ndim(bias, 1, "bias")
     if bias.shape[0] != x.shape[1]:
         raise ShapeError(f"bias length {bias.shape[0]} != columns {x.shape[1]}")
-    return Tensor(x.array + bias.array[None, :])
+    return x + bias[None, :]
 
 
-def add_bias_backward(grad_out: Tensor) -> Tensor:
+def add_bias_backward(grad_out: np.ndarray) -> np.ndarray:
     """Gradient wrt the bias; the gradient wrt the input is grad_out itself."""
     _require_ndim(grad_out, 2, "add_bias upstream gradient")
-    return Tensor(grad_out.array.sum(axis=0))
+    return grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +301,6 @@ class GradCheckReport:
 
 
 def _scalar_loss(value) -> float:
-    if isinstance(value, Tensor):
-        if value.size != 1:
-            raise ContractError(
-                f"loss must be scalar, got tensor of shape {value.shape}"
-            )
-        return float(value.data[0])
     arr = np.asarray(value, dtype=np.float64)
     if arr.size != 1:
         raise ContractError(f"loss must be scalar, got array of shape {arr.shape}")
@@ -330,10 +308,10 @@ def _scalar_loss(value) -> float:
 
 
 def grad_check(
-    loss_fn: Callable[[list[Tensor], Tensor], object],
-    params: list[Tensor],
-    x: Tensor,
-    grads: list[Tensor],
+    loss_fn: Callable[[list[np.ndarray], np.ndarray], object],
+    params: list[np.ndarray],
+    x: np.ndarray,
+    grads: list[np.ndarray],
     eps: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
@@ -362,8 +340,8 @@ def grad_check(
         probe = p.copy()
         probed = list(params)
         probed[i] = probe
-        flat, base = probe.data, p.data
-        g_ad = grads[i].data
+        flat, base = probe.reshape(-1), p.reshape(-1)
+        g_ad = grads[i].reshape(-1)
         for j in range(flat.size):
             flat[j] = base[j] + eps
             loss_plus = _scalar_loss(loss_fn(probed, x))

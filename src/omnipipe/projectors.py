@@ -8,8 +8,13 @@ A toy gradient-descent fit and a down-sampling-rate ablation harness verify
 the backward passes end to end.
 
 Each projector's private trunk runs it up to the output layer and returns
-the cache its backward reads; the private forward adds that layer and returns
-``(out, cache)``; the private backward reads the cache and runs no forward op.
+the cache its backward reads; the private forward (``_visual_forward``,
+``_conv_gmlp_apply``) adds that layer and returns ``(out, cache)``; the
+private backward reads the cache and runs no forward op. These work on plain
+float64 arrays, with the parameters as a dict of name -> array, and so do
+the gradient check and the toy fit. ``Tensor`` and ``ProjectorParams`` are
+the public edge: the public functions unwrap them on entry and wrap their
+results on exit.
 """
 
 from __future__ import annotations
@@ -105,28 +110,39 @@ class ProjectorParams:
     def param_count(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def to_json(self) -> dict:
-        return {
-            "init_seed": self.init_seed,
-            "tensors": {k: self.tensors[k].to_json() for k in sorted(self.tensors)},
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProjectorParams":
-        tensors = {k: Tensor.from_json(v) for k, v in obj["tensors"].items()}
-        return cls(tensors=tensors, init_seed=int(obj["init_seed"]))
+def _arrays(params: ProjectorParams) -> dict[str, np.ndarray]:
+    return {name: t.array for name, t in params.tensors.items()}
 
 
-def _init(specs: list[tuple[str, tuple[int, ...], int]], seed: int) -> ProjectorParams:
-    rng = np.random.default_rng(seed)
-    tensors = {}
+def _tensors(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    return {name: Tensor(a) for name, a in arrays.items()}
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _init(specs: list[tuple[str, tuple[int, ...], int]], seed: int) -> dict[str, np.ndarray]:
+    rng = _rng(seed)
+    arrays = {}
     for name, shape, fan_in in specs:
         bound = math.sqrt(1.0 / fan_in)
-        tensors[name] = Tensor(rng.uniform(-bound, bound, shape))
-    return ProjectorParams(tensors=tensors, init_seed=seed)
+        arrays[name] = rng.uniform(-bound, bound, shape)
+    return arrays
 
 
 def init_visual_params(cfg: VisualProjectorConfig, seed: int) -> ProjectorParams:
+    return ProjectorParams(tensors=_tensors(_visual_init(cfg, seed)), init_seed=seed)
+
+
+def init_conv_gmlp_params(cfg: ConvGmlpConfig, seed: int) -> ProjectorParams:
+    return ProjectorParams(tensors=_tensors(_conv_gmlp_init(cfg, seed)), init_seed=seed)
+
+
+def _visual_init(cfg: VisualProjectorConfig, seed: int) -> dict[str, np.ndarray]:
     d_in, d_llm = cfg.in_dim, cfg.llm_dim
     if cfg.variant == "concat":
         first = 4 * d_in
@@ -153,7 +169,7 @@ def init_visual_params(cfg: VisualProjectorConfig, seed: int) -> ProjectorParams
     return _init(specs, seed)
 
 
-def init_conv_gmlp_params(cfg: ConvGmlpConfig, seed: int) -> ProjectorParams:
+def _conv_gmlp_init(cfg: ConvGmlpConfig, seed: int) -> dict[str, np.ndarray]:
     s1, s2 = cfg.strides
     c = cfg.in_channels
     mid = s1 * c
@@ -174,8 +190,8 @@ def init_conv_gmlp_params(cfg: ConvGmlpConfig, seed: int) -> ProjectorParams:
 # visual projector
 # ---------------------------------------------------------------------------
 
-def _check_visual_input(cfg: VisualProjectorConfig, x: Tensor) -> None:
-    if x.array.ndim != 2 or x.shape != (cfg.input_tokens, cfg.in_dim):
+def _check_visual_input(cfg: VisualProjectorConfig, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape != (cfg.input_tokens, cfg.in_dim):
         raise ShapeError(
             f"visual projector expects {(cfg.input_tokens, cfg.in_dim)} input, "
             f"got {x.shape}"
@@ -193,45 +209,44 @@ def _concat_groups(cfg: VisualProjectorConfig) -> np.ndarray:
     return np.where(c < cols, r * cols + c, -1).reshape(-1, 4)
 
 
-def _pool_tokens(cfg: VisualProjectorConfig, tokens: np.ndarray) -> tuple[Tensor, Tensor]:
+def _pool_tokens(
+    cfg: VisualProjectorConfig, tokens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The token grid and its 2x2 mean pool, one row per window."""
-    grid = Tensor(tokens.reshape(*cfg.grid, tokens.shape[1]))
+    grid = tokens.reshape(*cfg.grid, tokens.shape[1])
     pooled = numkit.pool2x2(grid, numkit.POOL_PAD_COLS)
-    return grid, Tensor(pooled.array.reshape(-1, tokens.shape[1]))
+    return grid, pooled.reshape(-1, tokens.shape[1])
 
 
-def _unpool_tokens(grid: Tensor, g_pooled: Tensor) -> Tensor:
+def _unpool_tokens(grid: np.ndarray, g_pooled: np.ndarray) -> np.ndarray:
     """Adjoint of _pool_tokens: one gradient row per grid token."""
     rows, cols, c = grid.shape
     out_rows, out_cols = numkit.pool2x2_size(rows, cols, numkit.POOL_PAD_COLS)
-    g_windows = Tensor(g_pooled.array.reshape(out_rows, out_cols, c))
+    g_windows = g_pooled.reshape(out_rows, out_cols, c)
     g_grid = numkit.pool2x2_backward(grid, numkit.POOL_PAD_COLS, g_windows)
-    return Tensor(g_grid.array.reshape(rows * cols, c))
+    return g_grid.reshape(rows * cols, c)
 
 
 def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> Tensor:
     """Project a (grid tokens x in_dim) feature block to LLM embeddings."""
-    out, _ = _visual_forward(cfg, params, x)
-    return out
+    out, _ = _visual_forward(cfg, _arrays(params), x.array)
+    return Tensor(out)
 
 
-def _visual_trunk(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> dict:
+def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
     """The backward's cache; ``last`` is the output layer's input."""
     _check_visual_input(cfg, x)
-    p = params.tensors
     if cfg.variant == "c_abs":  # pointwise conv, GELU, pool, pointwise conv
         z1 = numkit.add_bias(numkit.conv1d(x, p["conv1"]), p["b1"])
-        grid, last = _pool_tokens(cfg, numkit.gelu(z1).array)
+        grid, last = _pool_tokens(cfg, numkit.gelu(z1))
         return {"first": x, "z1": z1, "grid": grid, "last": last}
     cache = {}
     if cfg.variant == "mean_pool":
-        cache["grid"], first = _pool_tokens(cfg, x.array)
+        cache["grid"], first = _pool_tokens(cfg, x)
     elif cfg.variant == "concat":
         idx = cache["idx"] = _concat_groups(cfg)
-        gathered = np.where(
-            (idx >= 0)[:, :, None], x.array[np.clip(idx, 0, None)], 0.0
-        )
-        first = Tensor(gathered.reshape(idx.shape[0], 4 * cfg.in_dim))
+        gathered = np.where((idx >= 0)[:, :, None], x[np.clip(idx, 0, None)], 0.0)
+        first = gathered.reshape(idx.shape[0], 4 * cfg.in_dim)
     else:
         first = x
     z1 = numkit.add_bias(numkit.matmul(first, p["w1"]), p["b1"])
@@ -239,9 +254,8 @@ def _visual_trunk(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor
     return cache
 
 
-def _visual_forward(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor):
-    cache = _visual_trunk(cfg, params, x)
-    p = params.tensors
+def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
+    cache = _visual_trunk(cfg, p, x)
     if cfg.variant == "c_abs":
         pre_out = numkit.conv1d(cache["last"], p["conv2"])
     else:
@@ -250,9 +264,8 @@ def _visual_forward(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tens
 
 
 def _visual_backward(
-    cfg: VisualProjectorConfig, params: ProjectorParams, cache: dict, grad_out: Tensor
-) -> tuple[dict[str, Tensor], Tensor]:
-    p = params.tensors
+    cfg: VisualProjectorConfig, p: dict, cache: dict, grad_out: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     if cfg.variant == "c_abs":
         w1, w2 = "conv1", "conv2"
         g_last, g_w2 = numkit.conv1d_backward(cache["last"], p[w2], 1, 0, grad_out)
@@ -267,11 +280,10 @@ def _visual_backward(
         g_x = _unpool_tokens(cache["grid"], g_x)
     elif cfg.variant == "concat":
         idx = cache["idx"]
-        g_groups = g_x.array.reshape(idx.shape[0], 4, cfg.in_dim)
-        g_tokens = np.zeros((cfg.input_tokens, cfg.in_dim), dtype=np.float64)
+        g_groups = g_x.reshape(idx.shape[0], 4, cfg.in_dim)
+        g_x = np.zeros((cfg.input_tokens, cfg.in_dim), dtype=np.float64)
         valid = idx >= 0
-        np.add.at(g_tokens, idx[valid], g_groups[valid])
-        g_x = Tensor(g_tokens)
+        np.add.at(g_x, idx[valid], g_groups[valid])
     b1, b2 = numkit.add_bias_backward(g_z1), numkit.add_bias_backward(grad_out)
     return {w1: g_w1, "b1": b1, w2: g_w2, "b2": b2}, g_x
 
@@ -286,8 +298,10 @@ def visual_project_backward(
 
     Runs the forward once, up to the output layer, whose result it never reads.
     """
-    cache = _visual_trunk(cfg, params, x)
-    return _visual_backward(cfg, params, cache, upstream_grad)
+    p = _arrays(params)
+    cache = _visual_trunk(cfg, p, x.array)
+    grads, g_x = _visual_backward(cfg, p, cache, upstream_grad.array)
+    return _tensors(grads), Tensor(g_x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +336,8 @@ def _block_mean(x_arr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return summed / counts[:, None], counts
 
 
-def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: Tensor) -> None:
-    if x.array.ndim != 2:
+def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: np.ndarray) -> None:
+    if x.ndim != 2:
         raise ShapeError(f"projector input must be 2-D, got shape {x.shape}")
     if x.shape[1] != cfg.in_channels:
         raise ShapeError(
@@ -331,19 +345,18 @@ def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: Tensor) -> None:
         )
 
 
-def _conv_gmlp_trunk(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> dict:
+def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
     """The backward's cache: every value before the output layer."""
     _check_conv_gmlp_input(cfg, x)
-    p = params.tensors
     s1, s2 = cfg.strides
     pad = (-x.shape[0]) % cfg.rate_n
     z1 = numkit.add_bias(numkit.conv1d(x, p["conv_in"], s1, pad), p["b_in"])
     h = numkit.gelu(z1)
     pre2 = numkit.add_bias(numkit.conv1d(h, p["conv_mid"], s2, 0), p["b_mid"])
     width = cfg.hidden_channels
-    value = Tensor(pre2.array[:, :width])
-    sig = numkit.sigmoid(Tensor(pre2.array[:, width:]))
-    mp, counts = _block_mean(x.array, cfg.rate_n)
+    value = pre2[:, :width]
+    sig = numkit.sigmoid(pre2[:, width:])
+    mp, counts = _block_mean(x, cfg.rate_n)
     return {
         "x": x,
         "pad": pad,
@@ -352,17 +365,16 @@ def _conv_gmlp_trunk(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) ->
         "value": value,
         "sig": sig,
         "gated": numkit.elementwise_mul(value, sig),
-        "mp": Tensor(mp),
+        "mp": mp,
         "counts": counts,
     }
 
 
-def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
-    cache = _conv_gmlp_trunk(cfg, params, x)
-    p = params.tensors
+def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
+    cache = _conv_gmlp_trunk(cfg, p, x)
     proj = numkit.add_bias(numkit.matmul(cache["gated"], p["w_out"]), p["b_out"])
     res = numkit.matmul(cache["mp"], p["w_res"])
-    return Tensor(proj.array + res.array), cache
+    return proj + res, cache
 
 
 def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> Tensor:
@@ -374,19 +386,25 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
     block-mean-pooled linear shortcut of the input is added.
     """
     out, _ = _conv_gmlp_forward(cfg, params, x)
-    return out
+    return Tensor(out)
+
+
+def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
+    """``_conv_gmlp_apply`` on the arrays inside ``params`` and ``x``: the
+    output and the cache, as arrays. The acceptance suite checks the length
+    and width laws through it."""
+    return _conv_gmlp_apply(cfg, _arrays(params), x.array)
 
 
 def _conv_gmlp_backward(
-    cfg: ConvGmlpConfig, params: ProjectorParams, cache: dict, grad_out: Tensor
-) -> tuple[dict[str, Tensor], Tensor]:
-    p = params.tensors
+    cfg: ConvGmlpConfig, p: dict, cache: dict, grad_out: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     s1, s2 = cfg.strides
     x = cache["x"]
 
     # residual shortcut
     g_mp, g_w_res = numkit.matmul_backward(cache["mp"], p["w_res"], grad_out)
-    per_row = g_mp.array / cache["counts"][:, None]
+    per_row = g_mp / cache["counts"][:, None]
     g_x_res = np.repeat(per_row, cfg.rate_n, axis=0)[: x.shape[0]]
 
     # gated projection path
@@ -395,7 +413,7 @@ def _conv_gmlp_backward(
         cache["value"], cache["sig"], g_gated
     )
     g_gate = numkit.sigmoid_backward(cache["sig"], g_sig)
-    g_pre2 = Tensor(np.concatenate([g_value.array, g_gate.array], axis=1))
+    g_pre2 = np.concatenate([g_value, g_gate], axis=1)
     g_h, g_conv_mid = numkit.conv1d_backward(cache["h"], p["conv_mid"], s2, 0, g_pre2)
     g_z1 = numkit.gelu_backward(cache["z1"], g_h)
     g_x_conv, g_conv_in = numkit.conv1d_backward(
@@ -411,7 +429,7 @@ def _conv_gmlp_backward(
         "b_out": numkit.add_bias_backward(grad_out),
         "w_res": g_w_res,
     }
-    return grads, Tensor(g_x_conv.array + g_x_res)
+    return grads, g_x_conv + g_x_res
 
 
 def conv_gmlp_backward(
@@ -424,8 +442,10 @@ def conv_gmlp_backward(
 
     Runs the forward once, up to the output layer, whose result it never reads.
     """
-    cache = _conv_gmlp_trunk(cfg, params, x)
-    return _conv_gmlp_backward(cfg, params, cache, upstream_grad)
+    p = _arrays(params)
+    cache = _conv_gmlp_trunk(cfg, p, x.array)
+    grads, g_x = _conv_gmlp_backward(cfg, p, cache, upstream_grad.array)
+    return _tensors(grads), Tensor(g_x)
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +470,28 @@ def check_gradients(
     upstream gradient is the output itself. The backward runs once; each
     finite-difference probe runs only the forward.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if projector == "conv_gmlp":
         cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=channels)
-        params = init_conv_gmlp_params(cfg, seed)
-        x = Tensor(rng.normal(0.0, 1.0, (seq_len, channels)))
-        forward, backward = _conv_gmlp_forward, _conv_gmlp_backward
+        params = _conv_gmlp_init(cfg, seed)
+        x = rng.normal(0.0, 1.0, (seq_len, channels))
+        forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
     else:
         cfg = VisualProjectorConfig(
             variant=projector, in_dim=in_dim, llm_dim=llm_dim, grid=grid
         )
-        params = init_visual_params(cfg, seed)
-        x = Tensor(rng.normal(0.0, 1.0, (cfg.input_tokens, in_dim)))
+        params = _visual_init(cfg, seed)
+        x = rng.normal(0.0, 1.0, (cfg.input_tokens, in_dim))
         forward, backward = _visual_forward, _visual_backward
-    names = sorted(params.tensors)
+    names = sorted(params)
 
     def loss(plist, xin):
-        pp = ProjectorParams(tensors=dict(zip(names, plist)), init_seed=seed)
-        out, _ = forward(cfg, pp, xin)
-        return 0.5 * float(np.sum(out.array**2))
+        out, _ = forward(cfg, dict(zip(names, plist)), xin)
+        return 0.5 * float(np.sum(out**2))
 
     out, cache = forward(cfg, params, x)
     grads, _ = backward(cfg, params, cache, out)
-    plist = [params.tensors[n] for n in names]
+    plist = [params[n] for n in names]
     return numkit.grad_check(loss, plist, x, [grads[n] for n in names], eps=eps, tol=tol)
 
 
@@ -496,38 +515,29 @@ def toy_fit(
         raise ContractError(f"steps must be >= 1, got {steps}")
     if seq_len < 1:
         raise ContractError(f"seq_len must be >= 1, got {seq_len}")
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(0.0, _TOY_INPUT_SCALE, (seq_len, cfg.in_channels)))
+    rng = _rng(seed)
+    x = rng.normal(0.0, _TOY_INPUT_SCALE, (seq_len, cfg.in_channels))
     w_target = rng.normal(0.0, 1.0, (cfg.in_channels, cfg.llm_dim))
     w_target /= math.sqrt(cfg.in_channels)
-    mp, _ = _block_mean(x.array, cfg.rate_n)
+    mp, _ = _block_mean(x, cfg.rate_n)
     target = mp @ w_target
     t_len = target.shape[0]
 
-    params = init_conv_gmlp_params(cfg, seed)
+    params = _conv_gmlp_init(cfg, seed)
     losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            try:
-                out, cache = _conv_gmlp_forward(cfg, params, x)
-                err = out.array - target
-                loss = 0.5 * float(np.sum(err * err)) / t_len
-                if not math.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at step {step}")
-                losses.append(loss)
-                grads, _ = _conv_gmlp_backward(cfg, params, cache, Tensor(err / t_len))
-                params = ProjectorParams(
-                    tensors={
-                        name: Tensor(t.array - lr * grads[name].array)
-                        for name, t in params.tensors.items()
-                    },
-                    init_seed=params.init_seed,
-                )
-            except DivergenceError:
-                raise
-            except ContractError as exc:
-                # parameters blew up to non-finite values during the update
-                raise DivergenceError(f"non-finite loss at step {step}") from exc
+            out, cache = _conv_gmlp_apply(cfg, params, x)
+            err = out - target
+            loss = 0.5 * float(np.sum(err * err)) / t_len
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at step {step}")
+            losses.append(loss)
+            grads, _ = _conv_gmlp_backward(cfg, params, cache, err / t_len)
+            params = {name: a - lr * grads[name] for name, a in params.items()}
+            # parameters that blew up to non-finite values during the update
+            if not all(np.all(np.isfinite(a)) for a in params.values()):
+                raise DivergenceError(f"non-finite loss at step {step}")
     return losses
 
 

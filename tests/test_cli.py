@@ -1,6 +1,7 @@
 """CLI contract: subcommand behaviour, exit codes, config precedence."""
 
 import json
+import os
 import wave
 
 import numpy as np
@@ -288,14 +289,28 @@ MALFORMED = {
         ["frames", "--source-frames", "3", "--config", "{c}"], {"c": '{"duration": Infinity}'},
         1, None),
     "melspec config wav not a string": (["melspec", "--config", "{c}"], {"c": '{"wav": 5}'}, 1, None),
+    "melspec wav not a wav file": (["melspec", "--wav", "{w}"], {"w": "hello"}, 1, None),
     "gradcheck config seeds bool": (
         ["gradcheck", "--projector", "mlp", "--config", "{c}"], {"c": '{"seeds": true}'}, 1, None),
+    "gradcheck negative seed": (
+        ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
+    "ablate-rates negative seed": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"], {}, 1, None),
     "stream-sim event t not a number": (
         ["stream-sim", "--events", "{e}"], {"e": '{"t": "x", "kind": "text"}\n'}, 1, 1),
     "stream-sim event tokens not integral": (
         ["stream-sim", "--events", "{e}"], {"e": '{"t": 0, "kind": "text", "tokens": 1.7}\n'},
         1, 1),
+    "stream-sim event kind unknown": (
+        ["stream-sim", "--events", "{e}"], {"e": '{"t": 0, "kind": "bogus"}\n'}, 1, 1),
+    "stream-sim event tokens negative after a blank line": (
+        ["stream-sim", "--events", "{e}"], {"e": '\n{"t": 0, "kind": "text", "tokens": -1}\n'},
+        1, 2),
+    "stream-sim audio_start with tokens": (
+        ["stream-sim", "--events", "{e}"],
+        {"e": '{"t": 0, "kind": "text"}\n\n{"t": 5, "kind": "audio_start", "tokens": 3}\n'},
+        1, 3),
     "stream-sim frame plan without per_frame_tokens": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"], {"p": '{"frames": [0, 30]}'},
         1, None),
@@ -306,6 +321,8 @@ MALFORMED = {
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
     "split-crossmodal text not a string": (
         ["split-crossmodal", "--input", "{i}"], {"i": '{"text": 5}\n'}, 1, 1),
+    "split-crossmodal negative seed": (
+        ["split-crossmodal", "--input", os.devnull, "--seed", "-1"], {}, 1, None),
     "mix size not a number": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": "x"}'}, 1, None),
     "mix size not integral": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": 1.5}'}, 1, None),
     "metrics ref not a string": (
@@ -340,7 +357,7 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "()" not in err[0]
     if files:
         (named,) = [p for k, p in paths.items() if k in files and p in err[0]]
         if line is not None:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from omnipipe import numkit, projectors
-from omnipipe.errors import ContractError, ShapeError
+from omnipipe.errors import ContractError, DivergenceError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.projectors import (
     ConvGmlpConfig,
-    ProjectorParams,
+    VISUAL_VARIANTS,
     VisualProjectorConfig,
+    _arrays,
     _concat_groups,
+    _conv_gmlp_apply,
     _conv_gmlp_backward,
     _conv_gmlp_forward,
     _visual_backward,
@@ -60,14 +62,6 @@ class TestConfigs:
         b = init_conv_gmlp_params(cfg, 9)
         for name in a.tensors:
             assert np.array_equal(a.tensors[name].array, b.tensors[name].array)
-
-    def test_params_json_roundtrip(self):
-        cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
-        params = init_conv_gmlp_params(cfg, 1)
-        back = ProjectorParams.from_json(params.to_json())
-        assert back.init_seed == params.init_seed
-        for name in params.tensors:
-            assert np.array_equal(back.tensors[name].array, params.tensors[name].array)
 
 
 def _concat_groups_loop(rows, cols):
@@ -156,13 +150,13 @@ class TestGradients:
         rng = np.random.default_rng(3)
         if variant == "conv_gmlp":
             cfg = ConvGmlpConfig(rate_n=4, llm_dim=3, in_channels=4)
-            params = init_conv_gmlp_params(cfg, 3)
-            x = Tensor(rng.normal(size=(13, 4)))
-            forward, backward = _conv_gmlp_forward, _conv_gmlp_backward
+            params = _arrays(init_conv_gmlp_params(cfg, 3))
+            x = rng.normal(size=(13, 4))
+            forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
         else:
             cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 7))
-            params = init_visual_params(cfg, 3)
-            x = Tensor(rng.normal(size=(cfg.input_tokens, 4)))
+            params = _arrays(init_visual_params(cfg, 3))
+            x = rng.normal(size=(cfg.input_tokens, 4))
             forward, backward = _visual_forward, _visual_backward
         out, cache = forward(cfg, params, x)
 
@@ -172,7 +166,7 @@ class TestGradients:
         for op in ("matmul", "conv1d", "pool2x2", "gelu", "sigmoid", "elementwise_mul", "add_bias"):
             monkeypatch.setattr(numkit, op, forbidden)
         grads, g_x = backward(cfg, params, cache, out)
-        assert sorted(grads) == sorted(params.tensors)
+        assert sorted(grads) == sorted(params)
         assert g_x.shape == x.shape
 
     @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool", "conv_gmlp"])
@@ -205,12 +199,32 @@ class TestGradients:
 
             return wrapper
 
-        monkeypatch.setattr(projectors, "_conv_gmlp_forward", counted("forward", _conv_gmlp_forward))
+        monkeypatch.setattr(projectors, "_conv_gmlp_apply", counted("forward", _conv_gmlp_apply))
         monkeypatch.setattr(projectors, "_conv_gmlp_backward", counted("backward", _conv_gmlp_backward))
         assert check_gradients("conv_gmlp", seed=0, rate=2, seq_len=16).passed
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
         entries = init_conv_gmlp_params(cfg, 0).param_count
         assert calls == {"forward": 1 + 2 * entries, "backward": 1}
+
+    def test_tensors_only_at_the_public_edge(self, monkeypatch):
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, values):
+            built.append(1)
+            init(self, values)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        for projector in (*VISUAL_VARIANTS, "conv_gmlp"):
+            assert check_gradients(projector, seed=0, grid=(5, 5)).passed
+        assert built == []
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+        params = init_conv_gmlp_params(cfg, 0)
+        x = Tensor(np.random.default_rng(0).normal(size=(9, 4)))
+        out = conv_gmlp_forward(cfg, params, x)
+        built.clear()
+        grads, _ = conv_gmlp_backward(cfg, params, x, out)
+        assert len(built) == len(grads) + 1
 
     def test_zero_upstream_gives_zero_parameter_gradients(self):
         cfg = ConvGmlpConfig(rate_n=4, llm_dim=3, in_channels=4)
@@ -229,11 +243,11 @@ class TestGradients:
         from omnipipe.numkit import grad_check
 
         def loss(plist, _):
-            return 0.5 * float(np.sum(conv_gmlp_forward(cfg, params, plist[0]).array ** 2))
+            return 0.5 * float(np.sum(conv_gmlp_forward(cfg, params, Tensor(plist[0])).array ** 2))
 
         x0 = Tensor(np.random.default_rng(6).normal(size=(10, 4)))
         _, g_x = conv_gmlp_backward(cfg, params, x0, conv_gmlp_forward(cfg, params, x0))
-        assert grad_check(loss, [x0], x0, [g_x]).passed
+        assert grad_check(loss, [x0.array], None, [g_x.array]).passed
 
 
 class TestConvGmlpShapes:
@@ -307,6 +321,12 @@ class TestToyFit:
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=4, in_channels=4)
         with pytest.raises(ContractError, match="step"):
             toy_fit(cfg, steps=50, lr=1e6, seed=0, seq_len=16)
+
+    def test_non_finite_update_raises_at_its_step(self):
+        # the loss at step 0 is finite; the update overflows the parameters
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=4, in_channels=4)
+        with pytest.raises(DivergenceError, match="non-finite loss at step 0$"):
+            toy_fit(cfg, steps=3, lr=1e308, seed=0, seq_len=16)
 
 
 class TestAblateRates:
