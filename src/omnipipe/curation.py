@@ -162,6 +162,8 @@ def mix_plan(sizes: dict, budget: int, seed: int) -> MixPlan:
     """
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     names = sorted(sizes)
     if not names:
         raise ContractError("sizes must be non-empty")

@@ -3,7 +3,7 @@
 Word and character error rates via Levenshtein alignment with full edit
 counts, BLEU with modified n-gram precision and brevity penalty, the radar
 normalization x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per
-benchmark column, and deterministic CSV/JSON report emission.
+benchmark column, and deterministic CSV/JSON report rendering.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .fileio import atomic_write
 
 NORM_OFFSET = 10.0
+BLEU_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,12 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(
-    references: list[str],
-    hypothesis: str,
-    max_n: int = 4,
-    smoothing: bool = False,
-) -> MetricResult:
-    """Sentence BLEU: modified n-gram precision, geometric mean, brevity
-    penalty. Without smoothing any zero precision zeroes the score; with
-    smoothing, add-one counts are used for orders above 1."""
+def bleu(references: list[str], hypothesis: str) -> MetricResult:
+    """Sentence BLEU-4: modified n-gram precision for n = 1..4, geometric
+    mean, brevity penalty. Any zero precision, including an order the
+    hypothesis is too short for, zeroes the score."""
     if not references:
         raise ContractError("at least one reference is required")
-    if max_n < 1:
-        raise ContractError(f"max_n must be >= 1, got {max_n}")
     hyp = hypothesis.split()
     refs = [r.split() for r in references]
     counts: dict = {"hyp_length": len(hyp)}
@@ -132,44 +125,22 @@ def bleu(
     ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
     counts["ref_length"] = ref_len
     precisions: list[float] = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         hyp_ngrams = _ngram_counts(hyp, n)
+        best = Counter()
+        for r in refs:
+            for gram, c in _ngram_counts(r, n).items():
+                best[gram] = max(best[gram], c)
+        clipped = sum(min(c, best[gram]) for gram, c in hyp_ngrams.items())
         total = sum(hyp_ngrams.values())
-        clipped = 0
-        if hyp_ngrams:
-            best = Counter()
-            for r in refs:
-                for gram, c in _ngram_counts(r, n).items():
-                    best[gram] = max(best[gram], c)
-            clipped = sum(min(c, best[gram]) for gram, c in hyp_ngrams.items())
         counts[f"matches_{n}"] = clipped
         counts[f"total_{n}"] = total
-        if total == 0:
-            # hypothesis shorter than n: skip the order when smoothing,
-            # otherwise it zeroes the score like any other empty precision
-            if not smoothing:
-                precisions.append(0.0)
-            continue
-        if smoothing and n > 1:
-            precisions.append((clipped + 1) / (total + 1))
-        else:
-            precisions.append(clipped / total)
-    if not precisions or any(p == 0.0 for p in precisions):
+        precisions.append(clipped / total if total else 0.0)
+    if 0.0 in precisions:
         return MetricResult(metric="bleu", value=0.0, counts=counts)
-    log_sum = sum(math.log(p) for p in precisions) / len(precisions)
+    log_sum = sum(math.log(p) for p in precisions) / BLEU_MAX_N
     bp = 1.0 if len(hyp) > ref_len else math.exp(1.0 - ref_len / len(hyp))
     return MetricResult(metric="bleu", value=bp * math.exp(log_sum), counts=counts)
-
-
-def accuracy(outcomes: list[bool]) -> MetricResult:
-    if not outcomes:
-        raise ContractError("accuracy needs at least one outcome")
-    correct = sum(1 for o in outcomes if o)
-    return MetricResult(
-        metric="accuracy",
-        value=correct / len(outcomes),
-        counts={"correct": correct, "total": len(outcomes)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +213,3 @@ def render_report(table: ScoreTable, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(rows, sort_keys=True, indent=2) + "\n"
     raise ContractError(f"unsupported report format {fmt!r}")
-
-
-def emit_report(table: ScoreTable, path, fmt: str) -> None:
-    """Write the rendered report atomically (temp file + rename)."""
-    atomic_write(path, render_report(table, fmt))

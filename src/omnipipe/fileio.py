@@ -1,4 +1,4 @@
-"""Small file helpers shared by the CLI and report emitters."""
+"""Small file helpers shared by the CLI and the frame-plan reader."""
 
 from __future__ import annotations
 

@@ -49,26 +49,20 @@ MS_PER_MEL_FRAME = 1000 * HOP_SAMPLES // SAMPLE_RATE_HZ  # 10 ms
 class TilePlan:
     grid_rows: int
     grid_cols: int
-    has_global_tile: bool
-    tile_px: int = TILE_PX
-    tokens_per_tile: int = TOKENS_PER_TILE
-    total_tokens: int = 0
 
     def __post_init__(self):
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ContractError("tile grid dimensions must be >= 1")
-        expected_global = not (self.grid_rows == 1 and self.grid_cols == 1)
-        if self.has_global_tile != expected_global:
-            raise ContractError(
-                "global tile is present exactly when the grid exceeds 1x1"
-            )
-        n_tiles = self.grid_rows * self.grid_cols + (1 if self.has_global_tile else 0)
-        expected = n_tiles * self.tokens_per_tile
-        if self.total_tokens != expected:
-            raise ContractError(
-                f"total_tokens {self.total_tokens} != {n_tiles} tiles x "
-                f"{self.tokens_per_tile}"
-            )
+
+    @property
+    def has_global_tile(self) -> bool:
+        """A down-sampled global tile accompanies every grid larger than 1x1."""
+        return self.grid_rows * self.grid_cols > 1
+
+    @property
+    def total_tokens(self) -> int:
+        tiles = self.grid_rows * self.grid_cols + int(self.has_global_tile)
+        return tiles * TOKENS_PER_TILE
 
     def to_json(self) -> dict:
         return {
@@ -78,9 +72,9 @@ class TilePlan:
         }
 
 
-def _tile_grid(width_px: int, height_px: int, max_tiles: int) -> tuple[int, int, int]:
-    """Ceil-divide by 384 px, shrink the larger side to at most max_tiles, and
-    count a global tile when the grid holds more than one: (rows, cols, tiles)."""
+def _tile_grid(width_px: int, height_px: int, max_tiles: int) -> TilePlan:
+    """Ceil-divide by 384 px and shrink the larger side until the grid holds
+    at most max_tiles."""
     rows = math.ceil(height_px / TILE_PX)
     cols = math.ceil(width_px / TILE_PX)
     while rows * cols > max_tiles:
@@ -88,8 +82,7 @@ def _tile_grid(width_px: int, height_px: int, max_tiles: int) -> tuple[int, int,
             rows -= 1
         else:
             cols -= 1
-    tiles = rows * cols
-    return rows, cols, tiles + (1 if tiles > 1 else 0)
+    return TilePlan(grid_rows=rows, grid_cols=cols)
 
 
 def plan_tiles(width_px: int, height_px: int, max_tiles: int = MAX_GRID_TILES) -> TilePlan:
@@ -101,13 +94,7 @@ def plan_tiles(width_px: int, height_px: int, max_tiles: int = MAX_GRID_TILES) -
         )
     if max_tiles < 1:
         raise ContractError(f"max_tiles must be >= 1, got {max_tiles}")
-    rows, cols, n_tiles = _tile_grid(width_px, height_px, max_tiles)
-    return TilePlan(
-        grid_rows=rows,
-        grid_cols=cols,
-        has_global_tile=n_tiles > rows * cols,
-        total_tokens=n_tiles * TOKENS_PER_TILE,
-    )
+    return _tile_grid(width_px, height_px, max_tiles)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +104,12 @@ def plan_tiles(width_px: int, height_px: int, max_tiles: int = MAX_GRID_TILES) -
 @dataclass(frozen=True)
 class FramePlan:
     frame_indices: tuple[int, ...]
-    fps: float = VIDEO_FPS
-    max_frames: int = MAX_VIDEO_FRAMES
     per_frame_tokens: int = TOKENS_PER_TILE
 
     def __post_init__(self):
-        if len(self.frame_indices) > self.max_frames:
+        if len(self.frame_indices) > MAX_VIDEO_FRAMES:
             raise ContractError(
-                f"{len(self.frame_indices)} frames exceeds cap {self.max_frames}"
+                f"{len(self.frame_indices)} frames exceeds cap {MAX_VIDEO_FRAMES}"
             )
         if any(b <= a for a, b in zip(self.frame_indices, self.frame_indices[1:])):
             raise ContractError("frame indices must be strictly increasing")
@@ -190,8 +175,7 @@ def frame_tokens(width_px: int, height_px: int) -> int:
     scaled_w = max(1, int(round(width_px * scale)))
     scaled_h = max(1, int(round(height_px * scale)))
     # the rescaled frame spans at most 2x1 tiles, so the cap never binds
-    _, _, n_tiles = _tile_grid(scaled_w, scaled_h, MAX_GRID_TILES)
-    return n_tiles * TOKENS_PER_TILE
+    return _tile_grid(scaled_w, scaled_h, MAX_GRID_TILES).total_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +184,21 @@ def frame_tokens(width_px: int, height_px: int) -> int:
 
 @dataclass(frozen=True)
 class MelSpec:
-    frames: int
-    bins: int
-    data: Tensor
-    sample_rate_hz: int = SAMPLE_RATE_HZ
-    window_samples: int = WINDOW_SAMPLES
-    hop_samples: int = HOP_SAMPLES
+    data: Tensor  # frames x MEL_BINS
 
     def __post_init__(self):
-        if self.bins != MEL_BINS:
-            raise ContractError(f"mel bins must be {MEL_BINS}, got {self.bins}")
-        if self.data.shape != (self.frames, self.bins):
+        if len(self.data.shape) != 2 or self.data.shape[1] != MEL_BINS:
             raise ContractError(
-                f"mel data shape {self.data.shape} != ({self.frames}, {self.bins})"
+                f"mel data shape {self.data.shape} != (frames, {MEL_BINS})"
             )
+
+    @property
+    def frames(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def bins(self) -> int:
+        return self.data.shape[1]
 
 
 def hz_to_mel(hz: float) -> float:
@@ -224,42 +209,37 @@ def mel_to_hz(mel: float) -> float:
     return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
 
 
-def _mel_edges_hz(n_bins: int, fmin: float, fmax: float) -> np.ndarray:
+def _mel_edges_hz() -> np.ndarray:
     """Edges evenly spaced in mel; filter j peaks at edge j + 1, its centre."""
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_bins + 2)
+    mel_points = np.linspace(
+        hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), MEL_BINS + 2
+    )
     return np.array([mel_to_hz(m) for m in mel_points])
 
 
-_filterbank_cache: dict[tuple, np.ndarray] = {}
+_filterbank: np.ndarray | None = None
 
 
-def mel_filterbank(
-    n_bins: int = MEL_BINS,
-    n_fft: int = WINDOW_SAMPLES,
-    sample_rate: int = SAMPLE_RATE_HZ,
-    fmin: float = MEL_FMIN_HZ,
-    fmax: float = MEL_FMAX_HZ,
-) -> np.ndarray:
-    """Triangular mel filters as an (n_fft//2 + 1, n_bins) matrix."""
-    key = (n_bins, n_fft, sample_rate, fmin, fmax)
-    cached = _filterbank_cache.get(key)
-    if cached is not None:
-        return cached
-    hz_points = _mel_edges_hz(n_bins, fmin, fmax)
-    fft_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    bank = np.zeros((fft_freqs.size, n_bins), dtype=np.float64)
-    for j in range(n_bins):
-        left, centre, right = hz_points[j], hz_points[j + 1], hz_points[j + 2]
-        rising = (fft_freqs - left) / (centre - left)
-        falling = (right - fft_freqs) / (right - centre)
-        bank[:, j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    _filterbank_cache[key] = bank
-    return bank
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters as a (WINDOW_SAMPLES // 2 + 1, MEL_BINS) matrix,
+    built once."""
+    global _filterbank
+    if _filterbank is None:
+        hz_points = _mel_edges_hz()
+        fft_freqs = np.arange(WINDOW_SAMPLES // 2 + 1) * SAMPLE_RATE_HZ / WINDOW_SAMPLES
+        bank = np.zeros((fft_freqs.size, MEL_BINS), dtype=np.float64)
+        for j in range(MEL_BINS):
+            left, centre, right = hz_points[j], hz_points[j + 1], hz_points[j + 2]
+            rising = (fft_freqs - left) / (centre - left)
+            falling = (right - fft_freqs) / (right - centre)
+            bank[:, j] = np.clip(np.minimum(rising, falling), 0.0, None)
+        _filterbank = bank
+    return _filterbank
 
 
 def mel_bin_for_hz(hz: float) -> int:
     """Index of the mel filter whose centre frequency is nearest ``hz``."""
-    centres = _mel_edges_hz(MEL_BINS, MEL_FMIN_HZ, MEL_FMAX_HZ)[1:-1]
+    centres = _mel_edges_hz()[1:-1]
     return int(np.argmin(np.abs(centres - hz)))
 
 
@@ -292,7 +272,7 @@ def melspec(waveform) -> MelSpec:
     log_mel = np.log10(np.maximum(mel, _MEL_FLOOR))
     log_mel = np.maximum(log_mel, log_mel.max() - _LOG_RANGE)
     normalized = (log_mel + 4.0) / 4.0
-    return MelSpec(frames=n_frames, bins=MEL_BINS, data=Tensor(normalized))
+    return MelSpec(Tensor(normalized))
 
 
 def load_wav(path) -> np.ndarray:

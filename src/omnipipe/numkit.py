@@ -152,31 +152,19 @@ def conv1d_backward(
 # pool2x2: stride-2 mean pooling over 2x2 windows of an HxWxC grid
 # ---------------------------------------------------------------------------
 
-POOL_FLOOR_ROWS = "floor_rows"
-POOL_PAD_COLS = "pad_cols"
-_POOL_POLICIES = (POOL_FLOOR_ROWS, POOL_PAD_COLS)
-
-
-def pool2x2_size(h: int, w: int, pad_policy: str) -> tuple[int, int]:
+def pool2x2_size(h: int, w: int) -> tuple[int, int]:
     """Output rows and columns of pool2x2 on an h x w grid."""
-    w_out = (w + w % 2) // 2 if pad_policy == POOL_PAD_COLS else (w - 2) // 2 + 1
-    return (h - 2) // 2 + 1, w_out
+    return (h - 2) // 2 + 1, (w + w % 2) // 2
 
 
-def _pool2x2_windows(x: np.ndarray, pad_policy: str):
+def _pool2x2_windows(x: np.ndarray):
     """The in-bounds (rows, cols) of each of the four window offsets, and the
     number of in-bounds cells in each output window."""
     _require_ndim(x, 3, "pool2x2 input")
-    if pad_policy not in _POOL_POLICIES:
-        raise ContractError(
-            f"unknown pad_policy {pad_policy!r}, expected one of {_POOL_POLICIES}"
-        )
     h, w, _ = x.shape
     if h < 2:
         raise ShapeError(f"pool2x2 window underflow: height {h} < 2")
-    if pad_policy == POOL_FLOOR_ROWS and w < 2:
-        raise ShapeError(f"pool2x2 window underflow: width {w} < 2 without padding")
-    h_out, w_out = pool2x2_size(h, w, pad_policy)
+    h_out, w_out = pool2x2_size(h, w)
     windows = []
     counts = np.zeros((h_out, w_out), dtype=np.float64)
     for di in (0, 1):
@@ -188,21 +176,21 @@ def _pool2x2_windows(x: np.ndarray, pad_policy: str):
     return windows, counts
 
 
-def pool2x2(x: np.ndarray, pad_policy: str = POOL_PAD_COLS) -> np.ndarray:
+def pool2x2(x: np.ndarray) -> np.ndarray:
     """2x2 stride-2 mean pooling; the mean counts only in-bounds cells.
 
-    Rows are floored to whole windows; columns are floored or right-padded to
-    even per pad_policy. A constant field pools to the same constant.
+    Rows are floored to whole windows; an odd last column is right-padded to
+    a window of its own. A constant field pools to the same constant.
     """
-    windows, counts = _pool2x2_windows(x, pad_policy)
+    windows, counts = _pool2x2_windows(x)
     out = np.zeros(counts.shape + (x.shape[2],), dtype=np.float64)
     for rows, cols in windows:
         out[:, : cols.size] += x[np.ix_(rows, cols)]
     return out / counts[:, :, None]
 
 
-def pool2x2_backward(x: np.ndarray, pad_policy: str, grad_out: np.ndarray) -> np.ndarray:
-    windows, counts = _pool2x2_windows(x, pad_policy)
+def pool2x2_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    windows, counts = _pool2x2_windows(x)
     expected = counts.shape + (x.shape[2],)
     if grad_out.shape != expected:
         raise ShapeError(

@@ -33,6 +33,11 @@ SUPPORTED_RATES = (1, 2, 4, 8)
 
 _TOY_INPUT_SCALE = 5.0
 
+# Widths of the small projectors that check_gradients builds.
+_CHECK_IN_DIM = 5
+_CHECK_LLM_DIM = 3
+_CHECK_CHANNELS = 4
+
 
 # ---------------------------------------------------------------------------
 # configs and parameters
@@ -64,7 +69,7 @@ class VisualProjectorConfig:
     def output_tokens(self) -> int:
         if self.variant == "mlp":
             return self.input_tokens
-        return math.prod(numkit.pool2x2_size(*self.grid, numkit.POOL_PAD_COLS))
+        return math.prod(numkit.pool2x2_size(*self.grid))
 
 
 @dataclass(frozen=True)
@@ -201,7 +206,7 @@ def _check_visual_input(cfg: VisualProjectorConfig, x: np.ndarray) -> None:
 def _concat_groups(cfg: VisualProjectorConfig) -> np.ndarray:
     """Token indices of each 2x2 neighbourhood, -1 where the grid was padded."""
     rows, cols = cfg.grid
-    out_rows, out_cols = numkit.pool2x2_size(rows, cols, numkit.POOL_PAD_COLS)
+    out_rows, out_cols = numkit.pool2x2_size(rows, cols)
     # window (i, j) covers rows 2i + (0, 0, 1, 1) and columns 2j + (0, 1, 0, 1);
     # rows are floored to whole windows, so only a column can fall outside
     r = 2 * np.arange(out_rows)[:, None, None] + np.array([0, 0, 1, 1])
@@ -214,16 +219,16 @@ def _pool_tokens(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The token grid and its 2x2 mean pool, one row per window."""
     grid = tokens.reshape(*cfg.grid, tokens.shape[1])
-    pooled = numkit.pool2x2(grid, numkit.POOL_PAD_COLS)
+    pooled = numkit.pool2x2(grid)
     return grid, pooled.reshape(-1, tokens.shape[1])
 
 
 def _unpool_tokens(grid: np.ndarray, g_pooled: np.ndarray) -> np.ndarray:
     """Adjoint of _pool_tokens: one gradient row per grid token."""
     rows, cols, c = grid.shape
-    out_rows, out_cols = numkit.pool2x2_size(rows, cols, numkit.POOL_PAD_COLS)
+    out_rows, out_cols = numkit.pool2x2_size(rows, cols)
     g_windows = g_pooled.reshape(out_rows, out_cols, c)
-    g_grid = numkit.pool2x2_backward(grid, numkit.POOL_PAD_COLS, g_windows)
+    g_grid = numkit.pool2x2_backward(grid, g_windows)
     return g_grid.reshape(rows * cols, c)
 
 
@@ -458,9 +463,6 @@ def check_gradients(
     eps: float = 1e-5,
     tol: float = 1e-4,
     rate: int = 2,
-    in_dim: int = 5,
-    llm_dim: int = 3,
-    channels: int = 4,
     seq_len: int = 11,
     grid: tuple[int, int] = (27, 27),
 ) -> numkit.GradCheckReport:
@@ -472,16 +474,18 @@ def check_gradients(
     """
     rng = _rng(seed)
     if projector == "conv_gmlp":
-        cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=channels)
+        cfg = ConvGmlpConfig(
+            rate_n=rate, llm_dim=_CHECK_LLM_DIM, in_channels=_CHECK_CHANNELS
+        )
         params = _conv_gmlp_init(cfg, seed)
-        x = rng.normal(0.0, 1.0, (seq_len, channels))
+        x = rng.normal(0.0, 1.0, (seq_len, _CHECK_CHANNELS))
         forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
     else:
         cfg = VisualProjectorConfig(
-            variant=projector, in_dim=in_dim, llm_dim=llm_dim, grid=grid
+            variant=projector, in_dim=_CHECK_IN_DIM, llm_dim=_CHECK_LLM_DIM, grid=grid
         )
         params = _visual_init(cfg, seed)
-        x = rng.normal(0.0, 1.0, (cfg.input_tokens, in_dim))
+        x = rng.normal(0.0, 1.0, (cfg.input_tokens, _CHECK_IN_DIM))
         forward, backward = _visual_forward, _visual_backward
     names = sorted(params)
 
@@ -515,6 +519,8 @@ def toy_fit(
         raise ContractError(f"steps must be >= 1, got {steps}")
     if seq_len < 1:
         raise ContractError(f"seq_len must be >= 1, got {seq_len}")
+    if lr < 0:
+        raise ContractError(f"lr must be >= 0, got {lr}")
     rng = _rng(seed)
     x = rng.normal(0.0, _TOY_INPUT_SCALE, (seq_len, cfg.in_channels))
     w_target = rng.normal(0.0, 1.0, (cfg.in_channels, cfg.llm_dim))

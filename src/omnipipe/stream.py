@@ -77,7 +77,6 @@ class InjectionTrace:
 class SchedulerState:
     mode: str = MODE_IDLE
     audio_buffer_tokens: int = 0
-    segment_counter: int = 0
     last_timestamp_ms: int | None = None
 
     def __post_init__(self):
@@ -115,13 +114,7 @@ def step(state: SchedulerState, event: StreamEvent) -> tuple[SchedulerState, lis
     if state.mode != MODE_AUDIO:
         raise ProtocolError(f"audio_end at {ts} ms with no open audio segment")
     entry = TraceEntry(ts, "audio", state.audio_buffer_tokens, True)
-    next_state = SchedulerState(
-        mode=MODE_IDLE,
-        audio_buffer_tokens=0,
-        segment_counter=state.segment_counter + 1,
-        last_timestamp_ms=ts,
-    )
-    return next_state, [entry]
+    return SchedulerState(mode=MODE_IDLE, last_timestamp_ms=ts), [entry]
 
 
 def run(events: list[StreamEvent]) -> InjectionTrace:

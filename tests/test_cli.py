@@ -265,8 +265,9 @@ class TestSubcommandBehaviour:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-# Each case: argv (with {NAME} standing for a file written from FILES), the
-# files, the expected exit code, and for reader errors the failing line.
+# Each case: argv (with {NAME} standing for a file written from FILES, or for
+# the valid fixtures {wav} and {sizes}), the files, the expected exit code,
+# and for reader errors the failing line.
 MALFORMED = {
     "pack len not a number": (
         ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": "a", "len": "abc"}\n'}, 1, 1),
@@ -297,6 +298,8 @@ MALFORMED = {
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
     "ablate-rates negative seed": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"], {}, 1, None),
+    "ablate-rates negative lr": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--lr", "-1"], {}, 1, None),
     "stream-sim event t not a number": (
         ["stream-sim", "--events", "{e}"], {"e": '{"t": "x", "kind": "text"}\n'}, 1, 1),
     "stream-sim event tokens not integral": (
@@ -325,6 +328,7 @@ MALFORMED = {
         ["split-crossmodal", "--input", os.devnull, "--seed", "-1"], {}, 1, None),
     "mix size not a number": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": "x"}'}, 1, None),
     "mix size not integral": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": 1.5}'}, 1, None),
+    "mix negative seed": (["mix", "--budget", "1", "--seed", "-1", "--sizes", "{sizes}"], {}, 1, None),
     "metrics ref not a string": (
         ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),
     "metrics config metric not a choice": (
@@ -338,8 +342,9 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     argv, files, code, line = MALFORMED[case]
-    paths = {"wav": str(tmp_path / "tone.wav")}
+    paths = {"wav": str(tmp_path / "tone.wav"), "sizes": str(tmp_path / "sizes.json")}
     _write_wav(paths["wav"])
+    (tmp_path / "sizes.json").write_text('{"a": 2}')
     for key, text in files.items():
         paths[key] = str(tmp_path / f"{key}.in")
         (tmp_path / f"{key}.in").write_text(text)

@@ -114,6 +114,10 @@ class TestMixPlan:
         plan = mix_plan({"only": 50}, budget=17, seed=0)
         assert plan.sample_counts == (17,)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match=r"^seed must be >= 0, got -1$"):
+            mix_plan({"A": 3}, budget=1, seed=-1)
+
     def test_budget_above_total_rejected(self):
         with pytest.raises(ContractError):
             mix_plan({"A": 3, "B": 4}, budget=8, seed=0)

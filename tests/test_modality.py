@@ -98,6 +98,15 @@ class TestPlanFrames:
         plan = plan_frames(10.0, 100, per_frame_tokens=546)
         assert FramePlan.from_json(plan.to_json()) == plan
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"frames": list(range(49)), "per_frame_tokens": 182}, "49 frames exceeds cap 48"),
+        ({"frames": [0, 5, 5], "per_frame_tokens": 182}, "strictly increasing"),
+        ({"frames": [0], "per_frame_tokens": 100}, "per_frame_tokens must be one of"),
+    ])
+    def test_from_json_rejects_invalid_plans(self, obj, message):
+        with pytest.raises(ContractError, match=message):
+            FramePlan.from_json(obj)
+
 
 class TestFrameTokens:
     def test_square_frame_minimum(self):
@@ -162,6 +171,15 @@ class TestMelspec:
         with pytest.raises(ContractError):
             melspec(bad)
 
+    def test_frames_and_bins_come_from_the_data(self):
+        spec = MelSpec(Tensor(np.zeros((7, 128))))
+        assert (spec.frames, spec.bins) == (7, 128)
+
+    @pytest.mark.parametrize("shape", [(128,), (3000,), (10, 127), (10, 129), (10, 128, 1)])
+    def test_spec_rejects_data_that_is_not_frames_by_128(self, shape):
+        with pytest.raises(ContractError, match="mel data shape"):
+            MelSpec(Tensor(np.zeros(shape)))
+
     def test_440hz_energy_lands_in_oracle_bin(self):
         spec = melspec(_sine(440.0, 1.0))
         frame_index = 50  # 0.5 s, well inside the tone
@@ -221,7 +239,7 @@ def _synthetic_spec(frames: int, active, silence=-1.5, loud=0.5) -> MelSpec:
     data = np.full((frames, 128), silence)
     for start, end in active:
         data[start:end] = loud
-    return MelSpec(frames=frames, bins=128, data=Tensor(data))
+    return MelSpec(Tensor(data))
 
 
 class TestVad:
@@ -247,7 +265,7 @@ class TestVad:
         for _ in range(50):
             frames = int(rng.integers(10, 400))
             data = np.where(rng.random((frames, 128)) > 0.5, 0.5, -1.5)
-            spec = MelSpec(frames=frames, bins=128, data=Tensor(data))
+            spec = MelSpec(Tensor(data))
             segments = vad(spec, -60.0, int(rng.integers(0, 4)))
             for a, b in zip(segments, segments[1:]):
                 assert a.end_frame < b.start_frame

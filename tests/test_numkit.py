@@ -108,7 +108,7 @@ class TestPool2x2:
         assert np.all(out == 1.0)
 
     def test_27x27_pad_cols_gives_182_positions(self):
-        out = pool2x2(np.ones((27, 27, 2)), "pad_cols")
+        out = pool2x2(np.ones((27, 27, 2)))
         assert out.shape == (13, 14, 2)
         assert out.shape[0] * out.shape[1] == 182
         assert np.all(out == 1.0)
@@ -117,17 +117,13 @@ class TestPool2x2:
         with pytest.raises(ShapeError):
             pool2x2(np.ones((1, 4, 1)))
 
-    def test_floor_rows_policy(self):
-        out = pool2x2(np.ones((5, 5, 1)), "floor_rows")
-        assert out.shape == (2, 2, 1)
-
     def test_constant_preserved_any_shape(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             h = int(rng.integers(2, 12))
             w = int(rng.integers(1, 12))
             c = int(rng.integers(1, 4))
-            out = pool2x2(np.full((h, w, c), 2.5), "pad_cols")
+            out = pool2x2(np.full((h, w, c), 2.5))
             assert np.allclose(out, 2.5)
 
 
@@ -259,8 +255,8 @@ def test_every_op_backward_over_seeds(seed):
     )
     reports.append(
         _op_gradcheck(
-            lambda p: pool2x2(p[0], "pad_cols"),
-            lambda p, out: [pool2x2_backward(p[0], "pad_cols", out)],
+            lambda p: pool2x2(p[0]),
+            lambda p, out: [pool2x2_backward(p[0], out)],
             [(5, 5, 2)],
             seed,
         )

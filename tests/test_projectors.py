@@ -317,6 +317,11 @@ class TestToyFit:
         losses = toy_fit(cfg, steps=5, lr=0.0, seed=0, seq_len=16)
         assert losses == [losses[0]] * 5
 
+    def test_negative_lr_rejected(self):
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=4, in_channels=4)
+        with pytest.raises(ContractError, match=r"^lr must be >= 0, got -1.0$"):
+            toy_fit(cfg, steps=5, lr=-1.0, seed=0, seq_len=16)
+
     def test_divergence_raises_with_step(self):
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=4, in_channels=4)
         with pytest.raises(ContractError, match="step"):

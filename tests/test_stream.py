@@ -7,6 +7,7 @@ from omnipipe.errors import ContractError, ProtocolError
 from omnipipe.modality import MelSpec, plan_frames
 from omnipipe.numkit import Tensor
 from omnipipe.stream import (
+    MODE_IDLE,
     InjectionTrace,
     SchedulerState,
     StreamEvent,
@@ -106,7 +107,7 @@ class TestStep:
         state = SchedulerState()
         for event in (StreamEvent(0, "audio_start"), StreamEvent(1, "audio_end")):
             state, _ = step(state, event)
-        assert state.segment_counter == 1
+        assert state.mode == MODE_IDLE
         assert state.audio_buffer_tokens == 0
 
 
@@ -165,7 +166,7 @@ def _spec_with_active(frames, active):
     data = np.full((frames, 128), -1.5)
     for a, b in active:
         data[a:b] = 0.5
-    return MelSpec(frames=frames, bins=128, data=Tensor(data))
+    return MelSpec(Tensor(data))
 
 
 class TestEventsFromMedia:
