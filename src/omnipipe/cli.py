@@ -90,12 +90,15 @@ def _read_jsonl(path: str, fields: dict, row=lambda *values: values) -> list:
     return rows
 
 
-def _read_csv(path: str, fields: dict) -> list[tuple]:
+def _read_csv(path: str, fields: dict, key: int) -> list[tuple]:
     """One tuple per non-empty row of a CSV file whose header starts with
     the names in ``fields`` (name -> type); each cell is parsed with its type
-    and checked by the type rule. Errors name PATH:LINE."""
+    and checked by the type rule. The first ``key`` cells of a row are its
+    key, which no two rows may share. Errors name PATH:LINE."""
     types = list(fields.values())
+    key_names = ",".join(list(fields)[:key])
     rows = []
+    first_line: dict[tuple, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -108,6 +111,13 @@ def _read_csv(path: str, fields: dict) -> list[tuple]:
                 if len(row) < len(types):
                     raise FormatError(f"expected {len(types)} columns, got {len(row)}")
                 rows.append(tuple([json_value(t(cell), t) for t, cell in zip(types, row)]))
+                k = rows[-1][:key]
+                if k in first_line:
+                    raise FormatError(
+                        f"duplicate {key_names} {','.join(map(str, k))!r}, "
+                        f"first on line {first_line[k]}"
+                    )
+                first_line[k] = reader.line_num
         except (csv.Error, ValueError) as exc:
             raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     return rows
@@ -220,7 +230,7 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
 
 
 def run_filter_loss(cfg: dict) -> tuple[str, int]:
-    losses = dict(_read_csv(cfg["losses"], {"id": str, "loss": float}))
+    losses = dict(_read_csv(cfg["losses"], {"id": str, "loss": float}, key=1))
     report = curation.gaussian_filter(losses)
     return json.dumps(report.to_json(), sort_keys=True) + "\n", 0
 
@@ -245,8 +255,11 @@ def run_mix(cfg: dict) -> tuple[str, int]:
 
 
 def run_metrics(cfg: dict) -> tuple[str, int]:
+    pairs = _read_jsonl(cfg["pairs"], {"ref": str, "hyp": str})
+    if not pairs:
+        raise FormatError(f"{cfg['pairs']}: no ref/hyp pairs")
     results = []
-    for ref, hyp in _read_jsonl(cfg["pairs"], {"ref": str, "hyp": str}):
+    for ref, hyp in pairs:
         if cfg["metric"] == "wer":
             results.append(evalkit.wer(ref, hyp))
         elif cfg["metric"] == "cer":
@@ -260,10 +273,10 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
             for r in results
         )
         total = sum(r.counts["reference_length"] for r in results)
-        aggregate = {"corpus_value": errors / total if total else 0.0, "pairs": len(results)}
+        aggregate = {"corpus_value": errors / total, "pairs": len(results)}
     else:
         aggregate = {
-            "mean_value": sum(r.value for r in results) / len(results) if results else 0.0,
+            "mean_value": sum(r.value for r in results) / len(results),
             "pairs": len(results),
         }
     lines.append({"aggregate": aggregate, "metric": cfg["metric"]})
@@ -271,7 +284,7 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
 
 
 def run_normalize_scores(cfg: dict) -> tuple[str, int]:
-    rows = _read_csv(cfg["scores"], {"model": str, "benchmark": str, "raw": float})
+    rows = _read_csv(cfg["scores"], {"model": str, "benchmark": str, "raw": float}, key=2)
     table = evalkit.ScoreTable.from_rows(rows)
     return evalkit.render_report(table, cfg["format"]), 0
 

@@ -222,7 +222,7 @@ _filterbank: np.ndarray | None = None
 
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters as a (WINDOW_SAMPLES // 2 + 1, MEL_BINS) matrix,
-    built once."""
+    built once and shared, so it is read-only."""
     global _filterbank
     if _filterbank is None:
         hz_points = _mel_edges_hz()
@@ -233,6 +233,7 @@ def mel_filterbank() -> np.ndarray:
             rising = (fft_freqs - left) / (centre - left)
             falling = (right - fft_freqs) / (right - centre)
             bank[:, j] = np.clip(np.minimum(rising, falling), 0.0, None)
+        bank.flags.writeable = False
         _filterbank = bank
     return _filterbank
 

@@ -2,10 +2,12 @@
 
 The handful of layer operations the projectors need, a hand-written adjoint
 for each operation (no general autodiff tape), and a finite-difference
-gradient checker. Every kernel takes and returns plain float64 numpy arrays
-and checks the shapes it relies on; ``Tensor`` is the validated type at the
-package's public edge (projector inputs and outputs, mel features, packed
-attention), not inside the kernels. Everything is float64: the gradient
+gradient checker. There is no convolution: each convolution the projectors
+need has a kernel as wide as its stride, which is a reshape into windows and
+a matmul, so every projector layer is a matmul. Every kernel takes and
+returns plain float64 numpy arrays and checks the shapes it relies on;
+``Tensor`` is the validated type at the package's public edge (projector
+inputs and outputs, mel features, packed attention), not inside the kernels. Everything is float64: the gradient
 checker relies on it. No ``<op>_backward`` calls a forward op.
 ``grad_check`` probes a loss-only function and compares against gradients
 the caller computed once.
@@ -87,65 +89,6 @@ def matmul_backward(
             f"expected {(a.shape[0], b.shape[1])}"
         )
     return grad_out @ b.T, a.T @ grad_out
-
-
-# ---------------------------------------------------------------------------
-# conv1d: valid cross-correlation over a right-zero-padded sequence
-# ---------------------------------------------------------------------------
-
-def _conv1d_prepare(x: np.ndarray, kernel: np.ndarray, stride: int, pad_right: int):
-    _require_ndim(x, 2, "conv1d input")
-    _require_ndim(kernel, 3, "conv1d kernel")
-    if stride < 1:
-        raise ContractError(f"conv1d stride must be >= 1, got {stride}")
-    if pad_right < 0:
-        raise ContractError(f"conv1d pad_right must be >= 0, got {pad_right}")
-    length, c_in = x.shape
-    k, kc_in, c_out = kernel.shape
-    if kc_in != c_in:
-        raise ShapeError(
-            f"conv1d kernel expects {kc_in} input channels, input has {c_in}"
-        )
-    if length + pad_right < k:
-        raise ShapeError(
-            f"conv1d window underflow: length {length} + pad {pad_right} < kernel {k}"
-        )
-    l_out = (length + pad_right - k) // stride + 1
-    padded = x
-    if pad_right:
-        padded = np.concatenate(
-            [padded, np.zeros((pad_right, c_in), dtype=np.float64)], axis=0
-        )
-    idx = (np.arange(l_out) * stride)[:, None] + np.arange(k)[None, :]
-    return padded, idx, l_out, (k, c_in, c_out)
-
-
-def conv1d(
-    x: np.ndarray, kernel: np.ndarray, stride: int = 1, pad_right: int = 0
-) -> np.ndarray:
-    """Strided valid cross-correlation; output length (L+pad-k)//stride + 1."""
-    padded, idx, l_out, (k, c_in, c_out) = _conv1d_prepare(x, kernel, stride, pad_right)
-    cols = padded[idx].reshape(l_out, k * c_in)
-    return cols @ kernel.reshape(k * c_in, c_out)
-
-
-def conv1d_backward(
-    x: np.ndarray, kernel: np.ndarray, stride: int, pad_right: int, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    padded, idx, l_out, (k, c_in, c_out) = _conv1d_prepare(x, kernel, stride, pad_right)
-    if grad_out.shape != (l_out, c_out):
-        raise ShapeError(
-            f"conv1d upstream gradient has shape {grad_out.shape}, "
-            f"expected {(l_out, c_out)}"
-        )
-    cols = padded[idx].reshape(l_out, k * c_in)
-    grad_kernel = (cols.T @ grad_out).reshape(k, c_in, c_out)
-    grad_cols = (grad_out @ kernel.reshape(k * c_in, c_out).T).reshape(
-        l_out, k, c_in
-    )
-    grad_padded = np.zeros_like(padded)
-    np.add.at(grad_padded, idx, grad_cols)
-    return grad_padded[: x.shape[0]], grad_kernel
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Four visual projector variants (mlp, c_abs, concat, mean_pool) that map a
 27x27 patch grid to LLM embeddings, and a convolutional gated-MLP audio
 projector that shortens a feature sequence by a configurable rate while
 expanding channels proportionally, with a mean-pooled residual shortcut.
+Every layer is a matmul on a 2-D weight: c_abs's pointwise convolutions are
+plain linear layers, and the conv-gMLP's strided first convolution, whose
+kernel is as wide as its stride, is a matmul over windows of rate rows.
 A toy gradient-descent fit and a down-sampling-rate ablation harness verify
 the backward passes end to end.
 
@@ -77,7 +80,6 @@ class ConvGmlpConfig:
     rate_n: int
     llm_dim: int
     in_channels: int = 1280
-    strides: tuple[int, int] | None = None  # None means (rate_n, 1)
 
     def __post_init__(self):
         if self.rate_n not in SUPPORTED_RATES:
@@ -86,14 +88,6 @@ class ConvGmlpConfig:
             )
         if self.in_channels < 1 or self.llm_dim < 1:
             raise ContractError("projector dimensions must be >= 1")
-        if self.strides is None:
-            object.__setattr__(self, "strides", (self.rate_n, 1))
-        s1, s2 = self.strides
-        if s1 < 1 or s2 < 1 or s1 * s2 != self.rate_n:
-            raise ContractError(
-                f"strides {self.strides} must be positive and multiply to "
-                f"rate {self.rate_n}"
-            )
 
     @property
     def hidden_channels(self) -> int:
@@ -148,45 +142,30 @@ def init_conv_gmlp_params(cfg: ConvGmlpConfig, seed: int) -> ProjectorParams:
 
 
 def _visual_init(cfg: VisualProjectorConfig, seed: int) -> dict[str, np.ndarray]:
-    d_in, d_llm = cfg.in_dim, cfg.llm_dim
-    if cfg.variant == "concat":
-        first = 4 * d_in
-        specs = [
-            ("w1", (first, d_llm), first),
-            ("b1", (d_llm,), first),
-            ("w2", (d_llm, d_llm), d_llm),
-            ("b2", (d_llm,), d_llm),
-        ]
-    elif cfg.variant == "c_abs":
-        specs = [
-            ("conv1", (1, d_in, d_llm), d_in),
-            ("b1", (d_llm,), d_in),
-            ("conv2", (1, d_llm, d_llm), d_llm),
-            ("b2", (d_llm,), d_llm),
-        ]
-    else:  # mlp and mean_pool share the same two-layer MLP shape
-        specs = [
-            ("w1", (d_in, d_llm), d_in),
-            ("b1", (d_llm,), d_in),
-            ("w2", (d_llm, d_llm), d_llm),
-            ("b2", (d_llm,), d_llm),
-        ]
+    """Every variant is a two-layer MLP; concat's first layer reads 2x2
+    neighbourhoods of four tokens each."""
+    first = 4 * cfg.in_dim if cfg.variant == "concat" else cfg.in_dim
+    d_llm = cfg.llm_dim
+    specs = [
+        ("w1", (first, d_llm), first),
+        ("b1", (d_llm,), first),
+        ("w2", (d_llm, d_llm), d_llm),
+        ("b2", (d_llm,), d_llm),
+    ]
     return _init(specs, seed)
 
 
 def _conv_gmlp_init(cfg: ConvGmlpConfig, seed: int) -> dict[str, np.ndarray]:
-    s1, s2 = cfg.strides
-    c = cfg.in_channels
-    mid = s1 * c
-    wide = 2 * cfg.hidden_channels
+    # one window of rate rows is rate x in_channels wide, as is each path
+    c, width, d_llm = cfg.in_channels, cfg.hidden_channels, cfg.llm_dim
     specs = [
-        ("conv_in", (s1, c, mid), s1 * c),
-        ("b_in", (mid,), s1 * c),
-        ("conv_mid", (s2, mid, wide), s2 * mid),
-        ("b_mid", (wide,), s2 * mid),
-        ("w_out", (cfg.hidden_channels, cfg.llm_dim), cfg.hidden_channels),
-        ("b_out", (cfg.llm_dim,), cfg.hidden_channels),
-        ("w_res", (c, cfg.llm_dim), c),
+        ("w_in", (width, width), width),
+        ("b_in", (width,), width),
+        ("w_mid", (width, 2 * width), width),
+        ("b_mid", (2 * width,), width),
+        ("w_out", (width, d_llm), width),
+        ("b_out", (d_llm,), width),
+        ("w_res", (c, d_llm), c),
     ]
     return _init(specs, seed)
 
@@ -241,10 +220,6 @@ def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tenso
 def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
     """The backward's cache; ``last`` is the output layer's input."""
     _check_visual_input(cfg, x)
-    if cfg.variant == "c_abs":  # pointwise conv, GELU, pool, pointwise conv
-        z1 = numkit.add_bias(numkit.conv1d(x, p["conv1"]), p["b1"])
-        grid, last = _pool_tokens(cfg, numkit.gelu(z1))
-        return {"first": x, "z1": z1, "grid": grid, "last": last}
     cache = {}
     if cfg.variant == "mean_pool":
         cache["grid"], first = _pool_tokens(cfg, x)
@@ -255,32 +230,27 @@ def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
     else:
         first = x
     z1 = numkit.add_bias(numkit.matmul(first, p["w1"]), p["b1"])
-    cache.update(first=first, z1=z1, last=numkit.gelu(z1))
+    last = numkit.gelu(z1)
+    if cfg.variant == "c_abs":  # pools between its two layers
+        cache["grid"], last = _pool_tokens(cfg, last)
+    cache.update(first=first, z1=z1, last=last)
     return cache
 
 
 def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
     cache = _visual_trunk(cfg, p, x)
-    if cfg.variant == "c_abs":
-        pre_out = numkit.conv1d(cache["last"], p["conv2"])
-    else:
-        pre_out = numkit.matmul(cache["last"], p["w2"])
-    return numkit.add_bias(pre_out, p["b2"]), cache
+    out = numkit.add_bias(numkit.matmul(cache["last"], p["w2"]), p["b2"])
+    return out, cache
 
 
 def _visual_backward(
     cfg: VisualProjectorConfig, p: dict, cache: dict, grad_out: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    g_h, g_w2 = numkit.matmul_backward(cache["last"], p["w2"], grad_out)
     if cfg.variant == "c_abs":
-        w1, w2 = "conv1", "conv2"
-        g_last, g_w2 = numkit.conv1d_backward(cache["last"], p[w2], 1, 0, grad_out)
-        g_z1 = numkit.gelu_backward(cache["z1"], _unpool_tokens(cache["grid"], g_last))
-        g_x, g_w1 = numkit.conv1d_backward(cache["first"], p[w1], 1, 0, g_z1)
-    else:
-        w1, w2 = "w1", "w2"
-        g_h, g_w2 = numkit.matmul_backward(cache["last"], p[w2], grad_out)
-        g_z1 = numkit.gelu_backward(cache["z1"], g_h)
-        g_x, g_w1 = numkit.matmul_backward(cache["first"], p[w1], g_z1)
+        g_h = _unpool_tokens(cache["grid"], g_h)
+    g_z1 = numkit.gelu_backward(cache["z1"], g_h)
+    g_x, g_w1 = numkit.matmul_backward(cache["first"], p["w1"], g_z1)
     if cfg.variant == "mean_pool":
         g_x = _unpool_tokens(cache["grid"], g_x)
     elif cfg.variant == "concat":
@@ -290,7 +260,7 @@ def _visual_backward(
         valid = idx >= 0
         np.add.at(g_x, idx[valid], g_groups[valid])
     b1, b2 = numkit.add_bias_backward(g_z1), numkit.add_bias_backward(grad_out)
-    return {w1: g_w1, "b1": b1, w2: g_w2, "b2": b2}, g_x
+    return {"w1": g_w1, "b1": b1, "w2": g_w2, "b2": b2}, g_x
 
 
 def visual_project_backward(
@@ -328,17 +298,16 @@ def conv_gmlp_shapes(cfg: ConvGmlpConfig, seq_len: int) -> dict:
     }
 
 
-def _block_mean(x_arr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over consecutive blocks of n rows; the last block may be short."""
-    length = x_arr.shape[0]
-    t = (length + n - 1) // n
-    pad = t * n - length
-    padded = np.concatenate([x_arr, np.zeros((pad, x_arr.shape[1]))]) if pad else x_arr
-    counts = np.full(t, n, dtype=np.float64)
+def _blocks(x: np.ndarray, rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """x right-zero-padded to whole blocks of ``rate`` rows, as a
+    (blocks, rate, channels) array, and the number of real rows per block."""
+    length, c = x.shape
+    pad = (-length) % rate
     if pad:
-        counts[-1] = n - pad
-    summed = padded.reshape(t, n, x_arr.shape[1]).sum(axis=1)
-    return summed / counts[:, None], counts
+        x = np.concatenate([x, np.zeros((pad, c))])
+    counts = np.full(x.shape[0] // rate, rate, dtype=np.float64)
+    counts[-1] -= pad
+    return x.reshape(-1, rate, c), counts
 
 
 def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: np.ndarray) -> None:
@@ -353,18 +322,19 @@ def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: np.ndarray) -> None:
 def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
     """The backward's cache: every value before the output layer."""
     _check_conv_gmlp_input(cfg, x)
-    s1, s2 = cfg.strides
-    pad = (-x.shape[0]) % cfg.rate_n
-    z1 = numkit.add_bias(numkit.conv1d(x, p["conv_in"], s1, pad), p["b_in"])
-    h = numkit.gelu(z1)
-    pre2 = numkit.add_bias(numkit.conv1d(h, p["conv_mid"], s2, 0), p["b_mid"])
+    # the strided first convolution: its kernel is as wide as its stride
+    blocks, counts = _blocks(x, cfg.rate_n)
     width = cfg.hidden_channels
+    windows = blocks.reshape(-1, width)
+    z1 = numkit.add_bias(numkit.matmul(windows, p["w_in"]), p["b_in"])
+    h = numkit.gelu(z1)
+    pre2 = numkit.add_bias(numkit.matmul(h, p["w_mid"]), p["b_mid"])
     value = pre2[:, :width]
     sig = numkit.sigmoid(pre2[:, width:])
-    mp, counts = _block_mean(x, cfg.rate_n)
+    mp = blocks.sum(axis=1) / counts[:, None]
     return {
         "x": x,
-        "pad": pad,
+        "windows": windows,
         "z1": z1,
         "h": h,
         "value": value,
@@ -385,10 +355,11 @@ def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
 def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> Tensor:
     """Shorten an (L x in_channels) sequence to ceil(L / rate) LLM embeddings.
 
-    The input is right-zero-padded to a multiple of the rate; two strided
-    convolutions expand channels to rate x in_channels for a value path and a
-    sigmoid gate path, their product is projected to llm_dim, and a
-    block-mean-pooled linear shortcut of the input is added.
+    The input is right-zero-padded to a multiple of the rate; a matmul over
+    each window of rate rows (a convolution with kernel and stride both equal
+    to the rate) and a pointwise layer expand channels to rate x in_channels
+    for a value path and a sigmoid gate path, their product is projected to
+    llm_dim, and a block-mean-pooled linear shortcut of the input is added.
     """
     out, _ = _conv_gmlp_forward(cfg, params, x)
     return Tensor(out)
@@ -404,13 +375,9 @@ def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
 def _conv_gmlp_backward(
     cfg: ConvGmlpConfig, p: dict, cache: dict, grad_out: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    s1, s2 = cfg.strides
-    x = cache["x"]
-
-    # residual shortcut
+    # residual shortcut: each row of a block gets its share of the block mean
     g_mp, g_w_res = numkit.matmul_backward(cache["mp"], p["w_res"], grad_out)
     per_row = g_mp / cache["counts"][:, None]
-    g_x_res = np.repeat(per_row, cfg.rate_n, axis=0)[: x.shape[0]]
 
     # gated projection path
     g_gated, g_w_out = numkit.matmul_backward(cache["gated"], p["w_out"], grad_out)
@@ -419,22 +386,23 @@ def _conv_gmlp_backward(
     )
     g_gate = numkit.sigmoid_backward(cache["sig"], g_sig)
     g_pre2 = np.concatenate([g_value, g_gate], axis=1)
-    g_h, g_conv_mid = numkit.conv1d_backward(cache["h"], p["conv_mid"], s2, 0, g_pre2)
+    g_h, g_w_mid = numkit.matmul_backward(cache["h"], p["w_mid"], g_pre2)
     g_z1 = numkit.gelu_backward(cache["z1"], g_h)
-    g_x_conv, g_conv_in = numkit.conv1d_backward(
-        x, p["conv_in"], s1, cache["pad"], g_z1
-    )
+    g_windows, g_w_in = numkit.matmul_backward(cache["windows"], p["w_in"], g_z1)
 
     grads = {
-        "conv_in": g_conv_in,
+        "w_in": g_w_in,
         "b_in": numkit.add_bias_backward(g_z1),
-        "conv_mid": g_conv_mid,
+        "w_mid": g_w_mid,
         "b_mid": numkit.add_bias_backward(g_pre2),
         "w_out": g_w_out,
         "b_out": numkit.add_bias_backward(grad_out),
         "w_res": g_w_res,
     }
-    return grads, g_x_conv + g_x_res
+    # both paths meet in the block layout; the padding rows drop
+    length, c = cache["x"].shape
+    g_blocks = g_windows.reshape(-1, cfg.rate_n, c) + per_row[:, None, :]
+    return grads, g_blocks.reshape(-1, c)[:length]
 
 
 def conv_gmlp_backward(
@@ -525,8 +493,8 @@ def toy_fit(
     x = rng.normal(0.0, _TOY_INPUT_SCALE, (seq_len, cfg.in_channels))
     w_target = rng.normal(0.0, 1.0, (cfg.in_channels, cfg.llm_dim))
     w_target /= math.sqrt(cfg.in_channels)
-    mp, _ = _block_mean(x, cfg.rate_n)
-    target = mp @ w_target
+    blocks, counts = _blocks(x, cfg.rate_n)
+    target = (blocks.sum(axis=1) / counts[:, None]) @ w_target
     t_len = target.shape[0]
 
     params = _conv_gmlp_init(cfg, seed)

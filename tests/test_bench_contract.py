@@ -2,8 +2,9 @@
 
 ``bench/workloads.py`` drives omnipipe's public functions and its CLI by
 position and by name. These tests run its prepare -> run -> check loop,
-without timing, for the first train step and one full evaluate cycle, so a
-signature change that would break the benchmark fails here.
+without timing, for the first ingest turn, the first train step and one
+full evaluate cycle, so a signature change that would break the benchmark
+fails here.
 """
 
 import importlib.util
@@ -31,6 +32,11 @@ def _problems(workload, ops: int) -> list[str]:
         found, _ = workload.check(inp, workload.run(inp))
         problems += [f"op {i}: {p}" for p in found]
     return problems
+
+
+def test_ingest_first_turn(workloads, tmp_path):
+    # the only workload that runs the conv-gMLP forward at full size
+    assert _problems(workloads.Ingest(0, tmp_path), 1) == []
 
 
 def test_train_first_step(workloads, tmp_path):

@@ -257,6 +257,20 @@ class TestSubcommandBehaviour:
         m2 = [l for l in lines if l.startswith("m2")][0]
         assert m2.endswith("0.6")
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["filter-loss", "--losses"], "id,loss\na,1\nb,2\na,100\nc,3\n",
+         "4: duplicate id 'a', first on line 2"),
+        (["normalize-scores", "--scores"], "model,benchmark,raw\nm1,b,50\nm2,b,70\n\nm1,b,90\n",
+         "5: duplicate model,benchmark 'm1,b', first on line 2"),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys, argv, text, message):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        assert main([*argv, str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {table}:{message}\n"
+
     def test_out_files_are_byte_identical_across_runs(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -322,6 +336,8 @@ MALFORMED = {
         {"p": '{"frames": "ab", "per_frame_tokens": 182}'}, 1, None),
     "filter-loss loss not finite": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
+    "filter-loss duplicate id": (
+        ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,2\na,100\nc,3\n"}, 1, 4),
     "split-crossmodal text not a string": (
         ["split-crossmodal", "--input", "{i}"], {"i": '{"text": 5}\n'}, 1, 1),
     "split-crossmodal negative seed": (
@@ -331,11 +347,15 @@ MALFORMED = {
     "mix negative seed": (["mix", "--budget", "1", "--seed", "-1", "--sizes", "{sizes}"], {}, 1, None),
     "metrics ref not a string": (
         ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),
+    "metrics no pairs": (["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": "\n\n"}, 1, None),
     "metrics config metric not a choice": (
         ["metrics", "--pairs", "{p}", "--config", "{c}"],
         {"p": '{"ref": "a", "hyp": "a"}\n', "c": '{"metric": "ter"}'}, 1, None),
     "normalize-scores raw nan": (
         ["normalize-scores", "--scores", "{s}"], {"s": "model,benchmark,raw\nm,b,nan\n"}, 1, 2),
+    "normalize-scores duplicate model and benchmark": (
+        ["normalize-scores", "--scores", "{s}"],
+        {"s": "model,benchmark,raw\nm1,b,50\nm2,b,70\nm1,b,90\n"}, 1, 4),
 }
 
 

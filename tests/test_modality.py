@@ -196,6 +196,12 @@ class TestMelspec:
         assert got_bin == oracle_bin
         assert abs(oracle_bin - mel_bin_for_hz(440.0)) <= 1
 
+    def test_filterbank_cache_is_read_only(self):
+        before = melspec(_sine(440.0, 1.0)).data.array
+        with pytest.raises(ValueError, match="read-only"):
+            mel_filterbank()[:] = 0.0
+        assert np.array_equal(melspec(_sine(440.0, 1.0)).data.array, before)
+
 
 class TestLoadWav(object):
     def _write(self, path, rate=16000, channels=1, width=2, seconds=0.1):

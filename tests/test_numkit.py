@@ -9,8 +9,6 @@ from omnipipe.numkit import (
     Tensor,
     add_bias,
     add_bias_backward,
-    conv1d,
-    conv1d_backward,
     elementwise_mul,
     elementwise_mul_backward,
     gelu,
@@ -24,7 +22,7 @@ from omnipipe.numkit import (
     sigmoid_backward,
 )
 
-from oracles import naive_conv1d, naive_matmul
+from oracles import naive_matmul
 
 
 class TestTensor:
@@ -65,40 +63,6 @@ class TestMatmul:
             b = rng.normal(size=(8, 8))
             got = matmul(a, b)
             assert np.max(np.abs(got - naive_matmul(a, b))) <= 1e-12
-
-
-class TestConv1d:
-    def test_length_formula(self):
-        x = np.ones((10, 1))
-        k = np.ones((2, 1, 1))
-        assert conv1d(x, k, stride=2).shape == (5, 1)
-
-    def test_hand_convolution(self):
-        x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        k = np.array([1.0, 1.0]).reshape(2, 1, 1)
-        assert conv1d(x, k).ravel().tolist() == [3.0, 5.0, 7.0]
-
-    def test_underflow(self):
-        x = np.ones((1, 1))
-        k = np.ones((2, 1, 1))
-        with pytest.raises(ShapeError, match="underflow"):
-            conv1d(x, k)
-
-    def test_identity_delta_kernel(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(9, 4))
-        delta = np.eye(4).reshape(1, 4, 4)
-        out = conv1d(x, delta, stride=1)
-        assert np.array_equal(out, x)
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(4)
-        for stride, pad in ((1, 0), (2, 1), (3, 2)):
-            x = rng.normal(size=(11, 3))
-            k = rng.normal(size=(3, 3, 2))
-            got = conv1d(x, k, stride, pad)
-            want = naive_conv1d(x, k, stride, pad)
-            assert np.allclose(got, want, atol=1e-12)
 
 
 class TestPool2x2:
@@ -242,14 +206,6 @@ def test_every_op_backward_over_seeds(seed):
             lambda p: matmul(p[0], p[1]),
             lambda p, out: list(matmul_backward(p[0], p[1], out)),
             [(4, 3), (3, 2)],
-            seed,
-        )
-    )
-    reports.append(
-        _op_gradcheck(
-            lambda p: conv1d(p[0], p[1], 2, 1),
-            lambda p, out: list(conv1d_backward(p[0], p[1], 2, 1, out)),
-            [(7, 2), (3, 2, 2)],
             seed,
         )
     )
