@@ -255,17 +255,14 @@ def run_mix(cfg: dict) -> tuple[str, int]:
 
 
 def run_metrics(cfg: dict) -> tuple[str, int]:
-    pairs = _read_jsonl(cfg["pairs"], {"ref": str, "hyp": str})
-    if not pairs:
+    metric = {
+        "wer": evalkit.wer,
+        "cer": evalkit.cer,
+        "bleu": lambda ref, hyp: evalkit.bleu([ref], hyp),
+    }[cfg["metric"]]
+    results = _read_jsonl(cfg["pairs"], {"ref": str, "hyp": str}, metric)
+    if not results:
         raise FormatError(f"{cfg['pairs']}: no ref/hyp pairs")
-    results = []
-    for ref, hyp in pairs:
-        if cfg["metric"] == "wer":
-            results.append(evalkit.wer(ref, hyp))
-        elif cfg["metric"] == "cer":
-            results.append(evalkit.cer(ref, hyp))
-        else:
-            results.append(evalkit.bleu([ref], hyp))
     lines = [r.to_json() for r in results]
     if cfg["metric"] in ("wer", "cer"):
         errors = sum(

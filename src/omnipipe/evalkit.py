@@ -1,7 +1,8 @@
 """Evaluation metrics and score-table reporting.
 
 Word and character error rates via Levenshtein alignment with full edit
-counts, BLEU with modified n-gram precision and brevity penalty, the radar
+counts (the cost matrix filled one vectorised row at a time, then one
+backtrace), BLEU with modified n-gram precision and brevity penalty, the radar
 normalization x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per
 benchmark column, and deterministic CSV/JSON report rendering.
 """
@@ -13,6 +14,8 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ContractError
 
@@ -33,33 +36,33 @@ class MetricResult:
 def _edit_ops(ref: list, hyp: list) -> tuple[int, int, int]:
     """Minimal (substitutions, deletions, insertions) aligning hyp to ref.
 
-    Among cost-ties the backtrace prefers substitution, then deletion, then
-    insertion, making the counts deterministic.
+    The cost matrix is filled one row at a time: substitution and deletion
+    come from the row above, and the insertion chain along the row is a
+    running minimum of ``cand[k] - k``. Among cost-ties the backtrace prefers
+    substitution, then deletion, then insertion, making the counts
+    deterministic.
     """
     n, m = len(ref), len(hyp)
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
+    codes: dict = {}
+    ref_codes = np.array([codes.setdefault(t, len(codes)) for t in ref], dtype=np.int64)
+    hyp_codes = np.array([codes.setdefault(t, len(codes)) for t in hyp], dtype=np.int64)
+    diff = (ref_codes[:, None] != hyp_codes[None, :]).astype(np.int32)
+    j = np.arange(m + 1, dtype=np.int32)
+    cost = np.empty((n + 1, m + 1), dtype=np.int32)
+    cost[0] = j
     for i in range(1, n + 1):
-        cost[i][0] = i
-    for j in range(1, m + 1):
-        cost[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            cost[i][j] = min(
-                cost[i - 1][j - 1] + (0 if same else 1),
-                cost[i - 1][j] + 1,
-                cost[i][j - 1] + 1,
-            )
+        prev, row = cost[i - 1], cost[i]
+        row[0] = i
+        np.minimum(prev[:-1] + diff[i - 1], prev[1:] + 1, out=row[1:])
+        np.minimum.accumulate(row - j, out=row)
+        row += j
     subs = dels = ins = 0
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (
-            0 if ref[i - 1] == hyp[j - 1] else 1
-        ):
-            if ref[i - 1] != hyp[j - 1]:
-                subs += 1
+        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + diff[i - 1, j - 1]:
+            subs += int(diff[i - 1, j - 1])
             i, j = i - 1, j - 1
-        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
+        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
             dels += 1
             i -= 1
         else:
@@ -167,7 +170,12 @@ class ScoreTable:
     def from_rows(cls, rows: list[tuple[str, str, float]]) -> "ScoreTable":
         scores: dict = {}
         for model, benchmark, value in rows:
-            scores.setdefault(model, {})[benchmark] = float(value)
+            row = scores.setdefault(model, {})
+            if benchmark in row:
+                raise ContractError(
+                    f"duplicate score for model {model!r} on benchmark {benchmark!r}"
+                )
+            row[benchmark] = float(value)
         if not scores:
             raise ContractError("score table is empty")
         return cls(scores=scores)

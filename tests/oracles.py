@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
-Everything here is deliberately naive (triple loops, plain DP, explicit DFT)
-and shares no code with the implementation paths it verifies.
+Everything here is deliberately naive (triple loops, plain DP, explicit DFT,
+a bin scan per sample) and shares no code with the implementation paths it
+verifies.
 """
 
 from __future__ import annotations
@@ -50,6 +51,58 @@ def edit_distance(a, b) -> int:
             cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
     return prev[-1]
+
+
+def edit_ops(ref, hyp) -> tuple[int, int, int]:
+    """(substitutions, deletions, insertions) from a full cell-by-cell DP;
+    the backtrace prefers substitution, then deletion, then insertion."""
+    n, m = len(ref), len(hyp)
+    cost = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0] = i
+    for j in range(1, m + 1):
+        cost[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            cost[i][j] = min(
+                cost[i - 1][j - 1] + (0 if same else 1),
+                cost[i - 1][j] + 1,
+                cost[i][j - 1] + 1,
+            )
+    subs = dels = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (
+            0 if ref[i - 1] == hyp[j - 1] else 1
+        ):
+            if ref[i - 1] != hyp[j - 1]:
+                subs += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels, ins
+
+
+def first_fit(lengths, capacity: int, order) -> list[tuple[list[int], int]]:
+    """(sample ids, free space) per bin: each sample, in ``order``, goes to
+    the first open bin it fits, scanning every bin, or opens a new one."""
+    bin_ids: list[list[int]] = []
+    bin_free: list[int] = []
+    for i in order:
+        for b, free in enumerate(bin_free):
+            if lengths[i] <= free:
+                bin_ids[b].append(i)
+                bin_free[b] -= lengths[i]
+                break
+        else:
+            bin_ids.append([i])
+            bin_free.append(capacity - lengths[i])
+    return list(zip(bin_ids, bin_free))
 
 
 def standalone_causal_attention(x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 ``bench/workloads.py`` drives omnipipe's public functions and its CLI by
 position and by name. These tests run its prepare -> run -> check loop,
-without timing, for the first ingest turn, the first train step and one
-full evaluate cycle, so a signature change that would break the benchmark
-fails here.
+without timing, for the first ingest turn, the first train step, the first
+curate shard and one full evaluate cycle, so a signature change that would
+break the benchmark fails here.
 """
 
 import importlib.util
@@ -41,6 +41,12 @@ def test_ingest_first_turn(workloads, tmp_path):
 
 def test_train_first_step(workloads, tmp_path):
     assert _problems(workloads.Train(0, tmp_path), 1) == []
+
+
+def test_curate_first_shard(workloads, tmp_path):
+    # checks pack bins against their lengths, and CER and round-trip
+    # decisions against oracles.edit_distance
+    assert _problems(workloads.Curate(0, tmp_path), 1) == []
 
 
 def test_evaluate_full_cycle(workloads, tmp_path):

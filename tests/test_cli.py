@@ -347,6 +347,12 @@ MALFORMED = {
     "mix negative seed": (["mix", "--budget", "1", "--seed", "-1", "--sizes", "{sizes}"], {}, 1, None),
     "metrics ref not a string": (
         ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),
+    "metrics cer empty ref on line 2": (
+        ["metrics", "--metric", "cer", "--pairs", "{p}"],
+        {"p": '{"ref": "a", "hyp": "a"}\n{"ref": "", "hyp": "x"}\n'}, 1, 2),
+    "metrics wer blank ref on line 2": (
+        ["metrics", "--metric", "wer", "--pairs", "{p}"],
+        {"p": '{"ref": "a", "hyp": "a"}\n{"ref": "  ", "hyp": "x"}\n'}, 1, 2),
     "metrics no pairs": (["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": "\n\n"}, 1, None),
     "metrics config metric not a choice": (
         ["metrics", "--pairs", "{p}", "--config", "{c}"],

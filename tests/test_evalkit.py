@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError
 from omnipipe.evalkit import (
     ScoreTable,
+    _edit_ops,
     bleu,
     cer,
     normalize_scores,
@@ -17,11 +20,30 @@ from omnipipe.evalkit import (
     wer,
 )
 
-from oracles import edit_distance
+from oracles import edit_distance, edit_ops
 
 
 def _random_string(rng, vocab, max_len):
     return " ".join(str(rng.choice(vocab)) for _ in range(int(rng.integers(0, max_len))))
+
+
+class TestEditOps:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("abc", max_size=40), st.text("abc", max_size=40))
+    def test_characters_match_dp_oracle(self, ref, hyp):
+        # a three-letter alphabet forces many cost ties in the backtrace
+        assert _edit_ops(list(ref), list(hyp)) == edit_ops(list(ref), list(hyp))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "dog", "cat", "the"]), max_size=40),
+        st.lists(st.sampled_from(["a", "dog", "cat", "the", "uh"]), max_size=40),
+    )
+    def test_words_match_dp_oracle(self, ref, hyp):
+        assert _edit_ops(ref, hyp) == edit_ops(ref, hyp)
+
+    def test_empty_hypothesis_is_all_deletions(self):
+        assert _edit_ops(list("abca"), []) == edit_ops(list("abca"), []) == (0, 4, 0)
 
 
 class TestWer:
@@ -152,6 +174,11 @@ class TestNormalizeScores:
         assert normalized["m3"]["bench"] == 1.0
         assert abs(normalized["m2"]["bench"] - 0.6) < 1e-12
         assert math.isclose(normalized["m1"]["bench"], 10.0 / 50.0)
+
+    def test_duplicate_model_and_benchmark_rejected(self):
+        rows = [("m1", "b", 50.0), ("m2", "b", 70.0), ("m1", "b", 90.0)]
+        with pytest.raises(ContractError, match="'m1'.*'b'"):
+            ScoreTable.from_rows(rows)
 
     def test_single_score_column_is_one(self):
         table = ScoreTable.from_rows([("m", "b", 12.3)])

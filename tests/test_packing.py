@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError, ShapeError
 from omnipipe.numkit import Tensor
@@ -13,7 +15,7 @@ from omnipipe.packing import (
     packed_attention,
 )
 
-from oracles import standalone_causal_attention
+from oracles import first_fit, standalone_causal_attention
 
 
 class TestPack:
@@ -47,6 +49,20 @@ class TestPack:
     def test_ffd_visits_longest_first(self):
         batch = pack([2, 7, 5, 3], capacity=8, policy="first_fit_decreasing")
         assert [list(b.sample_ids) for b in batch.bins] == [[1], [2, 3], [0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64).flatmap(
+        lambda cap: st.tuples(st.just(cap), st.lists(st.integers(1, cap), max_size=200))
+    ))
+    def test_matches_bin_scan_oracle(self, case):
+        capacity, lengths = case
+        orders = {
+            "first_fit": range(len(lengths)),
+            "first_fit_decreasing": sorted(range(len(lengths)), key=lambda i: (-lengths[i], i)),
+        }
+        for policy, order in orders.items():
+            got = [(list(b.sample_ids), b.pad_len) for b in pack(lengths, capacity, policy).bins]
+            assert got == first_fit(lengths, capacity, order)
 
     def test_unknown_policy(self):
         with pytest.raises(ContractError):
@@ -99,6 +115,10 @@ class TestBuildMask:
         mask = build_mask(batch, 0)
         assert not mask.matrix[2:].any()
         assert not mask.matrix[:, 2:].any()
+
+    def test_empty_cu_seqlens_rejected(self):
+        with pytest.raises(ContractError, match="invalid cu_seqlens"):
+            IsolationMask.from_cu_seqlens([], 4)
 
     def test_index_out_of_range(self):
         batch = pack([2], capacity=4)
