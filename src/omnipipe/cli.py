@@ -177,7 +177,7 @@ def run_gradcheck(cfg: dict) -> tuple[str, int]:
 
 def run_ablate_rates(cfg: dict) -> tuple[str, int]:
     try:
-        rates = [int(r) for r in cfg["rates"].split(",") if r != ""]
+        rates = [int(r) for r in cfg["rates"].split(",")]
     except ValueError:
         raise FormatError(
             f"--rates must be comma-separated integers, got {cfg['rates']!r}"

@@ -73,15 +73,18 @@ class TilePlan:
 
 
 def _tile_grid(width_px: int, height_px: int, max_tiles: int) -> TilePlan:
-    """Ceil-divide by 384 px and shrink the larger side until the grid holds
-    at most max_tiles."""
+    """Ceil-divide by 384 px and cap the grid at max_tiles, in closed form, as
+    if the larger side (rows on a tie) lost one tile at a time."""
     rows = math.ceil(height_px / TILE_PX)
     cols = math.ceil(width_px / TILE_PX)
-    while rows * cols > max_tiles:
-        if rows >= cols:
-            rows -= 1
-        else:
-            cols -= 1
+    if rows * cols > max_tiles:
+        small = min(rows, cols)
+        if max_tiles // small >= small:  # only the larger side shrinks
+            big = max_tiles // small
+            rows, cols = (big, cols) if rows > cols else (rows, big)
+        else:  # the sides meet, then shrink in turn, rows first
+            s = math.isqrt(max_tiles)
+            rows, cols = s, s + 1 if s * (s + 1) <= max_tiles else s
     return TilePlan(grid_rows=rows, grid_cols=cols)
 
 

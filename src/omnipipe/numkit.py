@@ -7,8 +7,9 @@ need has a kernel as wide as its stride, which is a reshape into windows and
 a matmul, so every projector layer is a matmul. Every kernel takes and
 returns plain float64 numpy arrays and checks the shapes it relies on;
 ``Tensor`` is the validated type at the package's public edge (projector
-inputs and outputs, mel features, packed attention), not inside the kernels. Everything is float64: the gradient
-checker relies on it. No ``<op>_backward`` calls a forward op.
+inputs and outputs, mel features, packed attention), not inside the
+kernels. Everything is float64: the gradient checker relies on it. No
+``<op>_backward`` calls a forward op.
 ``grad_check`` probes a loss-only function and compares against gradients
 the caller computed once.
 """

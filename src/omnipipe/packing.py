@@ -2,9 +2,11 @@
 
 Bins variable-length samples into fixed-capacity rows by first fit over a
 max segment tree of the bins' free space (Johnson 1974, "Fast algorithms for
-bin packing"), records cumulative sequence-length boundaries per bin, builds
-the block-causal mask those boundaries imply, and provides a reference packed
-attention so isolation can be proven against per-sample attention.
+bin packing") and records cumulative sequence-length boundaries per bin.
+Those boundaries are the whole isolation mask: packed attention runs plain
+causal attention on each segment alone, the varlen formulation of
+FlashAttention (Dao et al. 2022), and leaves padding rows at zero, so no
+capacity x capacity matrix is ever built.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from .errors import ContractError, ShapeError
 from .numkit import Tensor
 
 PACK_POLICIES = ("first_fit", "first_fit_decreasing")
+
+
+def _check_cu_seqlens(cu: tuple[int, ...], capacity: int) -> None:
+    """Boundaries are non-empty, start at 0, rise strictly and fit capacity."""
+    if not cu or cu[0] != 0 or cu[-1] > capacity or any(y <= x for x, y in zip(cu, cu[1:])):
+        raise ContractError(f"invalid cu_seqlens {cu} for capacity {capacity}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,7 @@ class PackedBatch:
 
     def __post_init__(self):
         for b in self.bins:
-            if b.cu_seqlens[0] != 0 or any(
-                y <= x for x, y in zip(b.cu_seqlens, b.cu_seqlens[1:])
-            ):
-                raise ContractError(f"cu_seqlens must rise from 0, got {b.cu_seqlens}")
+            _check_cu_seqlens(b.cu_seqlens, self.capacity)
             if b.cu_seqlens[-1] + b.pad_len != self.capacity:
                 raise ContractError(
                     f"bin fill {b.cu_seqlens[-1]} + pad {b.pad_len} != "
@@ -129,33 +134,17 @@ def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> Packed
 
 @dataclass(frozen=True)
 class IsolationMask:
-    """Block-causal mask: position i attends to j iff both sit in the same
-    packed segment and j <= i; padding positions attend to nothing."""
+    """Block-causal mask as its boundaries: position i attends to j iff both
+    sit in the same packed segment and j <= i; padding attends to nothing."""
 
     capacity: int
     cu_seqlens: tuple[int, ...]
-    matrix: np.ndarray
 
     @classmethod
     def from_cu_seqlens(cls, cu_seqlens, capacity: int) -> "IsolationMask":
         cu = tuple(int(v) for v in cu_seqlens)
-        if (
-            not cu
-            or cu[0] != 0
-            or any(y <= x for x, y in zip(cu, cu[1:]))
-            or cu[-1] > capacity
-        ):
-            raise ContractError(f"invalid cu_seqlens {cu} for capacity {capacity}")
-        return cls(capacity=capacity, cu_seqlens=cu, matrix=mask_matrix(cu, capacity))
-
-
-def mask_matrix(cu_seqlens, capacity: int) -> np.ndarray:
-    """Explicit boolean capacity x capacity matrix for the given boundaries."""
-    m = np.zeros((capacity, capacity), dtype=bool)
-    for start, end in zip(cu_seqlens, cu_seqlens[1:]):
-        n = end - start
-        m[start:end, start:end] = np.tril(np.ones((n, n), dtype=bool))
-    return m
+        _check_cu_seqlens(cu, capacity)
+        return cls(capacity=capacity, cu_seqlens=cu)
 
 
 def build_mask(batch: PackedBatch, bin_index: int) -> IsolationMask:
@@ -170,8 +159,7 @@ def build_mask(batch: PackedBatch, bin_index: int) -> IsolationMask:
 def packed_attention(bin_tokens: Tensor, mask: IsolationMask) -> Tensor:
     """Single-head scaled dot-product attention with identity projections.
 
-    Disallowed pairs are excluded from the softmax; rows that may attend to
-    nothing (padding) come out as zeros.
+    Each segment attends causally within itself; padding rows stay zero.
     """
     if bin_tokens.array.ndim != 2 or bin_tokens.shape[0] != mask.capacity:
         raise ShapeError(
@@ -179,14 +167,14 @@ def packed_attention(bin_tokens: Tensor, mask: IsolationMask) -> Tensor:
             f"{mask.capacity}"
         )
     x = bin_tokens.array
-    d = x.shape[1]
-    scores = (x @ x.T) / np.sqrt(d)
-    allowed = mask.matrix
-    neg = np.where(allowed, scores, -np.inf)
-    row_max = np.max(neg, axis=1, keepdims=True)
-    safe_max = np.where(np.isfinite(row_max), row_max, 0.0)
-    weights = np.where(allowed, np.exp(neg - safe_max), 0.0)
-    denom = weights.sum(axis=1, keepdims=True)
-    has_any = denom > 0
-    probs = np.divide(weights, denom, out=np.zeros_like(weights), where=has_any)
-    return Tensor(probs @ x)
+    out = np.zeros_like(x)
+    root_d = np.sqrt(x.shape[1])
+    for start, end in zip(mask.cu_seqlens, mask.cu_seqlens[1:]):
+        seg = x[start:end]
+        scores = (seg @ seg.T) / root_d
+        # a future score lowered to the smallest one cannot exceed the
+        # diagonal, so each row's maximum is taken over its past alone
+        scores[np.triu_indices(end - start, 1)] = scores.min()
+        weights = np.tril(np.exp(scores - scores.max(axis=1, keepdims=True)))
+        out[start:end] = (weights / weights.sum(axis=1, keepdims=True)) @ seg
+    return Tensor(out)

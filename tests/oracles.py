@@ -1,8 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive (triple loops, plain DP, explicit DFT,
-a bin scan per sample) and shares no code with the implementation paths it
-verifies.
+a bin scan per sample, a tile-at-a-time shrink loop, a capacity-wide masked
+softmax) and shares no code with the implementation paths it verifies.
 """
 
 from __future__ import annotations
@@ -117,6 +117,43 @@ def standalone_causal_attention(x: np.ndarray) -> np.ndarray:
         for j in range(i + 1):
             out[i] += weights[j] * x[j]
     return out
+
+
+def shrink_tile_grid(rows: int, cols: int, max_tiles: int) -> tuple[int, int]:
+    """Shrink the larger side of a rows x cols grid (rows on a tie) one tile
+    at a time until it holds at most max_tiles tiles."""
+    while rows * cols > max_tiles:
+        if rows >= cols:
+            rows -= 1
+        else:
+            cols -= 1
+    return rows, cols
+
+
+def mask_matrix(cu_seqlens, capacity: int) -> np.ndarray:
+    """Explicit boolean capacity x capacity block-causal matrix: i attends to
+    j iff both sit in the same segment and j <= i."""
+    m = np.zeros((capacity, capacity), dtype=bool)
+    for start, end in zip(cu_seqlens, cu_seqlens[1:]):
+        n = end - start
+        m[start:end, start:end] = np.tril(np.ones((n, n), dtype=bool))
+    return m
+
+
+def masked_attention(x: np.ndarray, cu_seqlens, capacity: int) -> np.ndarray:
+    """Capacity-wide softmax with disallowed pairs set to -inf; rows that may
+    attend to nothing (padding) come out as zeros."""
+    d = x.shape[1]
+    scores = (x @ x.T) / np.sqrt(d)
+    allowed = mask_matrix(cu_seqlens, capacity)
+    neg = np.where(allowed, scores, -np.inf)
+    row_max = np.max(neg, axis=1, keepdims=True)
+    safe_max = np.where(np.isfinite(row_max), row_max, 0.0)
+    weights = np.where(allowed, np.exp(neg - safe_max), 0.0)
+    denom = weights.sum(axis=1, keepdims=True)
+    has_any = denom > 0
+    probs = np.divide(weights, denom, out=np.zeros_like(weights), where=has_any)
+    return probs @ x
 
 
 def direct_dft_magnitude(frame: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 import wave
 
 import numpy as np
@@ -46,6 +47,12 @@ class TestExitCodes:
             "global": False,
             "tokens": 182,
         }
+
+    def test_tile_huge_width_returns_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["tile", "--width", "1000000000000000", "--height", "1"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["grid"] == [1, 9]
 
     def test_contract_error_is_exit_1(self, capsys):
         assert main(["tile", "--width", "0", "--height", "384"]) == 1
@@ -310,6 +317,7 @@ MALFORMED = {
     "gradcheck negative seed": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
+    "ablate-rates empty rate item": (["ablate-rates", "--rates", "2,,4"], {}, 1, None),
     "ablate-rates negative seed": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates negative lr": (

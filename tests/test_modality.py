@@ -4,6 +4,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError, FormatError
 from omnipipe.modality import (
@@ -11,6 +13,7 @@ from omnipipe.modality import (
     FramePlan,
     MelSpec,
     SAMPLE_RATE_HZ,
+    TILE_PX,
     TOKENS_PER_TILE,
     VadSegment,
     WINDOW_SAMPLES,
@@ -26,7 +29,7 @@ from omnipipe.modality import (
 )
 from omnipipe.numkit import Tensor
 
-from oracles import direct_dft_magnitude
+from oracles import direct_dft_magnitude, shrink_tile_grid
 
 
 class TestPlanTiles:
@@ -58,6 +61,13 @@ class TestPlanTiles:
             plan = plan_tiles(w, h)
             assert plan.total_tokens > 0
             assert plan.total_tokens % TOKENS_PER_TILE == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100 * TILE_PX), st.integers(1, 100 * TILE_PX), st.integers(1, 80))
+    def test_grid_matches_shrink_loop_oracle(self, w, h, max_tiles):
+        plan = plan_tiles(w, h, max_tiles)
+        rows, cols = -(-h // TILE_PX), -(-w // TILE_PX)
+        assert (plan.grid_rows, plan.grid_cols) == shrink_tile_grid(rows, cols, max_tiles)
 
     def test_json_shape(self):
         assert plan_tiles(500, 400).to_json() == {

@@ -1,21 +1,24 @@
 """Packing: first-fit bins, cu_seqlens, block-causal masks, isolation proof."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.packing import (
     IsolationMask,
+    PackedBatch,
+    PackedBin,
     build_mask,
-    mask_matrix,
     pack,
     packed_attention,
 )
 
-from oracles import first_fit, standalone_causal_attention
+from oracles import first_fit, mask_matrix, masked_attention, standalone_causal_attention
 
 
 class TestPack:
@@ -99,22 +102,55 @@ def _segment_of(cu, i):
     return None
 
 
+def _attends(mask, d=3, seed=0):
+    """(i, j) pairs where perturbing token j changes packed attention row i."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(mask.capacity, d))
+    base = packed_attention(Tensor(x), mask).array
+    pairs = set()
+    for j in range(mask.capacity):
+        y = x.copy()
+        y[j] += rng.normal(size=d)
+        changed = np.any(packed_attention(Tensor(y), mask).array != base, axis=1)
+        pairs |= {(int(i), j) for i in np.flatnonzero(changed)}
+    return pairs
+
+
+def _pairs(matrix):
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(matrix))}
+
+
 class TestBuildMask:
     def test_enumerated_hand_case(self):
         mask = IsolationMask.from_cu_seqlens([0, 2, 4], capacity=4)
-        allowed = {(i, j) for i in range(4) for j in range(4) if mask.matrix[i, j]}
-        assert allowed == {(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3)}
+        expected = {(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3)}
+        assert _pairs(mask_matrix(mask.cu_seqlens, mask.capacity)) == expected
+        assert _attends(mask) == expected
 
     def test_single_full_sample_is_causal_triangle(self):
         batch = pack([4], capacity=4)
         mask = build_mask(batch, 0)
-        assert np.array_equal(mask.matrix, np.tril(np.ones((4, 4), dtype=bool)))
+        triangle = np.tril(np.ones((4, 4), dtype=bool))
+        assert np.array_equal(mask_matrix(mask.cu_seqlens, mask.capacity), triangle)
+        assert _attends(mask) == _pairs(triangle)
 
     def test_padding_rows_attend_nowhere(self):
         batch = pack([2], capacity=4)
         mask = build_mask(batch, 0)
-        assert not mask.matrix[2:].any()
-        assert not mask.matrix[:, 2:].any()
+        matrix = mask_matrix(mask.cu_seqlens, mask.capacity)
+        assert not matrix[2:].any()
+        assert not matrix[:, 2:].any()
+        assert all(i < 2 and j < 2 for i, j in _attends(mask))
+        out = packed_attention(Tensor(np.random.default_rng(5).normal(size=(4, 3))), mask)
+        assert np.all(out.array[2:] == 0.0)
+
+    def test_fields_are_the_boundaries(self):
+        mask = IsolationMask.from_cu_seqlens([0, 2, 4], capacity=6)
+        assert [f.name for f in dataclasses.fields(mask)] == ["capacity", "cu_seqlens"]
+
+    def test_batch_bin_overfilling_capacity_rejected(self):
+        with pytest.raises(ContractError, match="invalid cu_seqlens"):
+            PackedBatch(capacity=4, bins=(PackedBin((0,), (0, 5), -1),))
 
     def test_empty_cu_seqlens_rejected(self):
         with pytest.raises(ContractError, match="invalid cu_seqlens"):
@@ -199,3 +235,40 @@ class TestPackedAttention:
                     expected = standalone_causal_attention(samples[sid])
                     assert np.max(np.abs(out[start:end] - expected)) <= 1e-10
                 assert np.all(out[packed_bin.cu_seqlens[-1] :] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 48).flatmap(
+            lambda cap: st.tuples(st.just(cap), st.sets(st.integers(1, cap), max_size=cap))
+        ),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((5, {1, 2, 3, 4, 5}), 2, 0)  # length-1 segments filling the bin
+    @example((4, set()), 3, 1)  # an all-padding bin
+    @example((7, {3, 7}), 4, 2)  # a bin filled to capacity
+    def test_matches_masked_softmax_oracle_and_isolates(self, case, d, seed):
+        capacity, ends = case
+        cu = [0, *sorted(ends)]
+        mask = IsolationMask.from_cu_seqlens(cu, capacity)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(capacity, d))
+        out = packed_attention(Tensor(x), mask).array
+        assert np.max(np.abs(out - masked_attention(x, cu, capacity))) <= 1e-10
+        assert np.all(out[cu[-1] :] == 0.0)
+        other = rng.normal(size=(capacity, d))
+        for start, end in zip(cu, cu[1:]):
+            y = other.copy()
+            y[start:end] = x[start:end]
+            again = packed_attention(Tensor(y), mask).array
+            assert np.array_equal(again[start:end], out[start:end])
+
+    def test_cost_does_not_scale_with_capacity_squared(self):
+        capacity = 100_000
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(capacity, 1))
+        mask = IsolationMask.from_cu_seqlens([0, 3, 5], capacity)
+        out = packed_attention(Tensor(x), mask).array
+        assert np.max(np.abs(out[0:3] - standalone_causal_attention(x[0:3]))) <= 1e-10
+        assert np.max(np.abs(out[3:5] - standalone_causal_attention(x[3:5]))) <= 1e-10
+        assert not out[5:].any()
