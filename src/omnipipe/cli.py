@@ -10,9 +10,10 @@ choices and whether it is required. Configuration precedence is flags >
 configuration instead of running.
 
 All outside input passes one type rule (``fileio.json_value``): int takes an
-integral number, float a finite number, str a string. Argparse applies it to
-argv values, and resolve_config to --config values. The JSONL and CSV
-readers apply it to every declared field and name FILE:LINE on failure.
+integral number in the signed 64-bit range, float a finite number, str a
+string. Argparse applies it to argv values, and resolve_config to --config
+values. The JSONL and CSV readers apply it to every declared field and name
+FILE:LINE on failure.
 
 Exit codes: 0 success, 1 contract error (one ``error:`` line on stderr), 2
 usage error (argparse). All outputs are deterministic for a fixed
@@ -206,6 +207,8 @@ def run_pack(cfg: dict) -> tuple[str, int]:
 def run_stream_sim(cfg: dict) -> tuple[str, int]:
     if bool(cfg["events"]) == bool(cfg["wav"]):
         raise ContractError("provide exactly one of --events or --wav")
+    if cfg["frame_plan"] and not cfg["wav"]:
+        raise ContractError("--frame-plan needs --wav")
     if cfg["events"]:
         fields = {"t": int, "kind": str, "tokens": (int, 0)}
         events = _read_jsonl(cfg["events"], fields, stream.StreamEvent)

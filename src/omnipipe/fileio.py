@@ -10,25 +10,33 @@ from pathlib import Path
 
 from .errors import FormatError
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {int: "a 64-bit integer", float: "a finite number", str: "a string"}
+_INT64 = range(-(2**63), 2**63)
+
+
+def _in_range(value) -> bool:
+    """A float must be finite and an int must fit in a signed 64-bit integer."""
+    if type(value) is float:
+        return math.isfinite(value)
+    return type(value) is not int or value in _INT64
 
 
 def json_value(value, type_):
     """Return a value parsed from JSON as type_, or raise FormatError.
 
     This is the one type rule for outside input: int takes an integral
-    number, float a finite number, str a string, object any value. A bool is
-    never a number. Text input (argv values, CSV cells) is parsed with
-    type_ first and then checked by the same rule.
+    number in the signed 64-bit range, float a finite number, str a string,
+    object any value. A bool is never a number. Text input (argv values, CSV
+    cells) is parsed with type_ first and then checked by the same rule.
     """
-    if type_ is object or (type(value) is type_ and (type_ is not float or math.isfinite(value))):
+    if type_ is object or (type(value) is type_ and _in_range(value)):
         return value
     if type_ is not str and type(value) in (int, float):
         try:
             converted = type_(value)
         except (OverflowError, ValueError):
             converted = None
-        if converted == value and math.isfinite(converted):
+        if converted == value and _in_range(converted):
             return converted
     shown = json.dumps(value)
     if len(shown) > 40:

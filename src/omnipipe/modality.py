@@ -75,8 +75,8 @@ class TilePlan:
 def _tile_grid(width_px: int, height_px: int, max_tiles: int) -> TilePlan:
     """Ceil-divide by 384 px and cap the grid at max_tiles, in closed form, as
     if the larger side (rows on a tie) lost one tile at a time."""
-    rows = math.ceil(height_px / TILE_PX)
-    cols = math.ceil(width_px / TILE_PX)
+    rows = -(-height_px // TILE_PX)
+    cols = -(-width_px // TILE_PX)
     if rows * cols > max_tiles:
         small = min(rows, cols)
         if max_tiles // small >= small:  # only the larger side shrinks

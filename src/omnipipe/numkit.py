@@ -2,16 +2,16 @@
 
 The handful of layer operations the projectors need, a hand-written adjoint
 for each operation (no general autodiff tape), and a finite-difference
-gradient checker. There is no convolution: each convolution the projectors
-need has a kernel as wide as its stride, which is a reshape into windows and
-a matmul, so every projector layer is a matmul. Every kernel takes and
-returns plain float64 numpy arrays and checks the shapes it relies on;
-``Tensor`` is the validated type at the package's public edge (projector
-inputs and outputs, mel features, packed attention), not inside the
-kernels. Everything is float64: the gradient checker relies on it. No
-``<op>_backward`` calls a forward op.
-``grad_check`` probes a loss-only function and compares against gradients
-the caller computed once.
+gradient checker. There is no convolution and no pooling: each convolution
+the projectors need has a kernel as wide as its stride, which is a reshape
+into windows and a matmul, and the 2x2 window rule of the pooled visual
+projectors lives in ``projectors``. Every kernel takes and returns plain
+float64 numpy arrays and checks the shapes it relies on; ``Tensor`` is the
+validated type at the package's public edge (projector inputs and outputs,
+mel features, packed attention), not inside the kernels. Everything is
+float64: the gradient checker relies on it. No ``<op>_backward`` calls a
+forward op. ``grad_check`` probes a loss-only function of the parameters
+and compares against gradients the caller computed once.
 """
 
 from __future__ import annotations
@@ -90,62 +90,6 @@ def matmul_backward(
             f"expected {(a.shape[0], b.shape[1])}"
         )
     return grad_out @ b.T, a.T @ grad_out
-
-
-# ---------------------------------------------------------------------------
-# pool2x2: stride-2 mean pooling over 2x2 windows of an HxWxC grid
-# ---------------------------------------------------------------------------
-
-def pool2x2_size(h: int, w: int) -> tuple[int, int]:
-    """Output rows and columns of pool2x2 on an h x w grid."""
-    return (h - 2) // 2 + 1, (w + w % 2) // 2
-
-
-def _pool2x2_windows(x: np.ndarray):
-    """The in-bounds (rows, cols) of each of the four window offsets, and the
-    number of in-bounds cells in each output window."""
-    _require_ndim(x, 3, "pool2x2 input")
-    h, w, _ = x.shape
-    if h < 2:
-        raise ShapeError(f"pool2x2 window underflow: height {h} < 2")
-    h_out, w_out = pool2x2_size(h, w)
-    windows = []
-    counts = np.zeros((h_out, w_out), dtype=np.float64)
-    for di in (0, 1):
-        for dj in (0, 1):
-            cols = np.arange(w_out) * 2 + dj
-            cols = cols[cols < w]  # a prefix: only the padded last column drops
-            windows.append((np.arange(h_out) * 2 + di, cols))
-            counts[:, : cols.size] += 1.0
-    return windows, counts
-
-
-def pool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 mean pooling; the mean counts only in-bounds cells.
-
-    Rows are floored to whole windows; an odd last column is right-padded to
-    a window of its own. A constant field pools to the same constant.
-    """
-    windows, counts = _pool2x2_windows(x)
-    out = np.zeros(counts.shape + (x.shape[2],), dtype=np.float64)
-    for rows, cols in windows:
-        out[:, : cols.size] += x[np.ix_(rows, cols)]
-    return out / counts[:, :, None]
-
-
-def pool2x2_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    windows, counts = _pool2x2_windows(x)
-    expected = counts.shape + (x.shape[2],)
-    if grad_out.shape != expected:
-        raise ShapeError(
-            f"pool2x2 upstream gradient has shape {grad_out.shape}, "
-            f"expected {expected}"
-        )
-    scaled = grad_out / counts[:, :, None]
-    grad_x = np.zeros_like(x)
-    for rows, cols in windows:
-        grad_x[np.ix_(rows, cols)] += scaled[:, : cols.size]
-    return grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +184,15 @@ def _scalar_loss(value) -> float:
 
 
 def grad_check(
-    loss_fn: Callable[[list[np.ndarray], np.ndarray], object],
+    loss_fn: Callable[[list[np.ndarray]], object],
     params: list[np.ndarray],
-    x: np.ndarray,
     grads: list[np.ndarray],
     eps: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    loss_fn(params, x) returns the scalar loss and is called twice per
+    loss_fn(params) returns the scalar loss and is called twice per
     parameter entry; grads holds the caller's gradient for each parameter.
     The relative error per entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8);
     worst_parameter_index is the flat index into the concatenated parameters.
@@ -276,9 +219,9 @@ def grad_check(
         g_ad = grads[i].reshape(-1)
         for j in range(flat.size):
             flat[j] = base[j] + eps
-            loss_plus = _scalar_loss(loss_fn(probed, x))
+            loss_plus = _scalar_loss(loss_fn(probed))
             flat[j] = base[j] - eps
-            loss_minus = _scalar_loss(loss_fn(probed, x))
+            loss_minus = _scalar_loss(loss_fn(probed))
             flat[j] = base[j]
             g_fd = (loss_plus - loss_minus) / (2.0 * eps)
             rel = float(abs(g_ad[j] - g_fd) / max(abs(g_ad[j]), abs(g_fd), _REL_FLOOR))

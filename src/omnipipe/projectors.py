@@ -7,8 +7,12 @@ expanding channels proportionally, with a mean-pooled residual shortcut.
 Every layer is a matmul on a 2-D weight: c_abs's pointwise convolutions are
 plain linear layers, and the conv-gMLP's strided first convolution, whose
 kernel is as wide as its stride, is a matmul over windows of rate rows.
-A toy gradient-descent fit and a down-sampling-rate ablation harness verify
-the backward passes end to end.
+The three pooled visual variants read one table of 2x2 windows of the grid
+(``_windows``): concat concatenates each window's four tokens, mean_pool
+(on the input) and c_abs (between its two layers) average its in-bounds
+tokens, and each backward scatters through the same table. A toy
+gradient-descent fit and a down-sampling-rate ablation harness verify the
+backward passes end to end.
 
 Each projector's private trunk runs it up to the output layer and returns
 the cache its backward reads; the private forward (``_visual_forward``,
@@ -72,7 +76,7 @@ class VisualProjectorConfig:
     def output_tokens(self) -> int:
         if self.variant == "mlp":
             return self.input_tokens
-        return math.prod(numkit.pool2x2_size(*self.grid))
+        return math.prod(_pool_size(*self.grid))
 
 
 @dataclass(frozen=True)
@@ -182,33 +186,56 @@ def _check_visual_input(cfg: VisualProjectorConfig, x: np.ndarray) -> None:
         )
 
 
-def _concat_groups(cfg: VisualProjectorConfig) -> np.ndarray:
-    """Token indices of each 2x2 neighbourhood, -1 where the grid was padded."""
+def _pool_size(rows: int, cols: int) -> tuple[int, int]:
+    """Windows down and across a rows x cols grid (rows >= 2)."""
+    return rows // 2, (cols + 1) // 2
+
+
+def _windows(cfg: VisualProjectorConfig) -> np.ndarray:
+    """The 2x2 window table: the four token indices of each window, -1 in a
+    slot past the grid's last column.
+
+    Window (i, j) covers rows 2i + (0, 0, 1, 1) and columns 2j + (0, 1, 0, 1).
+    Rows are floored to whole windows and an odd last column is a window of
+    its own, so only a column can fall outside the grid.
+    """
     rows, cols = cfg.grid
-    out_rows, out_cols = numkit.pool2x2_size(rows, cols)
-    # window (i, j) covers rows 2i + (0, 0, 1, 1) and columns 2j + (0, 1, 0, 1);
-    # rows are floored to whole windows, so only a column can fall outside
+    out_rows, out_cols = _pool_size(rows, cols)
     r = 2 * np.arange(out_rows)[:, None, None] + np.array([0, 0, 1, 1])
     c = 2 * np.arange(out_cols)[None, :, None] + np.array([0, 1, 0, 1])
     return np.where(c < cols, r * cols + c, -1).reshape(-1, 4)
 
 
-def _pool_tokens(
-    cfg: VisualProjectorConfig, tokens: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The token grid and its 2x2 mean pool, one row per window."""
-    grid = tokens.reshape(*cfg.grid, tokens.shape[1])
-    pooled = numkit.pool2x2(grid)
-    return grid, pooled.reshape(-1, tokens.shape[1])
+def _gather(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(windows, 4, channels): each window's tokens, zero in a -1 slot."""
+    windows = tokens[idx]
+    windows[idx < 0] = 0.0
+    return windows
 
 
-def _unpool_tokens(grid: np.ndarray, g_pooled: np.ndarray) -> np.ndarray:
-    """Adjoint of _pool_tokens: one gradient row per grid token."""
-    rows, cols, c = grid.shape
-    out_rows, out_cols = numkit.pool2x2_size(rows, cols)
-    g_windows = g_pooled.reshape(out_rows, out_cols, c)
-    g_grid = numkit.pool2x2_backward(grid, g_windows)
-    return g_grid.reshape(rows * cols, c)
+def _scatter(g: np.ndarray, idx: np.ndarray, n_tokens: int) -> np.ndarray:
+    """Adjoint of _gather. Windows never overlap, so each token takes at most
+    one slot's gradient; the -1 slots write a dropped extra row."""
+    out = np.zeros((n_tokens + 1, g.shape[2]))
+    out[idx] = g
+    return out[:-1]
+
+
+def _counts(idx: np.ndarray) -> np.ndarray:
+    """In-bounds slots of each window, as a column."""
+    return np.count_nonzero(idx >= 0, axis=1)[:, None]
+
+
+def _pool(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """2x2 mean pool, one row per window; the mean counts in-bounds slots.
+    Each sum starts at +0.0, so a window of -0.0 pools to +0.0."""
+    return _gather(tokens, idx).sum(axis=1, initial=0.0) / _counts(idx)
+
+
+def _unpool(g: np.ndarray, idx: np.ndarray, n_tokens: int) -> np.ndarray:
+    """Adjoint of _pool: each in-bounds slot gets its window's gradient
+    divided by the window's count."""
+    return _scatter((g / _counts(idx))[:, None, :], idx, n_tokens)
 
 
 def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> Tensor:
@@ -221,18 +248,18 @@ def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
     """The backward's cache; ``last`` is the output layer's input."""
     _check_visual_input(cfg, x)
     cache = {}
+    if cfg.variant != "mlp":
+        idx = cache["idx"] = _windows(cfg)
     if cfg.variant == "mean_pool":
-        cache["grid"], first = _pool_tokens(cfg, x)
+        first = _pool(x, idx)
     elif cfg.variant == "concat":
-        idx = cache["idx"] = _concat_groups(cfg)
-        gathered = np.where((idx >= 0)[:, :, None], x[np.clip(idx, 0, None)], 0.0)
-        first = gathered.reshape(idx.shape[0], 4 * cfg.in_dim)
+        first = _gather(x, idx).reshape(idx.shape[0], 4 * cfg.in_dim)
     else:
         first = x
     z1 = numkit.add_bias(numkit.matmul(first, p["w1"]), p["b1"])
     last = numkit.gelu(z1)
     if cfg.variant == "c_abs":  # pools between its two layers
-        cache["grid"], last = _pool_tokens(cfg, last)
+        last = _pool(last, idx)
     cache.update(first=first, z1=z1, last=last)
     return cache
 
@@ -248,17 +275,14 @@ def _visual_backward(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     g_h, g_w2 = numkit.matmul_backward(cache["last"], p["w2"], grad_out)
     if cfg.variant == "c_abs":
-        g_h = _unpool_tokens(cache["grid"], g_h)
+        g_h = _unpool(g_h, cache["idx"], cfg.input_tokens)
     g_z1 = numkit.gelu_backward(cache["z1"], g_h)
     g_x, g_w1 = numkit.matmul_backward(cache["first"], p["w1"], g_z1)
     if cfg.variant == "mean_pool":
-        g_x = _unpool_tokens(cache["grid"], g_x)
+        g_x = _unpool(g_x, cache["idx"], cfg.input_tokens)
     elif cfg.variant == "concat":
         idx = cache["idx"]
-        g_groups = g_x.reshape(idx.shape[0], 4, cfg.in_dim)
-        g_x = np.zeros((cfg.input_tokens, cfg.in_dim), dtype=np.float64)
-        valid = idx >= 0
-        np.add.at(g_x, idx[valid], g_groups[valid])
+        g_x = _scatter(g_x.reshape(idx.shape[0], 4, cfg.in_dim), idx, cfg.input_tokens)
     b1, b2 = numkit.add_bias_backward(g_z1), numkit.add_bias_backward(grad_out)
     return {"w1": g_w1, "b1": b1, "w2": g_w2, "b2": b2}, g_x
 
@@ -457,14 +481,14 @@ def check_gradients(
         forward, backward = _visual_forward, _visual_backward
     names = sorted(params)
 
-    def loss(plist, xin):
-        out, _ = forward(cfg, dict(zip(names, plist)), xin)
+    def loss(plist):
+        out, _ = forward(cfg, dict(zip(names, plist)), x)
         return 0.5 * float(np.sum(out**2))
 
     out, cache = forward(cfg, params, x)
     grads, _ = backward(cfg, params, cache, out)
     plist = [params[n] for n in names]
-    return numkit.grad_check(loss, plist, x, [grads[n] for n in names], eps=eps, tol=tol)
+    return numkit.grad_check(loss, plist, [grads[n] for n in names], eps=eps, tol=tol)
 
 
 # ---------------------------------------------------------------------------

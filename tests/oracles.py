@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive (triple loops, plain DP, explicit DFT,
 a bin scan per sample, a tile-at-a-time shrink loop, a capacity-wide masked
-softmax) and shares no code with the implementation paths it verifies.
+softmax, a window-at-a-time 2x2 pool) and shares no code with the implementation paths it verifies.
 """
 
 from __future__ import annotations
@@ -40,6 +40,23 @@ def naive_conv1d(x: np.ndarray, kernel: np.ndarray, stride: int, pad_right: int)
                     acc += padded[t * stride + tap, c] * kernel[tap, c, o]
             out[t, o] = acc
     return out
+
+
+def naive_pool2x2(grid: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 mean pool of an (h, w, c) grid, one row per window in
+    row-major order. Rows are floored to whole windows and an odd last column
+    is a window of its own; each mean counts only the cells inside the grid."""
+    h, w, c = grid.shape
+    out = []
+    for i in range(h // 2):
+        for j in range((w + 1) // 2):
+            acc, count = np.zeros(c), 0
+            for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                if 2 * j + dj < w:
+                    acc += grid[2 * i + di, 2 * j + dj]
+                    count += 1
+            out.append(acc / count)
+    return np.array(out)
 
 
 def edit_distance(a, b) -> int:

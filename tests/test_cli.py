@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import stream
-from omnipipe.cli import build_parser, main
+from omnipipe.cli import _COMMANDS, build_parser, main
 
 SUBCOMMANDS = [
     "tile",
@@ -286,6 +286,8 @@ class TestSubcommandBehaviour:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+HUGE = 10**400
+
 # Each case: argv (with {NAME} standing for a file written from FILES, or for
 # the valid fixtures {wav} and {sizes}), the files, the expected exit code,
 # and for reader errors the failing line.
@@ -339,6 +341,8 @@ MALFORMED = {
     "stream-sim frame plan without per_frame_tokens": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"], {"p": '{"frames": [0, 30]}'},
         1, None),
+    "stream-sim frame plan without a wav": (
+        ["stream-sim", "--events", os.devnull, "--frame-plan", "no-such-plan.json"], {}, 1, None),
     "stream-sim frame plan frames not a list": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
         {"p": '{"frames": "ab", "per_frame_tokens": 182}'}, 1, None),
@@ -352,6 +356,9 @@ MALFORMED = {
         ["split-crossmodal", "--input", os.devnull, "--seed", "-1"], {}, 1, None),
     "mix size not a number": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": "x"}'}, 1, None),
     "mix size not integral": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": 1.5}'}, 1, None),
+    "mix size past int64": (
+        ["mix", "--budget", "1", "--sizes", "{s}"], {"s": f'{{"a": {HUGE}, "b": 1}}'}, 1,
+        None),
     "mix negative seed": (["mix", "--budget", "1", "--seed", "-1", "--sizes", "{sizes}"], {}, 1, None),
     "metrics ref not a string": (
         ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),
@@ -404,10 +411,10 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
 
 
 def _equivalent_int(value):
-    if type(value) is int:
-        return value
     if type(value) is float and np.isfinite(value) and value.is_integer():
-        return int(value)
+        value = int(value)
+    if type(value) is int and -(2**63) <= value < 2**63:
+        return value
     return None
 
 
@@ -430,3 +437,40 @@ def test_pack_len_is_an_integer_or_an_error(tmp_path, capsys, value):
         assert len(captured.err.splitlines()) == 1
     else:
         assert (code, captured) == run(expected)
+
+
+INT_FLAGS = [
+    (command, name)
+    for command, spec in _COMMANDS.items()
+    for name, flag in spec["flags"].items()
+    if flag["type"] is int
+]
+
+
+@pytest.mark.parametrize("command, name", INT_FLAGS)
+def test_int_past_int64_is_one_error_line(command, name, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--" + name.replace("_", "-"), str(HUGE)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [e for e in err.splitlines() if "error:" in e] == [err.splitlines()[-1]]
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: HUGE}))
+    assert main([command, "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {config}: field {name!r} must be a 64-bit integer")
+
+
+def test_int64_bounds_are_the_int_range(capsys):
+    assert main(["tile", "--width", str(2**63 - 1), "--height", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"] == [1, 9]
+    with pytest.raises(SystemExit) as exc:
+        main(["tile", "--width", str(2**63), "--height", "1"])
+    assert exc.value.code == 2
+    assert main(["tile", "--width", str(-(2**63)), "--height", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: image dimensions must be positive, got {-(2**63)}x1\n")

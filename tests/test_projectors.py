@@ -13,13 +13,18 @@ from omnipipe.projectors import (
     VISUAL_VARIANTS,
     VisualProjectorConfig,
     _arrays,
-    _concat_groups,
     _conv_gmlp_apply,
     _conv_gmlp_backward,
     _conv_gmlp_forward,
     _conv_gmlp_trunk,
+    _gather,
+    _pool,
+    _scatter,
+    _unpool,
     _visual_backward,
     _visual_forward,
+    _visual_trunk,
+    _windows,
     ablate_rates,
     ablation_csv,
     check_gradients,
@@ -33,7 +38,7 @@ from omnipipe.projectors import (
     visual_project_backward,
 )
 
-from oracles import naive_conv1d
+from oracles import naive_conv1d, naive_pool2x2
 
 
 class TestConfigs:
@@ -60,8 +65,8 @@ class TestConfigs:
             assert np.array_equal(a.tensors[name].array, b.tensors[name].array)
 
 
-def _concat_groups_loop(rows, cols):
-    """Reference for the vectorised _concat_groups: one window at a time."""
+def _windows_loop(rows, cols):
+    """Reference for the vectorised _windows: one window at a time."""
     out_rows, out_cols = (rows - 2) // 2 + 1, (cols + cols % 2) // 2
     idx = np.full((out_rows * out_cols, 4), -1, dtype=np.int64)
     g = 0
@@ -80,9 +85,8 @@ class TestVisualProject:
         for rows in range(2, 12):
             for cols in range(1, 12):
                 cfg = VisualProjectorConfig("concat", in_dim=2, llm_dim=2, grid=(rows, cols))
-                assert np.array_equal(_concat_groups(cfg), _concat_groups_loop(rows, cols))
-                assert cfg.output_tokens == len(_concat_groups_loop(rows, cols))
-
+                assert np.array_equal(_windows(cfg), _windows_loop(rows, cols))
+                assert cfg.output_tokens == len(_windows_loop(rows, cols))
 
     def test_full_size_mlp_keeps_729_tokens(self):
         cfg = VisualProjectorConfig(variant="mlp", in_dim=1152, llm_dim=4096)
@@ -119,6 +123,75 @@ class TestVisualProject:
         )
         assert concat.tensors["w1"].size > mlp.tensors["w1"].size
         assert concat.tensors["w1"].size == 4 * mlp.tensors["w1"].size
+
+
+def _table(rows, cols):
+    return _windows(VisualProjectorConfig("mean_pool", in_dim=1, llm_dim=1, grid=(rows, cols)))
+
+
+class TestPool2x2:
+    def test_constant_field(self):
+        out = _pool(np.ones((16, 1)), _table(4, 4))
+        assert out.shape == (4, 1)
+        assert np.all(out == 1.0)
+
+    def test_27x27_pad_cols_gives_182_positions(self):
+        idx = _table(27, 27)
+        assert idx.shape == (182, 4)
+        assert np.all(_pool(np.ones((729, 2)), idx) == 1.0)
+
+    def test_height_underflow(self):
+        for variant in ("c_abs", "concat", "mean_pool"):
+            with pytest.raises(ContractError, match="grid"):
+                VisualProjectorConfig(variant, in_dim=1, llm_dim=1, grid=(1, 4))
+
+    def test_constant_preserved_any_shape(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            h = int(rng.integers(2, 12))
+            w = int(rng.integers(1, 12))
+            c = int(rng.integers(1, 4))
+            out = _pool(np.full((h * w, c), 2.5), _table(h, w))
+            assert np.allclose(out, 2.5)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unpool_passes_grad_check(self, seed):
+        idx = _table(5, 5)
+        x = np.random.default_rng(seed).normal(size=(25, 2))
+
+        def loss(plist):
+            return 0.5 * float(np.sum(_pool(plist[0], idx) ** 2))
+
+        g_x = _unpool(_pool(x, idx), idx, 25)
+        assert numkit.grad_check(loss, [x], [g_x]).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(2, 12),
+        cols=st.integers(1, 12),
+        channels=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pooled_layers_match_oracle_and_adjoint(self, rows, cols, channels, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows * cols, channels))
+        for variant in ("mean_pool", "c_abs"):
+            cfg = VisualProjectorConfig(
+                variant, in_dim=channels, llm_dim=channels, grid=(rows, cols)
+            )
+            cache = _visual_trunk(cfg, _arrays(init_visual_params(cfg, seed % 97)), x)
+            if variant == "mean_pool":
+                pooled, before = cache["first"], x
+            else:
+                pooled, before = cache["last"], numkit.gelu(cache["z1"])
+            assert np.array_equal(pooled, naive_pool2x2(before.reshape(rows, cols, channels)))
+        idx = _table(rows, cols)
+        g = rng.normal(size=(len(idx), channels))
+        lhs, rhs = np.sum(_pool(x, idx) * g), np.sum(x * _unpool(g, idx, rows * cols))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        g4 = rng.normal(size=(len(idx), 4, channels))
+        lhs, rhs = np.sum(_gather(x, idx) * g4), np.sum(x * _scatter(g4, idx, rows * cols))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestGradients:
@@ -159,8 +232,9 @@ class TestGradients:
         def forbidden(*args, **kwargs):
             raise AssertionError("backward ran a forward op")
 
-        for op in ("matmul", "pool2x2", "gelu", "sigmoid", "elementwise_mul", "add_bias"):
+        for op in ("matmul", "gelu", "sigmoid", "elementwise_mul", "add_bias"):
             monkeypatch.setattr(numkit, op, forbidden)
+        monkeypatch.setattr(projectors, "_gather", forbidden)
         grads, g_x = backward(cfg, params, cache, out)
         assert sorted(grads) == sorted(params)
         assert g_x.shape == x.shape
@@ -238,12 +312,12 @@ class TestGradients:
         params = init_conv_gmlp_params(cfg, 6)
         from omnipipe.numkit import grad_check
 
-        def loss(plist, _):
+        def loss(plist):
             return 0.5 * float(np.sum(conv_gmlp_forward(cfg, params, Tensor(plist[0])).array ** 2))
 
         x0 = Tensor(np.random.default_rng(6).normal(size=(10, 4)))
         _, g_x = conv_gmlp_backward(cfg, params, x0, conv_gmlp_forward(cfg, params, x0))
-        assert grad_check(loss, [x0.array], None, [g_x.array]).passed
+        assert grad_check(loss, [x0.array], [g_x.array]).passed
 
 
 class TestConvGmlpShapes:
