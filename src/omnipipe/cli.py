@@ -480,6 +480,9 @@ def main(argv=None) -> int:
     except (ContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -8,7 +8,6 @@ and a transcription round-trip filter.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
 
@@ -157,6 +156,9 @@ class MixPlan:
 def mix_plan(sizes: dict, budget: int, seed: int) -> MixPlan:
     """Sample counts proportional to dataset sizes, largest-remainder rounded.
 
+    Quotas are exact integers: each count starts at budget * size // total,
+    and the units left over go one each to the largest remainders
+    budget * size % total, ties broken by name, so counts sum to the budget.
     Counts depend only on the name-to-size mapping (dataset order does not
     matter); the seed is carried for downstream per-sample selection.
     """
@@ -173,11 +175,10 @@ def mix_plan(sizes: dict, budget: int, seed: int) -> MixPlan:
     total = sum(size_list)
     if budget > total:
         raise ContractError(f"budget {budget} exceeds total pool {total}")
-    quotas = [budget * s / total for s in size_list]
-    counts = [math.floor(q) for q in quotas]
+    counts = [budget * s // total for s in size_list]
     remainder = budget - sum(counts)
     order = sorted(
-        range(len(names)), key=lambda i: (-(quotas[i] - counts[i]), names[i])
+        range(len(names)), key=lambda i: (-(budget * size_list[i] % total), names[i])
     )
     for i in order[:remainder]:
         counts[i] += 1

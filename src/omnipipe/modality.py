@@ -13,6 +13,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, FormatError
 from .fileio import json_value
@@ -268,9 +269,8 @@ def melspec(waveform) -> MelSpec:
     n_frames = CLIP_SAMPLES // HOP_SAMPLES  # 3000
     tail = (n_frames - 1) * HOP_SAMPLES + WINDOW_SAMPLES - CLIP_SAMPLES
     padded = np.concatenate([samples, np.zeros(tail, dtype=np.float64)])
-    idx = (np.arange(n_frames) * HOP_SAMPLES)[:, None] + np.arange(WINDOW_SAMPLES)
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES))
-    frames = padded[idx] * window[None, :]
+    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES] * window
     magnitude = np.abs(np.fft.rfft(frames, axis=1))
     mel = magnitude @ mel_filterbank()
     log_mel = np.log10(np.maximum(mel, _MEL_FLOOR))

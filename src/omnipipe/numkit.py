@@ -9,7 +9,10 @@ projectors lives in ``projectors``. Every kernel takes and returns plain
 float64 numpy arrays and checks the shapes it relies on; ``Tensor`` is the
 validated type at the package's public edge (projector inputs and outputs,
 mel features, packed attention), not inside the kernels. Everything is
-float64: the gradient checker relies on it. No ``<op>_backward`` calls a
+float64: the gradient checker relies on it. The pointwise kernels are
+elementwise IEEE arithmetic with no scalar ``pow`` (``**2`` is numpy's
+square) and no masked gather: GELU's cube is ``x * x * x`` and sigmoid
+selects its numerator with ``np.where``. No ``<op>_backward`` calls a
 forward op. ``grad_check`` probes a loss-only function of the parameters
 and compares against gradients the caller computed once.
 """
@@ -98,7 +101,7 @@ def matmul_backward(
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """GELU, tanh approximation (fixed so outputs are reproducible)."""
-    inner = _GELU_C0 * (x + _GELU_C1 * x**3)
+    inner = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(inner))
 
 
@@ -107,7 +110,7 @@ def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"gelu upstream gradient shape {grad_out.shape} != input {x.shape}"
         )
-    inner = _GELU_C0 * (x + _GELU_C1 * x**3)
+    inner = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
     t = np.tanh(inner)
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C0 * (
         1.0 + 3.0 * _GELU_C1 * x**2
@@ -116,12 +119,11 @@ def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|), so
+    no exp overflows. -|x| is taken as min(x, -x), which returns a NaN input
+    itself, so a NaN keeps its sign bit."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(s: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

@@ -3,6 +3,10 @@
 Everything here is deliberately naive (triple loops, plain DP, explicit DFT,
 a bin scan per sample, a tile-at-a-time shrink loop, a capacity-wide masked
 softmax, a window-at-a-time 2x2 pool) and shares no code with the implementation paths it verifies.
+The pointwise and melspec references at the end are the formulas the fast
+kernels replaced: GELU with numpy's ``x**3``, a sigmoid that gathers and
+scatters through boolean masks, and melspec frames gathered through an index
+array (it reads only the shared mel filterbank from the library).
 """
 
 from __future__ import annotations
@@ -182,3 +186,50 @@ def direct_dft_magnitude(frame: np.ndarray) -> np.ndarray:
         angle = -2.0 * math.pi * k * np.arange(n) / n
         out[k] = abs(np.sum(frame * (np.cos(angle) + 1j * np.sin(angle))))
     return out
+
+
+_GELU_C0 = math.sqrt(2.0 / math.pi)
+_GELU_C1 = 0.044715
+
+
+def gelu_pow(x: np.ndarray) -> np.ndarray:
+    """Tanh-approximation GELU with the cube taken by numpy's ``pow``."""
+    inner = _GELU_C0 * (x + _GELU_C1 * x**3)
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def gelu_backward_pow(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    inner = _GELU_C0 * (x + _GELU_C1 * x**3)
+    t = np.tanh(inner)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C0 * (
+        1.0 + 3.0 * _GELU_C1 * x**2
+    )
+    return grad_out * local
+
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def melspec_gather(waveform: np.ndarray) -> np.ndarray:
+    """The 3000 x 128 log-mel grid with each frame gathered by an index array."""
+    from omnipipe.modality import CLIP_SAMPLES, HOP_SAMPLES, WINDOW_SAMPLES, mel_filterbank
+
+    samples = np.asarray(waveform, dtype=np.float64).reshape(-1)[:CLIP_SAMPLES]
+    samples = np.concatenate([samples, np.zeros(CLIP_SAMPLES - samples.size)])
+    n_frames = CLIP_SAMPLES // HOP_SAMPLES
+    tail = (n_frames - 1) * HOP_SAMPLES + WINDOW_SAMPLES - CLIP_SAMPLES
+    padded = np.concatenate([samples, np.zeros(tail)])
+    idx = (np.arange(n_frames) * HOP_SAMPLES)[:, None] + np.arange(WINDOW_SAMPLES)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES))
+    frames = padded[idx] * window[None, :]
+    mel = np.abs(np.fft.rfft(frames, axis=1)) @ mel_filterbank()
+    log_mel = np.log10(np.maximum(mel, 1e-10))
+    log_mel = np.maximum(log_mel, log_mel.max() - 8.0)
+    return (log_mel + 4.0) / 4.0

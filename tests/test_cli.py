@@ -324,6 +324,13 @@ MALFORMED = {
         ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates negative lr": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--lr", "-1"], {}, 1, None),
+    # sizes whose first allocation (hundreds of PiB) fails at once
+    "ablate-rates length past memory": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--length", str(10**15)], {}, 1, None),
+    "ablate-rates channels past memory": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--channels", str(10**15)], {}, 1, None),
+    "ablate-rates llm-dim past memory": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--llm-dim", str(10**15)], {}, 1, None),
     "stream-sim event t not a number": (
         ["stream-sim", "--events", "{e}"], {"e": '{"t": "x", "kind": "text"}\n'}, 1, 1),
     "stream-sim event tokens not integral": (

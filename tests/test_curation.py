@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnipipe.curation import (
     DEFAULT_PROMPT,
@@ -131,6 +133,38 @@ class TestMixPlan:
             assert sum(plan.sample_counts) == budget
             for name, count in zip(plan.names, plan.sample_counts):
                 assert count <= sizes[name]
+
+    def test_int64_budget_stays_within_budget(self):
+        top = 2**63 - 1
+        plan = mix_plan({"a": top, "b": top}, budget=top, seed=0)
+        assert plan.sample_counts == (4611686018427387904, 4611686018427387903)
+
+    def test_equal_remainders_go_by_name(self):
+        # a and b both leave 9/15 of a unit; float fractions ranked b first
+        plan = mix_plan({"a": 7, "b": 2, "c": 6}, budget=12, seed=0)
+        assert plan.sample_counts == (6, 1, 5)
+
+    @given(
+        st.lists(st.integers(1, 20) | st.integers(1, 2**63 - 1), min_size=1, max_size=6),
+        st.integers(0, 2**70),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_are_exact_largest_remainder(self, size_list, budget_seed):
+        sizes = {f"d{i}": s for i, s in enumerate(size_list)}
+        total = sum(size_list)
+        budget = budget_seed % (total + 1)
+        plan = mix_plan(sizes, budget, seed=0)
+        assert sum(plan.sample_counts) == budget
+        rounded_up = []
+        for name, count in zip(plan.names, plan.sample_counts):
+            floor = budget * sizes[name] // total
+            assert count in (floor, floor + 1) and count <= sizes[name]
+            rounded_up.append(count > floor)
+        # every rounded-up remainder beats (or ties by an earlier name) every other
+        rems = [budget * sizes[n] % total for n in plan.names]
+        up = [(-r, n) for r, n, u in zip(rems, plan.names, rounded_up) if u]
+        down = [(-r, n) for r, n, u in zip(rems, plan.names, rounded_up) if not u]
+        assert not up or not down or max(up) < min(down)
 
     def test_order_invariant(self):
         sizes = {"a": 7, "b": 11, "c": 13}

@@ -29,7 +29,7 @@ from omnipipe.modality import (
 )
 from omnipipe.numkit import Tensor
 
-from oracles import direct_dft_magnitude, shrink_tile_grid
+from oracles import direct_dft_magnitude, melspec_gather, shrink_tile_grid
 
 
 class TestPlanTiles:
@@ -205,6 +205,21 @@ class TestMelspec:
 
         assert got_bin == oracle_bin
         assert abs(oracle_bin - mel_bin_for_hz(440.0)) <= 1
+
+    @given(
+        st.one_of(
+            st.integers(1, CLIP_SAMPLES - 1),
+            st.just(CLIP_SAMPLES),
+            st.integers(CLIP_SAMPLES + 1, CLIP_SAMPLES + 4000),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.floats(1e-6, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_strided_frames_are_bit_identical_to_gathered(self, length, seed, scale):
+        wave_ = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=length)
+        got, want = melspec(wave_).data.array, melspec_gather(wave_)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_filterbank_cache_is_read_only(self):
         before = melspec(_sine(440.0, 1.0)).data.array

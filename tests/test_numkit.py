@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError, ShapeError
 from omnipipe.numkit import (
@@ -20,7 +22,7 @@ from omnipipe.numkit import (
     sigmoid_backward,
 )
 
-from oracles import naive_matmul
+from oracles import gelu_backward_pow, gelu_pow, naive_matmul, sigmoid_masked
 
 
 class TestTensor:
@@ -81,6 +83,69 @@ class TestPointwise:
     def test_sigmoid_extremes_stable(self):
         out = sigmoid(np.array([-800.0, 800.0]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0])
+_FINITE = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+def _arrays(elements, max_size=64):
+    return st.lists(elements, min_size=1, max_size=max_size).map(np.array)
+
+
+class TestFastPointwise:
+    """The pointwise kernels against the formulas they replaced (oracles)."""
+
+    @given(_arrays(st.floats(width=64)))
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid_is_bit_identical_to_masked(self, x):
+        x = np.concatenate([x, _SPECIALS])
+        got, want = sigmoid(x), sigmoid_masked(x)
+        assert got.dtype == want.dtype == np.float64
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_sigmoid_specials(self):
+        out = sigmoid(_SPECIALS)
+        assert out[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and out[6:].tolist() == [1.0, 0.0]
+        assert np.isnan(out[4:6]).all()
+        assert np.signbit(out[4:6]).tolist() == np.signbit(_SPECIALS[4:6]).tolist()
+
+    @given(_arrays(_FINITE))
+    @settings(max_examples=300, deadline=None)
+    def test_gelu_within_one_ulp_scale_of_pow(self, x):
+        bound = 1e-15 * np.maximum(1.0, np.abs(x))
+        with np.errstate(over="ignore"):  # both cubes overflow past 5.6e102
+            assert np.all(np.abs(gelu(x) - gelu_pow(x)) <= bound)
+
+    @given(_arrays(st.tuples(_FINITE, st.floats(-1e6, 1e6))))
+    @settings(max_examples=300, deadline=None)
+    def test_gelu_backward_within_bound_of_pow(self, pairs):
+        x, g = pairs[:, 0].copy(), pairs[:, 1].copy()
+        bound = 4e-15 * np.abs(g) * np.maximum(1.0, np.abs(x))
+        with np.errstate(over="ignore"):
+            assert np.all(np.abs(gelu_backward(x, g) - gelu_backward_pow(x, g)) <= bound)
+
+    def test_gelu_cube_is_two_multiplies(self):
+        # inputs whose GELU moves by an ulp between numpy 2.4's pow cube and
+        # x * x * x on x86-64; the forward follows the multiplies
+        x = np.array([-0.8683891967525209, -0.7007948826987104, 1.519218380586328])
+        inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))
+        assert gelu(x).tolist() == (0.5 * x * (1.0 + np.tanh(inner))).tolist()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_no_pointwise_kernel_writes_its_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, g = (rng.normal(scale=5.0, size=(3, 4)) for _ in range(3))
+        bias = rng.normal(size=4)
+        saved = [v.copy() for v in (a, b, g, bias)]
+        for v in (a, b, g, bias):
+            v.flags.writeable = False
+        gelu(a), gelu_backward(a, g), sigmoid(a), sigmoid_backward(sigmoid(a), g)
+        elementwise_mul(a, b), elementwise_mul_backward(a, b, g)
+        add_bias(a, bias), add_bias_backward(g)
+        for v, before in zip((a, b, g, bias), saved):
+            assert v.tobytes() == before.tobytes()
 
 
 class TestGradCheck:
