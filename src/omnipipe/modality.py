@@ -300,6 +300,8 @@ def load_wav(path) -> np.ndarray:
                 f"WAV must be {SAMPLE_RATE_HZ} Hz, got {reader.getframerate()} Hz"
             )
         raw = reader.readframes(reader.getnframes())
+    if len(raw) % 2:
+        raise FormatError(f"truncated WAV file: {path} (its data ends mid-sample)")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

@@ -1,20 +1,19 @@
 """Minimal float64 numeric kernel.
 
-The handful of layer operations the projectors need, a hand-written adjoint
-for each operation (no general autodiff tape), and a finite-difference
-gradient checker. There is no convolution and no pooling: each convolution
-the projectors need has a kernel as wide as its stride, which is a reshape
-into windows and a matmul, and the 2x2 window rule of the pooled visual
-projectors lives in ``projectors``. Every kernel takes and returns plain
-float64 numpy arrays and checks the shapes it relies on; ``Tensor`` is the
-validated type at the package's public edge (projector inputs and outputs,
-mel features, packed attention), not inside the kernels. Everything is
-float64: the gradient checker relies on it. The pointwise kernels are
-elementwise IEEE arithmetic with no scalar ``pow`` (``**2`` is numpy's
-square) and no masked gather: GELU's cube is ``x * x * x`` and sigmoid
-selects its numerator with ``np.where``. No ``<op>_backward`` calls a
-forward op. ``grad_check`` probes a loss-only function of the parameters
-and compares against gradients the caller computed once.
+Matmul, GELU and sigmoid, each with a hand-written adjoint (no autodiff
+tape), and a finite-difference gradient checker. Convolutions are a reshape
+into windows and a matmul (each kernel is as wide as its stride), the 2x2
+window rule lives in ``projectors``, and a bias add or a gate product is
+plain numpy arithmetic there, on parameters ``projectors`` checks once
+against its parameter table. Every kernel takes and returns plain float64
+arrays and checks the shapes it relies on; ``Tensor`` is the validated type
+at the package's public edge, not inside the kernels. Everything is float64:
+the gradient checker relies on it. The pointwise kernels are elementwise
+IEEE arithmetic with no scalar ``pow`` (``**2`` is numpy's square) and no
+masked gather: GELU's cube is ``x * x * x`` and sigmoid selects its
+numerator with ``np.where``. No ``<op>_backward`` calls a forward op.
+``grad_check`` probes a loss-only function of the parameters against
+gradients the caller computed once; a non-finite probe is an error.
 """
 
 from __future__ import annotations
@@ -110,12 +109,14 @@ def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"gelu upstream gradient shape {grad_out.shape} != input {x.shape}"
         )
-    inner = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
-    t = np.tanh(inner)
-    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C0 * (
-        1.0 + 3.0 * _GELU_C1 * x**2
-    )
-    return grad_out * local
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
+        t = np.tanh(inner)
+        sech2 = 1.0 - t**2
+        slope = 0.5 * x * sech2 * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x**2)
+    # where tanh has saturated the slope term is 0, even past |x| ~ 1.3e154,
+    # where x**2 overflows and the product would be 0 * inf
+    return grad_out * (0.5 * (1.0 + t) + np.where(sech2 == 0.0, 0.0, slope))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -133,38 +134,6 @@ def sigmoid_backward(s: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
             f"sigmoid upstream gradient shape {grad_out.shape} != output {s.shape}"
         )
     return grad_out * s * (1.0 - s)
-
-
-def elementwise_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise_mul shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def elementwise_mul_backward(
-    a: np.ndarray, b: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if grad_out.shape != a.shape or a.shape != b.shape:
-        raise ShapeError(
-            f"elementwise_mul gradient shapes differ: {a.shape}, {b.shape}, "
-            f"{grad_out.shape}"
-        )
-    return grad_out * b, grad_out * a
-
-
-def add_bias(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Add a per-column bias to every row of a 2-D array."""
-    _require_ndim(x, 2, "add_bias input")
-    _require_ndim(bias, 1, "bias")
-    if bias.shape[0] != x.shape[1]:
-        raise ShapeError(f"bias length {bias.shape[0]} != columns {x.shape[1]}")
-    return x + bias[None, :]
-
-
-def add_bias_backward(grad_out: np.ndarray) -> np.ndarray:
-    """Gradient wrt the bias; the gradient wrt the input is grad_out itself."""
-    _require_ndim(grad_out, 2, "add_bias upstream gradient")
-    return grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +166,8 @@ def grad_check(
     loss_fn(params) returns the scalar loss and is called twice per
     parameter entry; grads holds the caller's gradient for each parameter.
     The relative error per entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8);
-    worst_parameter_index is the flat index into the concatenated parameters.
+    worst_parameter_index is the flat index into the concatenated parameters,
+    and a probe whose finite difference is not finite raises, naming it.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
@@ -208,29 +178,39 @@ def grad_check(
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter shape {p.shape}"
             )
+        if not np.all(np.isfinite(g)):
+            raise ContractError("analytic gradients contain non-finite values")
 
     max_rel = 0.0
     worst = 0
     offset = 0
-    for i, p in enumerate(params):
-        # one working copy per parameter, perturbed and restored in place
-        probe = p.copy()
-        probed = list(params)
-        probed[i] = probe
-        flat, base = probe.reshape(-1), p.reshape(-1)
-        g_ad = grads[i].reshape(-1)
-        for j in range(flat.size):
-            flat[j] = base[j] + eps
-            loss_plus = _scalar_loss(loss_fn(probed))
-            flat[j] = base[j] - eps
-            loss_minus = _scalar_loss(loss_fn(probed))
-            flat[j] = base[j]
-            g_fd = (loss_plus - loss_minus) / (2.0 * eps)
-            rel = float(abs(g_ad[j] - g_fd) / max(abs(g_ad[j]), abs(g_fd), _REL_FLOOR))
-            if rel > max_rel:
-                max_rel = rel
-                worst = offset + j
-        offset += flat.size
+    # a probe that overflows is reported below, not as a numpy warning
+    with np.errstate(all="ignore"):
+        for i, p in enumerate(params):
+            # one working copy per parameter, perturbed and restored in place
+            probe = p.copy()
+            probed = list(params)
+            probed[i] = probe
+            flat, base = probe.reshape(-1), p.reshape(-1)
+            g_ad = grads[i].reshape(-1)
+            for j in range(flat.size):
+                flat[j] = base[j] + eps
+                loss_plus = _scalar_loss(loss_fn(probed))
+                flat[j] = base[j] - eps
+                loss_minus = _scalar_loss(loss_fn(probed))
+                flat[j] = base[j]
+                g_fd = (loss_plus - loss_minus) / (2.0 * eps)
+                # a NaN error would never exceed max_rel and pass unseen
+                if not math.isfinite(g_fd):
+                    raise ContractError(
+                        f"finite difference at flat parameter entry {offset + j} is not "
+                        f"finite (losses {loss_plus!r}, {loss_minus!r} at +-eps {eps!r})"
+                    )
+                rel = float(abs(g_ad[j] - g_fd) / max(abs(g_ad[j]), abs(g_fd), _REL_FLOOR))
+                if rel > max_rel:
+                    max_rel = rel
+                    worst = offset + j
+            offset += flat.size
     return GradCheckReport(
         max_relative_error=max_rel,
         worst_parameter_index=int(worst),

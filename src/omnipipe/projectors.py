@@ -20,8 +20,11 @@ the cache its backward reads; the private forward (``_visual_forward``,
 private backward reads the cache and runs no forward op. These work on plain
 float64 arrays, with the parameters as a dict of name -> array, and so do
 the gradient check and the toy fit. ``Tensor`` and ``ProjectorParams`` are
-the public edge: the public functions unwrap them on entry and wrap their
-results on exit.
+the public edge: the public functions unwrap them on entry, checking the
+parameters against the projector's one parameter table (``_arrays``), and
+wrap their results on exit. Init and the ablation's parameter count read the
+same table. With the input checks, the entry check fixes every shape inside,
+so bias adds and the gate product are plain arithmetic.
 """
 
 from __future__ import annotations
@@ -114,7 +117,50 @@ class ProjectorParams:
         return sum(t.size for t in self.tensors.values())
 
 
-def _arrays(params: ProjectorParams) -> dict[str, np.ndarray]:
+# A projector's parameter table: (name, shape, fan_in) per tensor.
+_Specs = list[tuple[str, tuple[int, ...], int]]
+
+
+def _visual_specs(cfg: VisualProjectorConfig) -> _Specs:
+    """Every variant is a two-layer MLP; concat's first layer reads 2x2
+    neighbourhoods of four tokens each."""
+    first = 4 * cfg.in_dim if cfg.variant == "concat" else cfg.in_dim
+    d_llm = cfg.llm_dim
+    return [
+        ("w1", (first, d_llm), first),
+        ("b1", (d_llm,), first),
+        ("w2", (d_llm, d_llm), d_llm),
+        ("b2", (d_llm,), d_llm),
+    ]
+
+
+def _conv_gmlp_specs(cfg: ConvGmlpConfig) -> _Specs:
+    # one window of rate rows is rate x in_channels wide, as is each path
+    c, width, d_llm = cfg.in_channels, cfg.hidden_channels, cfg.llm_dim
+    return [
+        ("w_in", (width, width), width),
+        ("b_in", (width,), width),
+        ("w_mid", (width, 2 * width), width),
+        ("b_mid", (2 * width,), width),
+        ("w_out", (width, d_llm), width),
+        ("b_out", (d_llm,), width),
+        ("w_res", (c, d_llm), c),
+    ]
+
+
+def _arrays(params: ProjectorParams, specs: _Specs) -> dict[str, np.ndarray]:
+    """The arrays of ``params``: exactly the table's names, each at its shape."""
+    want = [name for name, _, _ in specs]
+    if sorted(params.tensors) != sorted(want):
+        raise ContractError(
+            f"projector parameters must be named {want}, got {list(params.tensors)}"
+        )
+    for name, shape, _ in specs:
+        if params.tensors[name].shape != shape:
+            raise ShapeError(
+                f"parameter {name!r} must have shape {shape}, "
+                f"got {params.tensors[name].shape}"
+            )
     return {name: t.array for name, t in params.tensors.items()}
 
 
@@ -128,7 +174,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _init(specs: list[tuple[str, tuple[int, ...], int]], seed: int) -> dict[str, np.ndarray]:
+def _init(specs: _Specs, seed: int) -> dict[str, np.ndarray]:
     rng = _rng(seed)
     arrays = {}
     for name, shape, fan_in in specs:
@@ -138,40 +184,11 @@ def _init(specs: list[tuple[str, tuple[int, ...], int]], seed: int) -> dict[str,
 
 
 def init_visual_params(cfg: VisualProjectorConfig, seed: int) -> ProjectorParams:
-    return ProjectorParams(tensors=_tensors(_visual_init(cfg, seed)), init_seed=seed)
+    return ProjectorParams(tensors=_tensors(_init(_visual_specs(cfg), seed)), init_seed=seed)
 
 
 def init_conv_gmlp_params(cfg: ConvGmlpConfig, seed: int) -> ProjectorParams:
-    return ProjectorParams(tensors=_tensors(_conv_gmlp_init(cfg, seed)), init_seed=seed)
-
-
-def _visual_init(cfg: VisualProjectorConfig, seed: int) -> dict[str, np.ndarray]:
-    """Every variant is a two-layer MLP; concat's first layer reads 2x2
-    neighbourhoods of four tokens each."""
-    first = 4 * cfg.in_dim if cfg.variant == "concat" else cfg.in_dim
-    d_llm = cfg.llm_dim
-    specs = [
-        ("w1", (first, d_llm), first),
-        ("b1", (d_llm,), first),
-        ("w2", (d_llm, d_llm), d_llm),
-        ("b2", (d_llm,), d_llm),
-    ]
-    return _init(specs, seed)
-
-
-def _conv_gmlp_init(cfg: ConvGmlpConfig, seed: int) -> dict[str, np.ndarray]:
-    # one window of rate rows is rate x in_channels wide, as is each path
-    c, width, d_llm = cfg.in_channels, cfg.hidden_channels, cfg.llm_dim
-    specs = [
-        ("w_in", (width, width), width),
-        ("b_in", (width,), width),
-        ("w_mid", (width, 2 * width), width),
-        ("b_mid", (2 * width,), width),
-        ("w_out", (width, d_llm), width),
-        ("b_out", (d_llm,), width),
-        ("w_res", (c, d_llm), c),
-    ]
-    return _init(specs, seed)
+    return ProjectorParams(tensors=_tensors(_init(_conv_gmlp_specs(cfg), seed)), init_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +257,7 @@ def _unpool(g: np.ndarray, idx: np.ndarray, n_tokens: int) -> np.ndarray:
 
 def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> Tensor:
     """Project a (grid tokens x in_dim) feature block to LLM embeddings."""
-    out, _ = _visual_forward(cfg, _arrays(params), x.array)
+    out, _ = _visual_forward(cfg, _arrays(params, _visual_specs(cfg)), x.array)
     return Tensor(out)
 
 
@@ -256,7 +273,7 @@ def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
         first = _gather(x, idx).reshape(idx.shape[0], 4 * cfg.in_dim)
     else:
         first = x
-    z1 = numkit.add_bias(numkit.matmul(first, p["w1"]), p["b1"])
+    z1 = numkit.matmul(first, p["w1"]) + p["b1"]
     last = numkit.gelu(z1)
     if cfg.variant == "c_abs":  # pools between its two layers
         last = _pool(last, idx)
@@ -266,7 +283,7 @@ def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
 
 def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
     cache = _visual_trunk(cfg, p, x)
-    out = numkit.add_bias(numkit.matmul(cache["last"], p["w2"]), p["b2"])
+    out = numkit.matmul(cache["last"], p["w2"]) + p["b2"]
     return out, cache
 
 
@@ -283,8 +300,8 @@ def _visual_backward(
     elif cfg.variant == "concat":
         idx = cache["idx"]
         g_x = _scatter(g_x.reshape(idx.shape[0], 4, cfg.in_dim), idx, cfg.input_tokens)
-    b1, b2 = numkit.add_bias_backward(g_z1), numkit.add_bias_backward(grad_out)
-    return {"w1": g_w1, "b1": b1, "w2": g_w2, "b2": b2}, g_x
+    grads = {"w1": g_w1, "b1": g_z1.sum(axis=0), "w2": g_w2, "b2": grad_out.sum(axis=0)}
+    return grads, g_x
 
 
 def visual_project_backward(
@@ -297,7 +314,7 @@ def visual_project_backward(
 
     Runs the forward once, up to the output layer, whose result it never reads.
     """
-    p = _arrays(params)
+    p = _arrays(params, _visual_specs(cfg))
     cache = _visual_trunk(cfg, p, x.array)
     grads, g_x = _visual_backward(cfg, p, cache, upstream_grad.array)
     return _tensors(grads), Tensor(g_x)
@@ -350,9 +367,9 @@ def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
     blocks, counts = _blocks(x, cfg.rate_n)
     width = cfg.hidden_channels
     windows = blocks.reshape(-1, width)
-    z1 = numkit.add_bias(numkit.matmul(windows, p["w_in"]), p["b_in"])
+    z1 = numkit.matmul(windows, p["w_in"]) + p["b_in"]
     h = numkit.gelu(z1)
-    pre2 = numkit.add_bias(numkit.matmul(h, p["w_mid"]), p["b_mid"])
+    pre2 = numkit.matmul(h, p["w_mid"]) + p["b_mid"]
     value = pre2[:, :width]
     sig = numkit.sigmoid(pre2[:, width:])
     mp = blocks.sum(axis=1) / counts[:, None]
@@ -363,7 +380,7 @@ def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
         "h": h,
         "value": value,
         "sig": sig,
-        "gated": numkit.elementwise_mul(value, sig),
+        "gated": value * sig,
         "mp": mp,
         "counts": counts,
     }
@@ -371,7 +388,7 @@ def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
 
 def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
     cache = _conv_gmlp_trunk(cfg, p, x)
-    proj = numkit.add_bias(numkit.matmul(cache["gated"], p["w_out"]), p["b_out"])
+    proj = numkit.matmul(cache["gated"], p["w_out"]) + p["b_out"]
     res = numkit.matmul(cache["mp"], p["w_res"])
     return proj + res, cache
 
@@ -393,7 +410,7 @@ def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
     """``_conv_gmlp_apply`` on the arrays inside ``params`` and ``x``: the
     output and the cache, as arrays. The acceptance suite checks the length
     and width laws through it."""
-    return _conv_gmlp_apply(cfg, _arrays(params), x.array)
+    return _conv_gmlp_apply(cfg, _arrays(params, _conv_gmlp_specs(cfg)), x.array)
 
 
 def _conv_gmlp_backward(
@@ -405,10 +422,8 @@ def _conv_gmlp_backward(
 
     # gated projection path
     g_gated, g_w_out = numkit.matmul_backward(cache["gated"], p["w_out"], grad_out)
-    g_value, g_sig = numkit.elementwise_mul_backward(
-        cache["value"], cache["sig"], g_gated
-    )
-    g_gate = numkit.sigmoid_backward(cache["sig"], g_sig)
+    g_value = g_gated * cache["sig"]
+    g_gate = numkit.sigmoid_backward(cache["sig"], g_gated * cache["value"])
     g_pre2 = np.concatenate([g_value, g_gate], axis=1)
     g_h, g_w_mid = numkit.matmul_backward(cache["h"], p["w_mid"], g_pre2)
     g_z1 = numkit.gelu_backward(cache["z1"], g_h)
@@ -416,11 +431,11 @@ def _conv_gmlp_backward(
 
     grads = {
         "w_in": g_w_in,
-        "b_in": numkit.add_bias_backward(g_z1),
+        "b_in": g_z1.sum(axis=0),
         "w_mid": g_w_mid,
-        "b_mid": numkit.add_bias_backward(g_pre2),
+        "b_mid": g_pre2.sum(axis=0),
         "w_out": g_w_out,
-        "b_out": numkit.add_bias_backward(grad_out),
+        "b_out": grad_out.sum(axis=0),
         "w_res": g_w_res,
     }
     # both paths meet in the block layout; the padding rows drop
@@ -439,7 +454,7 @@ def conv_gmlp_backward(
 
     Runs the forward once, up to the output layer, whose result it never reads.
     """
-    p = _arrays(params)
+    p = _arrays(params, _conv_gmlp_specs(cfg))
     cache = _conv_gmlp_trunk(cfg, p, x.array)
     grads, g_x = _conv_gmlp_backward(cfg, p, cache, upstream_grad.array)
     return _tensors(grads), Tensor(g_x)
@@ -469,14 +484,14 @@ def check_gradients(
         cfg = ConvGmlpConfig(
             rate_n=rate, llm_dim=_CHECK_LLM_DIM, in_channels=_CHECK_CHANNELS
         )
-        params = _conv_gmlp_init(cfg, seed)
+        params = _init(_conv_gmlp_specs(cfg), seed)
         x = rng.normal(0.0, 1.0, (seq_len, _CHECK_CHANNELS))
         forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
     else:
         cfg = VisualProjectorConfig(
             variant=projector, in_dim=_CHECK_IN_DIM, llm_dim=_CHECK_LLM_DIM, grid=grid
         )
-        params = _visual_init(cfg, seed)
+        params = _init(_visual_specs(cfg), seed)
         x = rng.normal(0.0, 1.0, (cfg.input_tokens, _CHECK_IN_DIM))
         forward, backward = _visual_forward, _visual_backward
     names = sorted(params)
@@ -521,7 +536,7 @@ def toy_fit(
     target = (blocks.sum(axis=1) / counts[:, None]) @ w_target
     t_len = target.shape[0]
 
-    params = _conv_gmlp_init(cfg, seed)
+    params = _init(_conv_gmlp_specs(cfg), seed)
     losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
@@ -551,20 +566,17 @@ def ablate_rates(
     """Run the toy fit at each down-sampling rate with a matched budget."""
     if not rates:
         raise ContractError("rates must be non-empty")
+    # every rate is checked before the first fit
+    cfgs = [ConvGmlpConfig(rate_n=r, llm_dim=llm_dim, in_channels=in_channels) for r in rates]
     rows = []
-    for rate in rates:
-        if rate not in SUPPORTED_RATES:
-            raise ContractError(
-                f"unsupported rate {rate}, expected one of {SUPPORTED_RATES}"
-            )
-        cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=in_channels)
+    for cfg in cfgs:
         losses = toy_fit(cfg, steps=steps, lr=lr, seed=task_seed, seq_len=seq_len)
         out_len = conv_gmlp_shapes(cfg, seq_len)["output_len"]
         rows.append(
             {
-                "rate": rate,
+                "rate": cfg.rate_n,
                 "output_length_ratio": out_len / seq_len,
-                "param_count": init_conv_gmlp_params(cfg, task_seed).param_count,
+                "param_count": sum(math.prod(s) for _, s, _ in _conv_gmlp_specs(cfg)),
                 "final_loss": losses[-1],
             }
         )

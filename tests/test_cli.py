@@ -316,6 +316,8 @@ MALFORMED = {
     "melspec wav not a wav file": (["melspec", "--wav", "{w}"], {"w": "hello"}, 1, None),
     "gradcheck config seeds bool": (
         ["gradcheck", "--projector", "mlp", "--config", "{c}"], {"c": '{"seeds": true}'}, 1, None),
+    "gradcheck probe overflows": (
+        ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e300"], {}, 1, None),
     "gradcheck negative seed": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
@@ -415,6 +417,17 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
         (named,) = [p for k, p in paths.items() if k in files and p in err[0]]
         if line is not None:
             assert err[0].startswith(f"error: {named}:{line}: ")
+
+
+@pytest.mark.parametrize("command", ["melspec", "stream-sim"])
+def test_wav_ending_mid_sample_is_one_error_line(command, tmp_path, capsys):
+    path = tmp_path / "cut.wav"
+    _write_wav(path)
+    path.write_bytes(path.read_bytes()[:-1])
+    assert main([command, "--wav", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: truncated WAV file: {path} (its data ends mid-sample)\n"
 
 
 def _equivalent_int(value):

@@ -265,6 +265,13 @@ class TestLoadWav(object):
         with pytest.raises(FormatError):
             load_wav(path)
 
+    def test_data_ending_mid_sample_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        self._write(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError, match=f"^truncated WAV file: {path} "):
+            load_wav(path)
+
 
 def _synthetic_spec(frames: int, active, silence=-1.5, loud=0.5) -> MelSpec:
     data = np.full((frames, 128), silence)

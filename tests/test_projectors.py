@@ -10,19 +10,22 @@ from omnipipe.errors import ContractError, DivergenceError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.projectors import (
     ConvGmlpConfig,
+    ProjectorParams,
     VISUAL_VARIANTS,
     VisualProjectorConfig,
-    _arrays,
     _conv_gmlp_apply,
     _conv_gmlp_backward,
     _conv_gmlp_forward,
+    _conv_gmlp_specs,
     _conv_gmlp_trunk,
     _gather,
+    _init,
     _pool,
     _scatter,
     _unpool,
     _visual_backward,
     _visual_forward,
+    _visual_specs,
     _visual_trunk,
     _windows,
     ablate_rates,
@@ -179,7 +182,7 @@ class TestPool2x2:
             cfg = VisualProjectorConfig(
                 variant, in_dim=channels, llm_dim=channels, grid=(rows, cols)
             )
-            cache = _visual_trunk(cfg, _arrays(init_visual_params(cfg, seed % 97)), x)
+            cache = _visual_trunk(cfg, _init(_visual_specs(cfg), seed % 97), x)
             if variant == "mean_pool":
                 pooled, before = cache["first"], x
             else:
@@ -219,12 +222,12 @@ class TestGradients:
         rng = np.random.default_rng(3)
         if variant == "conv_gmlp":
             cfg = ConvGmlpConfig(rate_n=4, llm_dim=3, in_channels=4)
-            params = _arrays(init_conv_gmlp_params(cfg, 3))
+            params = _init(_conv_gmlp_specs(cfg), 3)
             x = rng.normal(size=(13, 4))
             forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
         else:
             cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 7))
-            params = _arrays(init_visual_params(cfg, 3))
+            params = _init(_visual_specs(cfg), 3)
             x = rng.normal(size=(cfg.input_tokens, 4))
             forward, backward = _visual_forward, _visual_backward
         out, cache = forward(cfg, params, x)
@@ -232,7 +235,7 @@ class TestGradients:
         def forbidden(*args, **kwargs):
             raise AssertionError("backward ran a forward op")
 
-        for op in ("matmul", "gelu", "sigmoid", "elementwise_mul", "add_bias"):
+        for op in ("matmul", "gelu", "sigmoid"):
             monkeypatch.setattr(numkit, op, forbidden)
         monkeypatch.setattr(projectors, "_gather", forbidden)
         grads, g_x = backward(cfg, params, cache, out)
@@ -320,6 +323,62 @@ class TestGradients:
         assert grad_check(loss, [x0.array], [g_x.array]).passed
 
 
+def _public_calls(projector):
+    """Each public function of one small projector, as a function of its params."""
+    rng = np.random.default_rng(12)
+    if projector == "conv_gmlp":
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+        x, up = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(5, 3)))
+        params = init_conv_gmlp_params(cfg, 0)
+        calls = [
+            lambda p: conv_gmlp_forward(cfg, p, x),
+            lambda p: conv_gmlp_backward(cfg, p, x, up),
+            lambda p: _conv_gmlp_forward(cfg, p, x),
+        ]
+        # the output layer: its weight, its bias and the shortcut's weight
+        return params, ("w_out", "b_out", "w_res"), calls
+    cfg = VisualProjectorConfig(variant=projector, in_dim=4, llm_dim=3, grid=(5, 5))
+    x, up = Tensor(rng.normal(size=(25, 4))), Tensor(rng.normal(size=(cfg.output_tokens, 3)))
+    calls = [
+        lambda p: visual_project(cfg, p, x),
+        lambda p: visual_project_backward(cfg, p, x, up),
+    ]
+    return init_visual_params(cfg, 0), ("w2", "b2"), calls
+
+
+def _off_table(tensors, output_layer, case):
+    """The params with one departure from the parameter table."""
+    bias = output_layer[1]
+    if case == "missing name":
+        return {n: t for n, t in tensors.items() if n != bias}
+    if case == "extra name":
+        return {**tensors, "w_extra": tensors[bias]}
+    if case == "length-1 bias":
+        return {**tensors, bias: Tensor(np.ones(1))}
+    # the output layer two columns wider, consistent with itself but not
+    # with llm_dim: a (3, 5) w2 and a 5-long b2 under llm_dim=3
+    wider = {}
+    for n in output_layer:
+        a = tensors[n].array
+        wider[n] = Tensor(np.concatenate([a, np.ones(a.shape[:-1] + (2,))], axis=-1))
+    return {**tensors, **wider}
+
+
+@pytest.mark.parametrize("case", ["missing name", "extra name", "wrong-shaped weight", "length-1 bias"])
+@pytest.mark.parametrize("projector", [*VISUAL_VARIANTS, "conv_gmlp"])
+def test_params_off_the_table_rejected_at_every_public_function(projector, case):
+    params, output_layer, calls = _public_calls(projector)
+    for call in calls:
+        call(params)  # the table's own params pass
+    bad = ProjectorParams(_off_table(params.tensors, output_layer, case), init_seed=0)
+    for call in calls:
+        with pytest.raises(ContractError) as exc:
+            call(bad)
+        if case in ("wrong-shaped weight", "length-1 bias"):
+            assert exc.type is ShapeError
+        assert "parameter" in str(exc.value)
+
+
 class TestConvGmlpShapes:
     def test_length_law_all_rates(self):
         rng = np.random.default_rng(9)
@@ -372,7 +431,7 @@ class TestConvGmlpShapes:
     def test_first_layer_is_the_strided_convolution(self, rate, length, channels, seed):
         # a kernel of rate taps at stride rate over the right-zero-padded input
         cfg = ConvGmlpConfig(rate_n=rate, llm_dim=2, in_channels=channels)
-        p = _arrays(init_conv_gmlp_params(cfg, seed))
+        p = _init(_conv_gmlp_specs(cfg), seed)
         x = np.random.default_rng(seed).normal(size=(length, channels))
         z1 = _conv_gmlp_trunk(cfg, p, x)["z1"]
         kernel = p["w_in"].reshape(rate, channels, rate * channels)
@@ -420,7 +479,10 @@ class TestAblateRates:
         rows = ablate_rates([2, 4, 8], task_seed=0, steps=5, in_channels=8, llm_dim=4, seq_len=64)
         assert [r["rate"] for r in rows] == [2, 4, 8]
         assert [r["output_length_ratio"] for r in rows] == [0.5, 0.25, 0.125]
-        assert all(r["param_count"] > 0 for r in rows)
+        assert [r["param_count"] for r in rows] == [
+            init_conv_gmlp_params(ConvGmlpConfig(rate, llm_dim=4, in_channels=8), 0).param_count
+            for rate in (2, 4, 8)
+        ]
         assert all(np.isfinite(r["final_loss"]) for r in rows)
 
     def test_rate_one_ratio(self):
@@ -430,6 +492,14 @@ class TestAblateRates:
     def test_unsupported_rate(self):
         with pytest.raises(ContractError, match="unsupported rate"):
             ablate_rates([3], task_seed=0)
+
+    def test_every_rate_checked_before_the_first_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("toy_fit ran")
+
+        monkeypatch.setattr(projectors, "toy_fit", no_fit)
+        with pytest.raises(ContractError, match="unsupported rate 3"):
+            ablate_rates([8, 8, 3], task_seed=0)
 
     def test_empty_rates_rejected(self):
         with pytest.raises(ContractError):
