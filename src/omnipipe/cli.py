@@ -239,8 +239,7 @@ def run_filter_loss(cfg: dict) -> tuple[str, int]:
 
 
 def run_split_crossmodal(cfg: dict) -> tuple[str, int]:
-    rows = _read_jsonl(cfg["input"], {"text": str})
-    samples = [curation.split_one_three(text) for (text,) in rows]
+    samples = _read_jsonl(cfg["input"], {"text": str}, curation.split_one_three)
     samples = curation.assign_timbres(samples, cfg["seed"])
     return _jsonl(s.to_json() for s in samples), 0
 

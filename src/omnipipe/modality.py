@@ -299,9 +299,15 @@ def load_wav(path) -> np.ndarray:
             raise FormatError(
                 f"WAV must be {SAMPLE_RATE_HZ} Hz, got {reader.getframerate()} Hz"
             )
-        raw = reader.readframes(reader.getnframes())
+        frames = reader.getnframes()
+        raw = reader.readframes(frames)
     if len(raw) % 2:
         raise FormatError(f"truncated WAV file: {path} (its data ends mid-sample)")
+    if len(raw) != 2 * frames:
+        raise FormatError(
+            f"truncated WAV file: {path} (its header declares {frames} samples, "
+            f"its data holds {len(raw) // 2})"
+        )
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
@@ -334,20 +340,12 @@ def vad(spec: MelSpec, threshold_db: float, hangover_frames: int) -> list[VadSeg
     if hangover_frames < 0:
         raise ContractError(f"hangover_frames must be >= 0, got {hangover_frames}")
     active = frame_energy_db(spec) > threshold_db
-    segments: list[VadSegment] = []
-    start = None
-    for i, flag in enumerate(active):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            segments.append(VadSegment(start, i))
-            start = None
-    if start is not None:
-        segments.append(VadSegment(start, int(active.size)))
-    merged: list[VadSegment] = []
-    for seg in segments:
-        if merged and seg.start_frame - merged[-1].end_frame <= hangover_frames:
-            merged[-1] = VadSegment(merged[-1].start_frame, seg.end_frame)
-        else:
-            merged.append(seg)
-    return merged
+    # with silence on either side of the mask, its edges alternate run start, run end
+    edges = np.flatnonzero(np.diff(active, prepend=False, append=False))
+    if edges.size == 0:
+        return []
+    starts, ends = edges[0::2], edges[1::2]
+    # a gap of at most hangover_frames joins the runs on either side of it
+    split = starts[1:] - ends[:-1] > hangover_frames
+    starts, ends = starts[np.r_[True, split]], ends[np.r_[split, True]]
+    return [VadSegment(a, b) for a, b in zip(starts.tolist(), ends.tolist())]

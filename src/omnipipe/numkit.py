@@ -12,8 +12,9 @@ the gradient checker relies on it. The pointwise kernels are elementwise
 IEEE arithmetic with no scalar ``pow`` (``**2`` is numpy's square) and no
 masked gather: GELU's cube is ``x * x * x`` and sigmoid selects its
 numerator with ``np.where``. No ``<op>_backward`` calls a forward op.
-``grad_check`` probes a loss-only function of the parameters against
-gradients the caller computed once; a non-finite probe is an error.
+``grad_check`` probes a loss-only function of a name -> array dict of
+parameters, through views of one flat copy, against gradients the caller
+computed once; a non-finite probe, or a check with no entries, is an error.
 """
 
 from __future__ import annotations
@@ -155,64 +156,63 @@ def _scalar_loss(value) -> float:
 
 
 def grad_check(
-    loss_fn: Callable[[list[np.ndarray]], object],
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    loss_fn: Callable[[dict[str, np.ndarray]], object],
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
     eps: float = 1e-5,
     tol: float = 1e-4,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    loss_fn(params) returns the scalar loss and is called twice per
-    parameter entry; grads holds the caller's gradient for each parameter.
-    The relative error per entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8);
-    worst_parameter_index is the flat index into the concatenated parameters,
-    and a probe whose finite difference is not finite raises, naming it.
+    ``params`` is copied once into one flat vector theta, and loss_fn gets a
+    dict of views into it with the same names and shapes; each probe moves
+    one entry of theta and restores it, so loss_fn runs twice per entry.
+    grads holds the caller's gradient for each name. The relative error per
+    entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8); worst_parameter_index
+    is the flat index into theta (``params`` order), and a probe whose finite
+    difference is not finite raises, naming it.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-    if len(grads) != len(params):
-        raise ContractError(f"got {len(grads)} gradients for {len(params)} parameters")
-    for g, p in zip(grads, params):
+    if set(grads) != set(params):
+        raise ContractError(f"gradients are named {sorted(grads)}, parameters {sorted(params)}")
+    for name, p in params.items():
+        g = grads[name]
         if g.shape != p.shape:
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter shape {p.shape}"
             )
         if not np.all(np.isfinite(g)):
             raise ContractError("analytic gradients contain non-finite values")
+    sizes = [p.size for p in params.values()]
+    if sum(sizes) == 0:
+        raise ContractError("grad_check has no parameter entries to probe")
 
-    max_rel = 0.0
-    worst = 0
-    offset = 0
+    theta = np.concatenate([p.reshape(-1) for p in params.values()], dtype=np.float64)
+    chunks = np.split(theta, np.cumsum(sizes)[:-1])
+    probed = {name: c.reshape(p.shape) for (name, p), c in zip(params.items(), chunks)}
+    g_ad = np.concatenate([grads[name].reshape(-1) for name in params])
+    g_fd = np.empty_like(theta)
     # a probe that overflows is reported below, not as a numpy warning
     with np.errstate(all="ignore"):
-        for i, p in enumerate(params):
-            # one working copy per parameter, perturbed and restored in place
-            probe = p.copy()
-            probed = list(params)
-            probed[i] = probe
-            flat, base = probe.reshape(-1), p.reshape(-1)
-            g_ad = grads[i].reshape(-1)
-            for j in range(flat.size):
-                flat[j] = base[j] + eps
-                loss_plus = _scalar_loss(loss_fn(probed))
-                flat[j] = base[j] - eps
-                loss_minus = _scalar_loss(loss_fn(probed))
-                flat[j] = base[j]
-                g_fd = (loss_plus - loss_minus) / (2.0 * eps)
-                # a NaN error would never exceed max_rel and pass unseen
-                if not math.isfinite(g_fd):
-                    raise ContractError(
-                        f"finite difference at flat parameter entry {offset + j} is not "
-                        f"finite (losses {loss_plus!r}, {loss_minus!r} at +-eps {eps!r})"
-                    )
-                rel = float(abs(g_ad[j] - g_fd) / max(abs(g_ad[j]), abs(g_fd), _REL_FLOOR))
-                if rel > max_rel:
-                    max_rel = rel
-                    worst = offset + j
-            offset += flat.size
+        for j, base in enumerate(theta.tolist()):
+            theta[j] = base + eps
+            loss_plus = _scalar_loss(loss_fn(probed))
+            theta[j] = base - eps
+            loss_minus = _scalar_loss(loss_fn(probed))
+            theta[j] = base
+            g_fd[j] = (loss_plus - loss_minus) / (2.0 * eps)
+            # a NaN error would never be the maximum and would pass unseen
+            if not math.isfinite(g_fd[j]):
+                raise ContractError(
+                    f"finite difference at flat parameter entry {j} is not "
+                    f"finite (losses {loss_plus!r}, {loss_minus!r} at +-eps {eps!r})"
+                )
+        denom = np.maximum(np.maximum(np.abs(g_ad), np.abs(g_fd)), _REL_FLOOR)
+        rel = np.abs(g_ad - g_fd) / denom
+    worst = int(np.argmax(rel))  # the first maximum
     return GradCheckReport(
-        max_relative_error=max_rel,
-        worst_parameter_index=int(worst),
-        passed=bool(max_rel < tol),
+        max_relative_error=float(rel[worst]),
+        worst_parameter_index=worst,
+        passed=bool(rel[worst] < tol),
     )

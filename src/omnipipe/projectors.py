@@ -18,13 +18,15 @@ Each projector's private trunk runs it up to the output layer and returns
 the cache its backward reads; the private forward (``_visual_forward``,
 ``_conv_gmlp_apply``) adds that layer and returns ``(out, cache)``; the
 private backward reads the cache and runs no forward op. These work on plain
-float64 arrays, with the parameters as a dict of name -> array, and so do
-the gradient check and the toy fit. ``Tensor`` and ``ProjectorParams`` are
-the public edge: the public functions unwrap them on entry, checking the
-parameters against the projector's one parameter table (``_arrays``), and
-wrap their results on exit. Init and the ablation's parameter count read the
-same table. With the input checks, the entry check fixes every shape inside,
-so bias adds and the gate product are plain arithmetic.
+float64 arrays, with the parameters as a dict of name -> array, and so does
+the toy fit; the gradient check hands that dict and the backward's gradient
+dict to ``numkit.grad_check`` as they are. ``Tensor`` and
+``ProjectorParams`` are the public edge: the public functions unwrap them on
+entry, checking the parameters against the projector's one parameter table
+(``_arrays``), and wrap their results on exit. Init and the ablation's
+parameter count read the same table. With the input checks, the entry check
+fixes every shape inside, so bias adds and the gate product are plain
+arithmetic.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ SUPPORTED_RATES = (1, 2, 4, 8)
 
 _TOY_INPUT_SCALE = 5.0
 
-# Widths of the small projectors that check_gradients builds.
+# Sizes of the small projectors that check_gradients builds. 11 rows take
+# the pad path at rates 2, 4 and 8 (5 padded rows at rate 8).
 _CHECK_IN_DIM = 5
 _CHECK_LLM_DIM = 3
 _CHECK_CHANNELS = 4
+_CHECK_SEQ_LEN = 11
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +474,13 @@ def check_gradients(
     eps: float = 1e-5,
     tol: float = 1e-4,
     rate: int = 2,
-    seq_len: int = 11,
-    grid: tuple[int, int] = (27, 27),
 ) -> numkit.GradCheckReport:
     """Finite-difference check of one projector's backward pass.
 
-    The loss is half the squared Frobenius norm of the output, so the
-    upstream gradient is the output itself. The backward runs once; each
-    finite-difference probe runs only the forward.
+    A visual projector reads the default 27x27 grid; the conv-gMLP reads
+    ``_CHECK_SEQ_LEN`` rows. The loss is half the squared Frobenius norm of
+    the output, so the upstream gradient is the output itself. The backward
+    runs once; each finite-difference probe runs only the forward.
     """
     rng = _rng(seed)
     if projector == "conv_gmlp":
@@ -485,25 +488,21 @@ def check_gradients(
             rate_n=rate, llm_dim=_CHECK_LLM_DIM, in_channels=_CHECK_CHANNELS
         )
         params = _init(_conv_gmlp_specs(cfg), seed)
-        x = rng.normal(0.0, 1.0, (seq_len, _CHECK_CHANNELS))
+        x = rng.normal(0.0, 1.0, (_CHECK_SEQ_LEN, _CHECK_CHANNELS))
         forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
     else:
-        cfg = VisualProjectorConfig(
-            variant=projector, in_dim=_CHECK_IN_DIM, llm_dim=_CHECK_LLM_DIM, grid=grid
-        )
+        cfg = VisualProjectorConfig(projector, _CHECK_IN_DIM, _CHECK_LLM_DIM)
         params = _init(_visual_specs(cfg), seed)
         x = rng.normal(0.0, 1.0, (cfg.input_tokens, _CHECK_IN_DIM))
         forward, backward = _visual_forward, _visual_backward
-    names = sorted(params)
 
-    def loss(plist):
-        out, _ = forward(cfg, dict(zip(names, plist)), x)
+    def loss(probed):
+        out, _ = forward(cfg, probed, x)
         return 0.5 * float(np.sum(out**2))
 
     out, cache = forward(cfg, params, x)
     grads, _ = backward(cfg, params, cache, out)
-    plist = [params[n] for n in names]
-    return numkit.grad_check(loss, plist, [grads[n] for n in names], eps=eps, tol=tol)
+    return numkit.grad_check(loss, params, grads, eps=eps, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ softmax, a window-at-a-time 2x2 pool) and shares no code with the implementation
 The pointwise and melspec references at the end are the formulas the fast
 kernels replaced: GELU with numpy's ``x**3``, a sigmoid that gathers and
 scatters through boolean masks, and melspec frames gathered through an index
-array (it reads only the shared mel filterbank from the library).
+array (it reads only the shared mel filterbank from the library). The last
+two are loops the library replaced: a frame-at-a-time VAD run scan and a
+finite-difference check with one probe copy per parameter.
 """
 
 from __future__ import annotations
@@ -233,3 +235,52 @@ def melspec_gather(waveform: np.ndarray) -> np.ndarray:
     log_mel = np.log10(np.maximum(mel, 1e-10))
     log_mel = np.maximum(log_mel, log_mel.max() - 8.0)
     return (log_mel + 4.0) / 4.0
+
+
+def vad_runs(active, hangover_frames: int) -> list[tuple[int, int]]:
+    """[start, end) runs of a boolean frame mask, found a frame at a time;
+    runs separated by at most ``hangover_frames`` frames are merged."""
+    segments = []
+    start = None
+    for i, flag in enumerate(active):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            segments.append((start, i))
+            start = None
+    if start is not None:
+        segments.append((start, len(active)))
+    merged = []
+    for seg in segments:
+        if merged and seg[0] - merged[-1][1] <= hangover_frames:
+            merged[-1] = (merged[-1][0], seg[1])
+        else:
+            merged.append(seg)
+    return merged
+
+
+def grad_check_loop(loss_fn, params: list, grads: list, eps: float, tol: float):
+    """Central differences with one probe copy per parameter and an offset
+    into the concatenated entries; returns (max relative error, flat index of
+    the first maximum, passed). loss_fn takes the list of parameters."""
+    max_rel, worst, offset = 0.0, 0, 0
+    with np.errstate(all="ignore"):
+        for i, p in enumerate(params):
+            probe = p.copy()
+            probed = list(params)
+            probed[i] = probe
+            flat, base = probe.reshape(-1), p.reshape(-1)
+            g_ad = grads[i].reshape(-1)
+            for j in range(flat.size):
+                flat[j] = base[j] + eps
+                loss_plus = float(loss_fn(probed))
+                flat[j] = base[j] - eps
+                loss_minus = float(loss_fn(probed))
+                flat[j] = base[j]
+                g_fd = (loss_plus - loss_minus) / (2.0 * eps)
+                assert math.isfinite(g_fd)
+                rel = float(abs(g_ad[j] - g_fd) / max(abs(g_ad[j]), abs(g_fd), 1e-8))
+                if rel > max_rel:
+                    max_rel, worst = rel, offset + j
+            offset += flat.size
+    return max_rel, worst, max_rel < tol

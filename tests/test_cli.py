@@ -361,6 +361,9 @@ MALFORMED = {
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,2\na,100\nc,3\n"}, 1, 4),
     "split-crossmodal text not a string": (
         ["split-crossmodal", "--input", "{i}"], {"i": '{"text": 5}\n'}, 1, 1),
+    "split-crossmodal short text on line 2": (
+        ["split-crossmodal", "--input", "{i}"],
+        {"i": '{"text": "one two three four"}\n{"text": "too short"}\n'}, 1, 2),
     "split-crossmodal negative seed": (
         ["split-crossmodal", "--input", os.devnull, "--seed", "-1"], {}, 1, None),
     "mix size not a number": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": "x"}'}, 1, None),
@@ -428,6 +431,20 @@ def test_wav_ending_mid_sample_is_one_error_line(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: truncated WAV file: {path} (its data ends mid-sample)\n"
+
+
+@pytest.mark.parametrize("command", ["melspec", "stream-sim"])
+def test_wav_shorter_than_its_header_is_one_error_line(command, tmp_path, capsys):
+    path = tmp_path / "cut.wav"
+    _write_wav(path)
+    path.write_bytes(path.read_bytes()[:-2])
+    assert main([command, "--wav", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: truncated WAV file: {path} "
+        "(its header declares 16000 samples, its data holds 15999)\n"
+    )
 
 
 def _equivalent_int(value):

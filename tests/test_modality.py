@@ -29,7 +29,7 @@ from omnipipe.modality import (
 )
 from omnipipe.numkit import Tensor
 
-from oracles import direct_dft_magnitude, melspec_gather, shrink_tile_grid
+from oracles import direct_dft_magnitude, melspec_gather, shrink_tile_grid, vad_runs
 
 
 class TestPlanTiles:
@@ -272,6 +272,16 @@ class TestLoadWav(object):
         with pytest.raises(FormatError, match=f"^truncated WAV file: {path} "):
             load_wav(path)
 
+    def test_data_shorter_than_its_header_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        self._write(path)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(FormatError) as exc:
+            load_wav(path)
+        assert str(exc.value) == (
+            f"truncated WAV file: {path} (its header declares 1600 samples, its data holds 1599)"
+        )
+
 
 def _synthetic_spec(frames: int, active, silence=-1.5, loud=0.5) -> MelSpec:
     data = np.full((frames, 128), silence)
@@ -309,6 +319,23 @@ class TestVad:
                 assert a.end_frame < b.start_frame
             for seg in segments:
                 assert 0 <= seg.start_frame < seg.end_frame <= frames
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(1, 3000),
+        density=st.floats(0.0, 1.0),
+        run=st.integers(1, 40),
+        hangover=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_frame_loop(self, frames, density, run, hangover, seed):
+        # runs of about ``run`` frames, each on with probability ``density``
+        rng = np.random.default_rng(seed)
+        active = np.repeat(rng.random(frames // run + 1) < density, run)[:frames]
+        spec = MelSpec(Tensor(np.where(active[:, None], 0.5, -1.5) * np.ones(128)))
+        segments = vad(spec, -60.0, hangover)
+        assert segments == [VadSegment(a, b) for a, b in vad_runs(active, hangover)]
+        assert all(type(s.start_frame) is int and type(s.end_frame) is int for s in segments)
 
     def test_energy_scale(self):
         spec = _synthetic_spec(10, [])

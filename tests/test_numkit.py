@@ -18,7 +18,7 @@ from omnipipe.numkit import (
     sigmoid_backward,
 )
 
-from oracles import gelu_backward_pow, gelu_pow, naive_matmul, sigmoid_masked
+from oracles import gelu_backward_pow, gelu_pow, grad_check_loop, naive_matmul, sigmoid_masked
 
 
 class TestTensor:
@@ -150,9 +150,9 @@ class TestGradCheck:
     def test_quadratic(self):
         theta = np.array([3.0])
         report = grad_check(
-            lambda params: float(params[0][0] ** 2),
-            [theta],
-            [np.array([2.0 * theta[0]])],
+            lambda params: float(params["theta"][0] ** 2),
+            {"theta": theta},
+            {"theta": np.array([2.0 * theta[0]])},
         )
         assert isinstance(report, GradCheckReport)
         assert report.passed
@@ -163,31 +163,31 @@ class TestGradCheck:
         x = rng.normal(size=(4, 3))
 
         def loss(params):
-            return 0.5 * float(np.sum(matmul(x, params[0]) ** 2))
+            return 0.5 * float(np.sum(matmul(x, params["w"]) ** 2))
 
         w = rng.normal(size=(3, 2))
         _, gw = matmul_backward(x, w, matmul(x, w))
-        report = grad_check(loss, [w], [gw], eps=1e-5, tol=1e-4)
+        report = grad_check(loss, {"w": w}, {"w": gw}, eps=1e-5, tol=1e-4)
         assert report.passed
 
     def test_vector_loss_rejected(self):
         with pytest.raises(ContractError, match="scalar"):
             grad_check(
                 lambda params: np.array([1.0, 2.0]),
-                [np.array([1.0])],
-                [np.array([0.0])],
+                {"a": np.array([1.0])},
+                {"a": np.array([0.0])},
             )
 
     def test_non_positive_eps_rejected(self):
         with pytest.raises(ContractError):
-            grad_check(lambda p: 0.0, [np.array([1.0])], [np.array([0.0])], eps=0.0)
+            grad_check(lambda p: 0.0, {"a": np.array([1.0])}, {"a": np.array([0.0])}, eps=0.0)
 
     def test_wrong_gradient_detected(self):
         theta = np.array([2.0])
         report = grad_check(
-            lambda params: float(params[0][0] ** 2),
-            [theta],
-            [np.array([3.0 * theta[0]])],
+            lambda params: float(params["theta"][0] ** 2),
+            {"theta": theta},
+            {"theta": np.array([3.0 * theta[0]])},
         )
         assert not report.passed
 
@@ -195,59 +195,112 @@ class TestGradCheck:
         calls = []
 
         def loss(params):
-            calls.append([p.copy() for p in params])
-            return float(sum(np.sum(p**2) for p in params))
+            calls.append({n: p.copy() for n, p in params.items()})
+            return float(sum(np.sum(p**2) for p in params.values()))
 
-        params = [np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0.25, -1.5, 2.0])]
-        before = [p.copy() for p in params]
-        grads = [2.0 * p for p in params]
+        params = {"w": np.array([[1.0, -2.0], [0.5, 3.0]]), "b": np.array([0.25, -1.5, 2.0])}
+        before = {n: p.copy() for n, p in params.items()}
+        grads = {n: 2.0 * p for n, p in params.items()}
         report = grad_check(loss, params, grads)
         assert report.passed
-        assert len(calls) == 2 * sum(p.size for p in params)
-        # each probe moves exactly one entry, and the caller's arrays are untouched
+        assert len(calls) == 2 * sum(p.size for p in params.values())
+        # each probe sees the same names and shapes and moves exactly one
+        # entry, and the caller's arrays are untouched
         for probed in calls:
-            assert sum(int(np.sum(a != b)) for a, b in zip(probed, before)) == 1
-        assert all(np.array_equal(p, b) for p, b in zip(params, before))
+            assert [(n, p.shape) for n, p in probed.items()] == [
+                (n, p.shape) for n, p in before.items()
+            ]
+            assert sum(int(np.sum(probed[n] != before[n])) for n in before) == 1
+        assert all(np.array_equal(params[n], before[n]) for n in before)
 
     @pytest.mark.parametrize("loss_value", [np.inf, np.nan])
     def test_non_finite_probe_is_an_error_naming_the_entry(self, loss_value):
-        params = [np.array([1.0, 2.0]), np.array([3.0])]
+        params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
 
-        def loss(plist):
-            return loss_value if plist[1][0] > 3.0 else float(np.sum(plist[0] ** 2))
+        def loss(p):
+            return loss_value if p["b"][0] > 3.0 else float(np.sum(p["a"] ** 2))
 
         with pytest.raises(ContractError, match="entry 2 is not finite"):
-            grad_check(loss, params, [2.0 * params[0], np.zeros(1)])
+            grad_check(loss, params, {"a": 2.0 * params["a"], "b": np.zeros(1)})
 
     def test_huge_eps_is_an_error_without_warnings(self):
         with np.errstate(all="raise"):  # a warning the check leaked would raise
             with pytest.raises(ContractError, match="entry 0 is not finite"):
                 grad_check(
-                    lambda p: float(np.sum(p[0] ** 2)), [np.array([1.0])], [np.array([2.0])],
+                    lambda p: float(np.sum(p["a"] ** 2)),
+                    {"a": np.array([1.0])},
+                    {"a": np.array([2.0])},
                     eps=1e300,
                 )
 
     def test_non_finite_analytic_gradient_rejected(self):
         with pytest.raises(ContractError, match="non-finite"):
-            grad_check(lambda p: 0.0, [np.array([1.0])], [np.array([np.nan])])
+            grad_check(lambda p: 0.0, {"a": np.array([1.0])}, {"a": np.array([np.nan])})
 
     def test_gradient_count_and_shapes_checked(self):
         with pytest.raises(ContractError, match="gradients"):
-            grad_check(lambda p: 0.0, [np.array([1.0])], [])
+            grad_check(lambda p: 0.0, {"a": np.array([1.0])}, {})
         with pytest.raises(ContractError, match="shape"):
-            grad_check(lambda p: 0.0, [np.array([1.0])], [np.array([1.0, 2.0])])
+            grad_check(lambda p: 0.0, {"a": np.array([1.0])}, {"a": np.array([1.0, 2.0])})
+
+    @pytest.mark.parametrize(
+        "grads", [{"b": np.array([1.0])}, {"a": np.array([1.0]), "b": np.array([1.0])}]
+    )
+    def test_gradient_names_must_be_the_parameter_names(self, grads):
+        with pytest.raises(ContractError, match="gradients are named"):
+            grad_check(lambda p: 0.0, {"a": np.array([1.0])}, grads)
+
+    @pytest.mark.parametrize(
+        "params", [{}, {"a": np.zeros(0)}, {"a": np.zeros((0, 3)), "b": np.zeros((2, 0))}]
+    )
+    def test_a_check_with_no_entries_is_an_error(self, params):
+        grads = {n: p.copy() for n, p in params.items()}
+        with pytest.raises(ContractError, match="no parameter entries"):
+            grad_check(lambda p: 0.0, params, grads)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 3), max_size=2).map(tuple), min_size=1, max_size=3
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        perturb=st.sampled_from([0.0, 1e-6, 1e-3, 0.5]),
+    )
+    def test_matches_the_per_parameter_loop(self, shapes, seed, perturb):
+        rng = np.random.default_rng(seed)
+        names = [f"p{i}" for i in range(len(shapes))]
+        params = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
+        weights = {n: rng.normal(size=s) for n, s in zip(names, shapes)}
+
+        def loss(p):
+            return float(sum(np.sum(weights[n] * np.sin(p[n])) for n in names))
+
+        grads = {
+            n: weights[n] * np.cos(params[n]) + perturb * rng.normal(size=params[n].shape)
+            for n in names
+        }
+        report = grad_check(loss, params, grads, eps=1e-5, tol=1e-4)
+        oracle = grad_check_loop(
+            lambda plist: loss(dict(zip(names, plist))),
+            list(params.values()),
+            list(grads.values()),
+            eps=1e-5,
+            tol=1e-4,
+        )
+        assert (report.max_relative_error, report.worst_parameter_index, report.passed) == oracle
 
 
 def _op_gradcheck(forward, backward_to_grads, param_shapes, seed):
     """Check one kernel op by treating each of its arrays as a parameter."""
     rng = np.random.default_rng(seed)
-    params = [rng.normal(size=s) for s in param_shapes]
+    params = {f"p{i}": rng.normal(size=s) for i, s in enumerate(param_shapes)}
 
-    def loss(plist):
-        return 0.5 * float(np.sum(forward(plist) ** 2))
+    def loss(probed):
+        return 0.5 * float(np.sum(forward(list(probed.values())) ** 2))
 
-    grads = backward_to_grads(params, forward(params))
-    return grad_check(loss, params, grads, eps=1e-5, tol=1e-4)
+    arrays = list(params.values())
+    grads = backward_to_grads(arrays, forward(arrays))
+    return grad_check(loss, params, dict(zip(params, grads)), eps=1e-5, tol=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(20))

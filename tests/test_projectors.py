@@ -162,11 +162,11 @@ class TestPool2x2:
         idx = _table(5, 5)
         x = np.random.default_rng(seed).normal(size=(25, 2))
 
-        def loss(plist):
-            return 0.5 * float(np.sum(_pool(plist[0], idx) ** 2))
+        def loss(p):
+            return 0.5 * float(np.sum(_pool(p["x"], idx) ** 2))
 
         g_x = _unpool(_pool(x, idx), idx, 25)
-        assert numkit.grad_check(loss, [x], [g_x]).passed
+        assert numkit.grad_check(loss, {"x": x}, {"x": g_x}).passed
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -201,20 +201,25 @@ class TestGradients:
     @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool"])
     @pytest.mark.parametrize("seed", range(10))
     def test_visual_variants_pass_grad_check(self, variant, seed):
-        report = check_gradients(variant, seed=seed, grid=(5, 5))
+        report = check_gradients(variant, seed=seed)
         assert report.passed, (variant, seed, report)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_gmlp_passes_grad_check(self, seed):
-        report = check_gradients("conv_gmlp", seed=seed, rate=2, seq_len=16)
+        report = check_gradients("conv_gmlp", seed=seed, rate=2)
         assert report.passed, (seed, report)
 
     def test_conv_gmlp_rate8_pad_path(self):
-        report = check_gradients("conv_gmlp", seed=0, rate=8, seq_len=9)
+        cfg = ConvGmlpConfig(rate_n=8, llm_dim=3, in_channels=4)
+        assert projectors._CHECK_SEQ_LEN == 11
+        assert conv_gmlp_shapes(cfg, projectors._CHECK_SEQ_LEN)["padded_len"] == 16
+        report = check_gradients("conv_gmlp", seed=0, rate=8)
         assert report.passed, report
 
     def test_full_grid_variant_passes(self):
-        report = check_gradients("mean_pool", seed=1)  # default 27x27 grid
+        # the default 27x27 grid ends in an odd column, a 2x2 window of its own
+        assert VisualProjectorConfig("mean_pool", in_dim=1, llm_dim=1).grid == (27, 27)
+        report = check_gradients("mean_pool", seed=1)
         assert report.passed, report
 
     @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool", "conv_gmlp"])
@@ -274,7 +279,7 @@ class TestGradients:
 
         monkeypatch.setattr(projectors, "_conv_gmlp_apply", counted("forward", _conv_gmlp_apply))
         monkeypatch.setattr(projectors, "_conv_gmlp_backward", counted("backward", _conv_gmlp_backward))
-        assert check_gradients("conv_gmlp", seed=0, rate=2, seq_len=16).passed
+        assert check_gradients("conv_gmlp", seed=0, rate=2).passed
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
         entries = init_conv_gmlp_params(cfg, 0).param_count
         assert calls == {"forward": 1 + 2 * entries, "backward": 1}
@@ -289,7 +294,7 @@ class TestGradients:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         for projector in (*VISUAL_VARIANTS, "conv_gmlp"):
-            assert check_gradients(projector, seed=0, grid=(5, 5)).passed
+            assert check_gradients(projector, seed=0).passed
         assert built == []
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
         params = init_conv_gmlp_params(cfg, 0)
@@ -315,12 +320,12 @@ class TestGradients:
         params = init_conv_gmlp_params(cfg, 6)
         from omnipipe.numkit import grad_check
 
-        def loss(plist):
-            return 0.5 * float(np.sum(conv_gmlp_forward(cfg, params, Tensor(plist[0])).array ** 2))
+        def loss(p):
+            return 0.5 * float(np.sum(conv_gmlp_forward(cfg, params, Tensor(p["x"])).array ** 2))
 
         x0 = Tensor(np.random.default_rng(6).normal(size=(10, 4)))
         _, g_x = conv_gmlp_backward(cfg, params, x0, conv_gmlp_forward(cfg, params, x0))
-        assert grad_check(loss, [x0.array], [g_x.array]).passed
+        assert grad_check(loss, {"x": x0.array}, {"x": g_x.array}).passed
 
 
 def _public_calls(projector):
