@@ -210,8 +210,20 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
     if cfg["frame_plan"] and not cfg["wav"]:
         raise ContractError("--frame-plan needs --wav")
     if cfg["events"]:
-        fields = {"t": int, "kind": str, "tokens": (int, 0)}
-        events = _read_jsonl(cfg["events"], fields, stream.StreamEvent)
+        # step runs inside the reader, so a protocol error names its line
+        state, entries = stream.SchedulerState(), []
+
+        def replay(t, kind, tokens):
+            nonlocal state
+            state, new = stream.step(state, stream.StreamEvent(t, kind, tokens))
+            entries.extend(new)
+
+        _read_jsonl(cfg["events"], {"t": int, "kind": str, "tokens": (int, 0)}, replay)
+        if state.audio_buffer_tokens is not None:
+            raise FormatError(
+                f"{cfg['events']}: event trace ends inside an unterminated audio segment"
+            )
+        trace = stream.InjectionTrace(tuple(entries))
     else:
         spec = modality.melspec(modality.load_wav(cfg["wav"]))
         plan = None
@@ -227,8 +239,7 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
             rate_n=cfg["rate"],
             mel_frames_per_chunk=cfg["chunk_frames"],
         )
-        events = stream.events_from_media(spec, vad_cfg, plan)
-    trace = stream.run(events)
+        trace = stream.run(stream.events_from_media(spec, vad_cfg, plan))
     return trace.to_jsonl(), 0
 
 

@@ -57,6 +57,12 @@ _CHECK_SEQ_LEN = 11
 # configs and parameters
 # ---------------------------------------------------------------------------
 
+def check_rate(rate: int) -> None:
+    """Reject a down-sampling rate the conv-gMLP projector cannot build."""
+    if rate not in SUPPORTED_RATES:
+        raise ContractError(f"unsupported rate {rate}, expected one of {SUPPORTED_RATES}")
+
+
 @dataclass(frozen=True)
 class VisualProjectorConfig:
     variant: str
@@ -93,10 +99,7 @@ class ConvGmlpConfig:
     in_channels: int = 1280
 
     def __post_init__(self):
-        if self.rate_n not in SUPPORTED_RATES:
-            raise ContractError(
-                f"unsupported rate {self.rate_n}, expected one of {SUPPORTED_RATES}"
-            )
+        check_rate(self.rate_n)
         if self.in_channels < 1 or self.llm_dim < 1:
             raise ContractError("projector dimensions must be >= 1")
 

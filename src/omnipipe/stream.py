@@ -5,22 +5,24 @@ tokens are injected the moment they arrive, audio tokens are buffered between
 an audio_start and audio_end boundary and flushed as a single entry at the
 end, which is what triggers inference. Boundary events may come from the
 energy VAD, a trace file, or a test harness.
+
+The scheduler's state is its audio buffer (None while no segment is open) and
+the last timestamp. ``step`` applies one event for a caller fed one at a time,
+``run`` folds it over a list, and the VAD binding takes rates 1, 2, 4 or 8.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ContractError, ProtocolError
 from .modality import FramePlan, MelSpec, MS_PER_MEL_FRAME, vad
+from .projectors import check_rate
 
 EVENT_KINDS = ("audio_start", "audio_frame", "audio_end", "video_frame", "image", "text")
 _IMMEDIATE = {"video_frame": "video", "image": "image", "text": "text"}
-
-MODE_IDLE = "idle"
-MODE_AUDIO = "audio_active"
 
 
 @dataclass(frozen=True)
@@ -75,46 +77,29 @@ class InjectionTrace:
 
 @dataclass(frozen=True)
 class SchedulerState:
-    mode: str = MODE_IDLE
-    audio_buffer_tokens: int = 0
-    last_timestamp_ms: int | None = None
+    """The open audio segment's token count, None while no segment is open."""
 
-    def __post_init__(self):
-        if self.mode == MODE_IDLE and self.audio_buffer_tokens != 0:
-            raise ContractError("idle scheduler must have an empty audio buffer")
+    audio_buffer_tokens: int | None = None
+    last_timestamp_ms: int | None = None
 
 
 def step(state: SchedulerState, event: StreamEvent) -> tuple[SchedulerState, list[TraceEntry]]:
     """Apply one event; returns the next state and any injection entries."""
-    if state.last_timestamp_ms is not None and event.timestamp_ms < state.last_timestamp_ms:
-        raise ProtocolError(
-            f"time regression: event at {event.timestamp_ms} ms after "
-            f"{state.last_timestamp_ms} ms"
-        )
-    ts = event.timestamp_ms
+    ts, last, buffered = event.timestamp_ms, state.last_timestamp_ms, state.audio_buffer_tokens
+    if last is not None and ts < last:
+        raise ProtocolError(f"time regression: event at {ts} ms after {last} ms")
     if event.kind in _IMMEDIATE:
         entry = TraceEntry(ts, _IMMEDIATE[event.kind], event.payload_tokens, False)
-        return replace(state, last_timestamp_ms=ts), [entry]
+        return SchedulerState(buffered, ts), [entry]
+    # audio_start needs a closed segment, audio_frame and audio_end an open one
+    if (event.kind == "audio_start") != (buffered is None):
+        where = "with no open" if buffered is None else "inside an open"
+        raise ProtocolError(f"{event.kind} at {ts} ms {where} audio segment")
     if event.kind == "audio_start":
-        if state.mode == MODE_AUDIO:
-            raise ProtocolError(f"audio_start at {ts} ms inside an open audio segment")
-        return replace(state, mode=MODE_AUDIO, last_timestamp_ms=ts), []
+        return SchedulerState(0, ts), []
     if event.kind == "audio_frame":
-        if state.mode != MODE_AUDIO:
-            raise ProtocolError(f"audio_frame at {ts} ms with no open audio segment")
-        return (
-            replace(
-                state,
-                audio_buffer_tokens=state.audio_buffer_tokens + event.payload_tokens,
-                last_timestamp_ms=ts,
-            ),
-            [],
-        )
-    # audio_end
-    if state.mode != MODE_AUDIO:
-        raise ProtocolError(f"audio_end at {ts} ms with no open audio segment")
-    entry = TraceEntry(ts, "audio", state.audio_buffer_tokens, True)
-    return SchedulerState(mode=MODE_IDLE, last_timestamp_ms=ts), [entry]
+        return SchedulerState(buffered + event.payload_tokens, ts), []
+    return SchedulerState(None, ts), [TraceEntry(ts, "audio", buffered, True)]
 
 
 def run(events: list[StreamEvent]) -> InjectionTrace:
@@ -124,7 +109,7 @@ def run(events: list[StreamEvent]) -> InjectionTrace:
     for event in events:
         state, new = step(state, event)
         entries.extend(new)
-    if state.mode != MODE_IDLE:
+    if state.audio_buffer_tokens is not None:
         raise ProtocolError("event trace ends inside an unterminated audio segment")
     return InjectionTrace(entries=tuple(entries))
 
@@ -139,8 +124,7 @@ class VadConfig:
     def __post_init__(self):
         if self.hangover_frames < 0:
             raise ContractError("hangover_frames must be >= 0")
-        if self.rate_n < 1:
-            raise ContractError("rate_n must be >= 1")
+        check_rate(self.rate_n)
         if self.mel_frames_per_chunk < 1:
             raise ContractError("mel_frames_per_chunk must be >= 1")
 

@@ -8,7 +8,8 @@ kernels replaced: GELU with numpy's ``x**3``, a sigmoid that gathers and
 scatters through boolean masks, and melspec frames gathered through an index
 array (it reads only the shared mel filterbank from the library). The last
 two are loops the library replaced: a frame-at-a-time VAD run scan and a
-finite-difference check with one probe copy per parameter.
+finite-difference check with one probe copy per parameter. The streaming
+scheduler's reference is the mode-string state machine it replaced.
 """
 
 from __future__ import annotations
@@ -284,3 +285,29 @@ def grad_check_loop(loss_fn, params: list, grads: list, eps: float, tol: float):
                     max_rel, worst = rel, offset + j
             offset += flat.size
     return max_rel, worst, max_rel < tol
+
+
+REF_IDLE, REF_AUDIO = "idle", "audio_active"
+
+
+def reference_step(state: tuple, event: tuple) -> tuple[tuple, list, str | None]:
+    """One (t, kind, tokens) event through the mode-string scheduler; state is
+    (mode, buffered tokens, last ms), starting at (REF_IDLE, 0, None). Returns
+    the next state, the (t, modality, tokens, trigger) entries, and the
+    protocol error text (the state unchanged) or None."""
+    mode, buffered, last = state
+    t, kind, tokens = event
+    if last is not None and t < last:
+        return state, [], f"time regression: event at {t} ms after {last} ms"
+    if kind in ("video_frame", "image", "text"):
+        modality = "video" if kind == "video_frame" else kind
+        return (mode, buffered, t), [(t, modality, tokens, False)], None
+    if kind == "audio_start":
+        if mode == REF_AUDIO:
+            return state, [], f"audio_start at {t} ms inside an open audio segment"
+        return (REF_AUDIO, buffered, t), [], None
+    if mode != REF_AUDIO:
+        return state, [], f"{kind} at {t} ms with no open audio segment"
+    if kind == "audio_frame":
+        return (mode, buffered + tokens, t), [], None
+    return (REF_IDLE, 0, t), [(t, "audio", buffered, True)], None

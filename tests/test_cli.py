@@ -347,6 +347,17 @@ MALFORMED = {
         ["stream-sim", "--events", "{e}"],
         {"e": '{"t": 0, "kind": "text"}\n\n{"t": 5, "kind": "audio_start", "tokens": 3}\n'},
         1, 3),
+    "stream-sim audio_end with no open segment on line 2": (
+        ["stream-sim", "--events", "{e}"],
+        {"e": '{"t": 0, "kind": "text", "tokens": 1}\n{"t": 5, "kind": "audio_end"}\n'}, 1, 2),
+    "stream-sim time regression on line 3 after a blank line": (
+        ["stream-sim", "--events", "{e}"],
+        {"e": '{"t": 10, "kind": "text"}\n\n{"t": 5, "kind": "image", "tokens": 2}\n'}, 1, 3),
+    "stream-sim trace ends inside an audio segment": (
+        ["stream-sim", "--events", "{e}"],
+        {"e": '{"t": 0, "kind": "audio_start"}\n{"t": 5, "kind": "audio_frame", "tokens": 2}\n'},
+        1, None),
+    "stream-sim wav at rate 3": (["stream-sim", "--wav", "{wav}", "--rate", "3"], {}, 1, None),
     "stream-sim frame plan without per_frame_tokens": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"], {"p": '{"frames": [0, 30]}'},
         1, None),

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError, ProtocolError
-from omnipipe.modality import MelSpec, plan_frames
+from omnipipe.modality import MS_PER_MEL_FRAME, MelSpec, plan_frames
 from omnipipe.numkit import Tensor
+from omnipipe.projectors import SUPPORTED_RATES
 from omnipipe.stream import (
-    MODE_IDLE,
+    EVENT_KINDS,
     InjectionTrace,
     SchedulerState,
     StreamEvent,
@@ -16,6 +19,8 @@ from omnipipe.stream import (
     run,
     step,
 )
+
+from oracles import REF_IDLE, reference_step, vad_runs
 
 
 def random_event_trace(rng) -> tuple[list[StreamEvent], dict]:
@@ -72,7 +77,7 @@ class TestStep:
         assert [(e.timestamp_ms, e.modality, e.token_count, e.trigger_inference) for e in entries] == [
             (0, "image", 182, False)
         ]
-        assert state.mode == "idle"
+        assert state.audio_buffer_tokens is None
 
     def test_video_streams_while_audio_buffers(self):
         events = [
@@ -107,8 +112,59 @@ class TestStep:
         state = SchedulerState()
         for event in (StreamEvent(0, "audio_start"), StreamEvent(1, "audio_end")):
             state, _ = step(state, event)
-        assert state.mode == MODE_IDLE
-        assert state.audio_buffer_tokens == 0
+        assert state.audio_buffer_tokens is None
+
+
+def _drawn_events(draws) -> list[StreamEvent]:
+    """Events from (step, kind, tokens, legal) draws. Each event's time is the
+    sum of the steps so far, so a negative step is a time regression. An audio
+    kind that is illegal at its place becomes the legal boundary when its draw
+    says legal, so long legal traces are drawn beside illegal orders."""
+    t, open_segment, events = 0, False, []
+    for dt, kind, tokens, legal in draws:
+        t += dt
+        if legal and kind.startswith("audio") and (kind == "audio_start") == open_segment:
+            kind = "audio_end" if open_segment else "audio_start"
+        if kind in ("audio_start", "audio_end"):
+            open_segment, tokens = kind == "audio_start", 0
+        events.append(StreamEvent(t, kind, tokens))
+    return events
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-1, 60), st.sampled_from(EVENT_KINDS), st.integers(0, 50),
+                  st.booleans()),
+        max_size=30,
+    ))
+    def test_run_and_step_match_the_mode_string_scheduler(self, draws):
+        events = _drawn_events(draws)
+        ref, ref_entries, error = (REF_IDLE, 0, None), [], None
+        state = SchedulerState()
+        for event in events:
+            ref, new, error = reference_step(
+                ref, (event.timestamp_ms, event.kind, event.payload_tokens)
+            )
+            if error is not None:
+                with pytest.raises(ProtocolError) as exc:
+                    step(state, event)
+                assert str(exc.value) == error
+                break
+            state, _ = step(state, event)
+            ref_entries += new
+            # after every accepted prefix: no buffer exactly when idle, else the same count
+            assert state.audio_buffer_tokens == (None if ref[0] == REF_IDLE else ref[1])
+        if error is None and ref[0] != REF_IDLE:
+            error = "event trace ends inside an unterminated audio segment"
+        if error is not None:
+            with pytest.raises(ProtocolError) as exc:
+                run(events)
+            assert str(exc.value) == error
+        else:
+            got = [(e.timestamp_ms, e.modality, e.token_count, e.trigger_inference)
+                   for e in run(events).entries]
+            assert got == ref_entries
 
 
 class TestRun:
@@ -169,6 +225,14 @@ def _spec_with_active(frames, active):
     return MelSpec(Tensor(data))
 
 
+class TestVadConfig:
+    @pytest.mark.parametrize("rate", [0, 3, 16])
+    def test_rate_outside_projector_rates_rejected(self, rate):
+        message = rf"^unsupported rate {rate}, expected one of \(1, 2, 4, 8\)$"
+        with pytest.raises(ContractError, match=message):
+            VadConfig(rate_n=rate)
+
+
 class TestEventsFromMedia:
     def test_silence_with_video_only(self):
         spec = _spec_with_active(300, [])
@@ -206,3 +270,42 @@ class TestEventsFromMedia:
         events = events_from_media(spec, VadConfig(), plan_frames(2.0, 60))
         at_1000 = [e.kind for e in events if e.timestamp_ms == 1000]
         assert at_1000 == ["video_frame", "audio_start"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.integers(1, 300),
+        cuts=st.lists(st.integers(0, 300), max_size=10),
+        rate=st.sampled_from(SUPPORTED_RATES),
+        chunk=st.integers(1, 40),
+        hangover=st.integers(0, 30),
+    )
+    def test_each_segment_carries_its_tokens(self, frames, cuts, rate, chunk, hangover):
+        bounds = sorted(c % (frames + 1) for c in cuts)
+        active = list(zip(bounds[0::2], bounds[1::2]))
+        cfg = VadConfig(hangover_frames=hangover, rate_n=rate, mel_frames_per_chunk=chunk)
+        events = events_from_media(_spec_with_active(frames, active), cfg)
+        mask = np.zeros(frames, dtype=bool)
+        for a, b in active:
+            mask[a:b] = True
+        runs = vad_runs(mask, hangover)
+
+        segments = []
+        for event in events:
+            if event.kind == "audio_start":
+                segments.append([event])
+            else:
+                segments[-1].append(event)
+        audio = run(events).audio_entries()
+        assert len(segments) == len(audio) == len(runs)
+        for (start, *chunks, end), entry, (a, b) in zip(segments, audio, runs):
+            assert start.timestamp_ms == a * MS_PER_MEL_FRAME
+            assert end.timestamp_ms == b * MS_PER_MEL_FRAME
+            assert end.kind == "audio_end" and {c.kind for c in chunks} == {"audio_frame"}
+            tokens = sum(c.payload_tokens for c in chunks)
+            assert tokens == -(-(b - a) // rate)
+            times = [c.timestamp_ms for c in chunks]
+            assert all(x < y for x, y in zip(times, times[1:]))
+            assert times[-1] == end.timestamp_ms
+            assert (entry.timestamp_ms, entry.token_count, entry.trigger_inference) == (
+                end.timestamp_ms, tokens, True
+            )
