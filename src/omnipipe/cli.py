@@ -245,7 +245,10 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
 
 def run_filter_loss(cfg: dict) -> tuple[str, int]:
     losses = dict(_read_csv(cfg["losses"], {"id": str, "loss": float}, key=1))
-    report = curation.gaussian_filter(losses)
+    try:
+        report = curation.gaussian_filter(losses)
+    except ContractError as exc:
+        raise ContractError(f"{cfg['losses']}: {exc}") from None
     return json.dumps(report.to_json(), sort_keys=True) + "\n", 0
 
 
@@ -296,7 +299,10 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
 def run_normalize_scores(cfg: dict) -> tuple[str, int]:
     rows = _read_csv(cfg["scores"], {"model": str, "benchmark": str, "raw": float}, key=2)
     table = evalkit.ScoreTable.from_rows(rows)
-    return evalkit.render_report(table, cfg["format"]), 0
+    try:
+        return evalkit.render_report(table, cfg["format"]), 0
+    except ContractError as exc:
+        raise ContractError(f"{cfg['scores']}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +457,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise FormatError(f"{args.config}: config file must hold a JSON object")
         for key in file_cfg:
             if key not in flags:
-                raise ContractError(f"config key {key!r} is not a flag of {args.command!r}")
+                raise ContractError(
+                    f"{args.config}: config key {key!r} is not a flag of {args.command!r}"
+                )
             flag = flags[key]
             try:
                 cfg[key] = _field(file_cfg, key, flag["type"])

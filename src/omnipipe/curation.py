@@ -8,6 +8,7 @@ and a transcription round-trip filter.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -57,8 +58,11 @@ def gaussian_filter(losses: dict) -> LossFilterReport:
     values = np.array([float(v) for v in losses.values()], dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ContractError("losses must be finite")
-    mu = float(values.mean())
-    sigma = float(values.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(values.mean())
+        sigma = float(values.std())
+    if not (math.isfinite(mu) and math.isfinite(sigma)):
+        raise ContractError(f"loss statistics overflow: mu {mu!r}, sigma {sigma!r}")
     kept, low, high = [], [], []
     for key in sorted(losses, key=str):
         v = float(losses[key])

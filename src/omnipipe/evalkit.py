@@ -190,6 +190,8 @@ def normalize_scores(table: ScoreTable) -> dict:
             raise ContractError(f"benchmark {benchmark!r} has no scores")
         lo = min(column.values())
         hi = max(column.values())
+        if not math.isfinite(hi - lo):
+            raise ContractError(f"benchmark {benchmark!r}: score range {lo!r} to {hi!r} overflows")
         for model, x in column.items():
             normalized[model][benchmark] = (x - lo + NORM_OFFSET) / (
                 hi - lo + NORM_OFFSET

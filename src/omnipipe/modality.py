@@ -8,6 +8,7 @@ that supplies audio start/end boundaries for the streaming scheduler.
 
 from __future__ import annotations
 
+import functools
 import math
 import wave
 from dataclasses import dataclass
@@ -213,39 +214,35 @@ def mel_to_hz(mel: float) -> float:
     return 700.0 * (10.0 ** (mel / 2595.0) - 1.0)
 
 
+@functools.cache
 def _mel_edges_hz() -> np.ndarray:
-    """Edges evenly spaced in mel; filter j peaks at edge j + 1, its centre."""
+    """Edges evenly spaced in mel; filter j peaks at edge j + 1, its centre.
+    Built once and shared, so it is read-only."""
     mel_points = np.linspace(
         hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), MEL_BINS + 2
     )
-    return np.array([mel_to_hz(m) for m in mel_points])
+    edges = np.array([mel_to_hz(m) for m in mel_points])
+    edges.flags.writeable = False
+    return edges
 
 
-_filterbank: np.ndarray | None = None
-
-
+@functools.cache
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters as a (WINDOW_SAMPLES // 2 + 1, MEL_BINS) matrix,
     built once and shared, so it is read-only."""
-    global _filterbank
-    if _filterbank is None:
-        hz_points = _mel_edges_hz()
-        fft_freqs = np.arange(WINDOW_SAMPLES // 2 + 1) * SAMPLE_RATE_HZ / WINDOW_SAMPLES
-        bank = np.zeros((fft_freqs.size, MEL_BINS), dtype=np.float64)
-        for j in range(MEL_BINS):
-            left, centre, right = hz_points[j], hz_points[j + 1], hz_points[j + 2]
-            rising = (fft_freqs - left) / (centre - left)
-            falling = (right - fft_freqs) / (right - centre)
-            bank[:, j] = np.clip(np.minimum(rising, falling), 0.0, None)
-        bank.flags.writeable = False
-        _filterbank = bank
-    return _filterbank
+    hz = _mel_edges_hz()
+    left, centre, right = hz[:-2], hz[1:-1], hz[2:]
+    fft_freqs = (np.arange(WINDOW_SAMPLES // 2 + 1) * SAMPLE_RATE_HZ / WINDOW_SAMPLES)[:, None]
+    rising = (fft_freqs - left) / (centre - left)
+    falling = (right - fft_freqs) / (right - centre)
+    bank = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.flags.writeable = False
+    return bank
 
 
 def mel_bin_for_hz(hz: float) -> int:
     """Index of the mel filter whose centre frequency is nearest ``hz``."""
-    centres = _mel_edges_hz()[1:-1]
-    return int(np.argmin(np.abs(centres - hz)))
+    return int(np.argmin(np.abs(_mel_edges_hz()[1:-1] - hz)))
 
 
 def melspec(waveform) -> MelSpec:
@@ -260,15 +257,11 @@ def melspec(waveform) -> MelSpec:
         raise ContractError("waveform is empty")
     if not np.all(np.isfinite(samples)):
         raise ContractError("waveform contains non-finite samples")
-    if samples.size >= CLIP_SAMPLES:
-        samples = samples[:CLIP_SAMPLES]
-    else:
-        samples = np.concatenate(
-            [samples, np.zeros(CLIP_SAMPLES - samples.size, dtype=np.float64)]
-        )
     n_frames = CLIP_SAMPLES // HOP_SAMPLES  # 3000
-    tail = (n_frames - 1) * HOP_SAMPLES + WINDOW_SAMPLES - CLIP_SAMPLES
-    padded = np.concatenate([samples, np.zeros(tail, dtype=np.float64)])
+    # the clip trimmed to 30 s, zero-padded to the end of the last frame
+    padded = np.zeros((n_frames - 1) * HOP_SAMPLES + WINDOW_SAMPLES)
+    clip = samples[:CLIP_SAMPLES]
+    padded[: clip.size] = clip
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES))
     frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES] * window
     magnitude = np.abs(np.fft.rfft(frames, axis=1))

@@ -14,19 +14,18 @@ tokens, and each backward scatters through the same table. A toy
 gradient-descent fit and a down-sampling-rate ablation harness verify the
 backward passes end to end.
 
-Each projector's private trunk runs it up to the output layer and returns
-the cache its backward reads; the private forward (``_visual_forward``,
-``_conv_gmlp_apply``) adds that layer and returns ``(out, cache)``; the
-private backward reads the cache and runs no forward op. These work on plain
-float64 arrays, with the parameters as a dict of name -> array, and so does
-the toy fit; the gradient check hands that dict and the backward's gradient
-dict to ``numkit.grad_check`` as they are. ``Tensor`` and
-``ProjectorParams`` are the public edge: the public functions unwrap them on
-entry, checking the parameters against the projector's one parameter table
-(``_arrays``), and wrap their results on exit. Init and the ablation's
-parameter count read the same table. With the input checks, the entry check
-fixes every shape inside, so bias adds and the gate product are plain
-arithmetic.
+Each projector has one array-level forward (``_visual_forward``,
+``_conv_gmlp_apply``) that checks its input, runs every layer and returns
+``(out, cache)``; the private backward reads the cache and runs no forward
+op. These work on plain float64 arrays, with the parameters as a dict of
+name -> array, and so does the toy fit; the gradient check hands that dict
+and the backward's gradient dict to ``numkit.grad_check`` as they are.
+``Tensor`` and ``ProjectorParams`` are the public edge: the public functions
+unwrap them on entry, checking the parameters against the projector's one
+parameter table (``_arrays``), and wrap their results on exit. Init and the
+ablation's parameter count read the same table. With the input checks, the
+entry check fixes every shape inside, so bias adds and the gate product are
+plain arithmetic.
 """
 
 from __future__ import annotations
@@ -268,8 +267,8 @@ def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tenso
     return Tensor(out)
 
 
-def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
-    """The backward's cache; ``last`` is the output layer's input."""
+def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
+    """The output and the backward's cache; ``last`` is the output layer's input."""
     _check_visual_input(cfg, x)
     cache = {}
     if cfg.variant != "mlp":
@@ -285,13 +284,7 @@ def _visual_trunk(cfg: VisualProjectorConfig, p: dict, x: np.ndarray) -> dict:
     if cfg.variant == "c_abs":  # pools between its two layers
         last = _pool(last, idx)
     cache.update(first=first, z1=z1, last=last)
-    return cache
-
-
-def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
-    cache = _visual_trunk(cfg, p, x)
-    out = numkit.matmul(cache["last"], p["w2"]) + p["b2"]
-    return out, cache
+    return numkit.matmul(last, p["w2"]) + p["b2"], cache
 
 
 def _visual_backward(
@@ -317,12 +310,9 @@ def visual_project_backward(
     x: Tensor,
     upstream_grad: Tensor,
 ) -> tuple[dict[str, Tensor], Tensor]:
-    """Gradients of a scalar loss wrt every parameter and the input.
-
-    Runs the forward once, up to the output layer, whose result it never reads.
-    """
+    """Gradients of a scalar loss wrt every parameter and the input."""
     p = _arrays(params, _visual_specs(cfg))
-    cache = _visual_trunk(cfg, p, x.array)
+    _, cache = _visual_forward(cfg, p, x.array)
     grads, g_x = _visual_backward(cfg, p, cache, upstream_grad.array)
     return _tensors(grads), Tensor(g_x)
 
@@ -367,8 +357,8 @@ def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: np.ndarray) -> None:
         )
 
 
-def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
-    """The backward's cache: every value before the output layer."""
+def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
+    """The output and the backward's cache: every value before the output layer."""
     _check_conv_gmlp_input(cfg, x)
     # the strided first convolution: its kernel is as wide as its stride
     blocks, counts = _blocks(x, cfg.rate_n)
@@ -379,25 +369,20 @@ def _conv_gmlp_trunk(cfg: ConvGmlpConfig, p: dict, x: np.ndarray) -> dict:
     pre2 = numkit.matmul(h, p["w_mid"]) + p["b_mid"]
     value = pre2[:, :width]
     sig = numkit.sigmoid(pre2[:, width:])
+    gated = value * sig
     mp = blocks.sum(axis=1) / counts[:, None]
-    return {
+    out = numkit.matmul(gated, p["w_out"]) + p["b_out"] + numkit.matmul(mp, p["w_res"])
+    return out, {
         "x": x,
         "windows": windows,
         "z1": z1,
         "h": h,
         "value": value,
         "sig": sig,
-        "gated": value * sig,
+        "gated": gated,
         "mp": mp,
         "counts": counts,
     }
-
-
-def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
-    cache = _conv_gmlp_trunk(cfg, p, x)
-    proj = numkit.matmul(cache["gated"], p["w_out"]) + p["b_out"]
-    res = numkit.matmul(cache["mp"], p["w_res"])
-    return proj + res, cache
 
 
 def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> Tensor:
@@ -457,12 +442,9 @@ def conv_gmlp_backward(
     x: Tensor,
     upstream_grad: Tensor,
 ) -> tuple[dict[str, Tensor], Tensor]:
-    """Gradients wrt every parameter tensor and the input.
-
-    Runs the forward once, up to the output layer, whose result it never reads.
-    """
+    """Gradients wrt every parameter tensor and the input."""
     p = _arrays(params, _conv_gmlp_specs(cfg))
-    cache = _conv_gmlp_trunk(cfg, p, x.array)
+    _, cache = _conv_gmlp_apply(cfg, p, x.array)
     grads, g_x = _conv_gmlp_backward(cfg, p, cache, upstream_grad.array)
     return _tensors(grads), Tensor(g_x)
 

@@ -36,6 +36,8 @@ class StreamEvent:
             raise ContractError(
                 f"unknown event kind {self.kind!r}, expected one of {EVENT_KINDS}"
             )
+        if self.timestamp_ms < 0:
+            raise ContractError(f"event time must be >= 0 ms, got {self.timestamp_ms}")
         if self.payload_tokens < 0:
             raise ContractError(f"payload_tokens must be >= 0, got {self.payload_tokens}")
         if self.kind in ("audio_start", "audio_end") and self.payload_tokens != 0:

@@ -305,6 +305,7 @@ MALFORMED = {
         ["tile", "--config", "{c}"], {"c": '{"width": "abc", "height": 3}'}, 1, None),
     "tile config out not a string": (
         ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"out": 5}'}, 1, None),
+    "tile config unknown key": (["tile", "--config", "{c}"], {"c": '{"bogus": 1}'}, 1, None),
     "tile config max_tiles not integral": (
         ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"max_tiles": 2.5}'},
         1, None),
@@ -343,6 +344,9 @@ MALFORMED = {
     "stream-sim event tokens negative after a blank line": (
         ["stream-sim", "--events", "{e}"], {"e": '\n{"t": 0, "kind": "text", "tokens": -1}\n'},
         1, 2),
+    "stream-sim negative event time on line 2": (
+        ["stream-sim", "--events", "{e}"], {"e": '\n{"t": -5, "kind": "text", "tokens": 2}\n'},
+        1, 2),
     "stream-sim audio_start with tokens": (
         ["stream-sim", "--events", "{e}"],
         {"e": '{"t": 0, "kind": "text"}\n\n{"t": 5, "kind": "audio_start", "tokens": 3}\n'},
@@ -368,6 +372,8 @@ MALFORMED = {
         {"p": '{"frames": "ab", "per_frame_tokens": 182}'}, 1, None),
     "filter-loss loss not finite": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
+    "filter-loss statistics overflow": (
+        ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1e200\nb,-1e200\nc,0\n"}, 1, None),
     "filter-loss duplicate id": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,2\na,100\nc,3\n"}, 1, 4),
     "split-crossmodal text not a string": (
@@ -397,6 +403,9 @@ MALFORMED = {
         {"p": '{"ref": "a", "hyp": "a"}\n', "c": '{"metric": "ter"}'}, 1, None),
     "normalize-scores raw nan": (
         ["normalize-scores", "--scores", "{s}"], {"s": "model,benchmark,raw\nm,b,nan\n"}, 1, 2),
+    "normalize-scores range overflows": (
+        ["normalize-scores", "--scores", "{s}", "--format", "json"],
+        {"s": "model,benchmark,raw\nm1,b,1e308\nm2,b,-1e308\n"}, 1, None),
     "normalize-scores duplicate model and benchmark": (
         ["normalize-scores", "--scores", "{s}"],
         {"s": "model,benchmark,raw\nm1,b,50\nm2,b,70\nm1,b,90\n"}, 1, 4),

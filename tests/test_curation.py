@@ -1,6 +1,7 @@
 """Curation stages: loss filter, 1:3 splitting, timbres, mixing, roundtrip."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,14 @@ class TestGaussianFilter:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             gaussian_filter({"a": 1.0, "b": float("nan")})
+
+    @pytest.mark.parametrize("losses", [[1e200, -1e200, 0.0], [1e308, 1e308], [-1e308, -1e308]])
+    def test_overflowing_statistics_rejected_without_a_warning(self, losses):
+        # sigma overflows in the first case, mu in the other two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="loss statistics overflow"):
+                gaussian_filter(dict(enumerate(losses)))
 
     def test_boundary_values_kept(self):
         # losses 0,0,2,2 -> mu=1, sigma=1; all values sit on mu +/- sigma

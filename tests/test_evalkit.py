@@ -184,6 +184,16 @@ class TestNormalizeScores:
         table = ScoreTable.from_rows([("m", "b", 12.3)])
         assert normalize_scores(table)["m"]["b"] == 1.0
 
+    def test_overflowing_range_names_its_benchmark(self):
+        table = ScoreTable.from_rows(
+            [("m1", "ok", 1.0), ("m2", "ok", 2.0), ("m1", "wide", 1e308), ("m2", "wide", -1e308)]
+        )
+        with pytest.raises(ContractError, match="benchmark 'wide'.*overflows"):
+            normalize_scores(table)
+        # the widest range that does not overflow still normalizes
+        table = ScoreTable.from_rows([("m1", "b", 8e307), ("m2", "b", -8e307)])
+        assert normalize_scores(table) == {"m1": {"b": 1.0}, "m2": {"b": 10.0 / 1.6e308}}
+
     def test_range_and_monotonicity(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

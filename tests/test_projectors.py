@@ -17,7 +17,6 @@ from omnipipe.projectors import (
     _conv_gmlp_backward,
     _conv_gmlp_forward,
     _conv_gmlp_specs,
-    _conv_gmlp_trunk,
     _gather,
     _init,
     _pool,
@@ -26,7 +25,6 @@ from omnipipe.projectors import (
     _visual_backward,
     _visual_forward,
     _visual_specs,
-    _visual_trunk,
     _windows,
     ablate_rates,
     ablation_csv,
@@ -182,7 +180,7 @@ class TestPool2x2:
             cfg = VisualProjectorConfig(
                 variant, in_dim=channels, llm_dim=channels, grid=(rows, cols)
             )
-            cache = _visual_trunk(cfg, _init(_visual_specs(cfg), seed % 97), x)
+            _, cache = _visual_forward(cfg, _init(_visual_specs(cfg), seed % 97), x)
             if variant == "mean_pool":
                 pooled, before = cache["first"], x
             else:
@@ -283,6 +281,35 @@ class TestGradients:
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
         entries = init_conv_gmlp_params(cfg, 0).param_count
         assert calls == {"forward": 1 + 2 * entries, "backward": 1}
+
+    @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool", "conv_gmlp"])
+    def test_public_backward_runs_the_forward_once(self, variant, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(projectors, "_conv_gmlp_apply", counted(_conv_gmlp_apply))
+        monkeypatch.setattr(projectors, "_visual_forward", counted(_visual_forward))
+        rng = np.random.default_rng(5)
+        if variant == "conv_gmlp":
+            cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+            params = init_conv_gmlp_params(cfg, 5)
+            x = Tensor(rng.normal(size=(9, 4)))
+            public, backward, forward = conv_gmlp_forward, conv_gmlp_backward, "_conv_gmlp_apply"
+        else:
+            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 5))
+            params = init_visual_params(cfg, 5)
+            x = Tensor(rng.normal(size=(cfg.input_tokens, 4)))
+            public, backward, forward = visual_project, visual_project_backward, "_visual_forward"
+        out = public(cfg, params, x)
+        assert calls == [forward]
+        backward(cfg, params, x, out)
+        assert calls == [forward, forward]
 
     def test_tensors_only_at_the_public_edge(self, monkeypatch):
         built = []
@@ -438,7 +465,7 @@ class TestConvGmlpShapes:
         cfg = ConvGmlpConfig(rate_n=rate, llm_dim=2, in_channels=channels)
         p = _init(_conv_gmlp_specs(cfg), seed)
         x = np.random.default_rng(seed).normal(size=(length, channels))
-        z1 = _conv_gmlp_trunk(cfg, p, x)["z1"]
+        z1 = _conv_gmlp_apply(cfg, p, x)[1]["z1"]
         kernel = p["w_in"].reshape(rate, channels, rate * channels)
         want = naive_conv1d(x, kernel, rate, (-length) % rate) + p["b_in"]
         assert z1.shape == want.shape

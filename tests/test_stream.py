@@ -66,6 +66,11 @@ class TestEventValidation:
         with pytest.raises(ContractError):
             StreamEvent(0, "audio_start", 5)
 
+    def test_negative_time(self):
+        with pytest.raises(ContractError, match="event time must be >= 0 ms, got -5"):
+            StreamEvent(-5, "text", 2)
+        assert StreamEvent(0, "text", 2).timestamp_ms == 0
+
     def test_negative_tokens(self):
         with pytest.raises(ContractError):
             StreamEvent(0, "text", -1)
@@ -119,8 +124,9 @@ def _drawn_events(draws) -> list[StreamEvent]:
     """Events from (step, kind, tokens, legal) draws. Each event's time is the
     sum of the steps so far, so a negative step is a time regression. An audio
     kind that is illegal at its place becomes the legal boundary when its draw
-    says legal, so long legal traces are drawn beside illegal orders."""
-    t, open_segment, events = 0, False, []
+    says legal, so long legal traces are drawn beside illegal orders. The clock
+    starts at 30 ms, so 30 steps of -1 still end at t >= 0."""
+    t, open_segment, events = 30, False, []
     for dt, kind, tokens, legal in draws:
         t += dt
         if legal and kind.startswith("audio") and (kind == "audio_start") == open_segment:
