@@ -266,7 +266,10 @@ def run_mix(cfg: dict) -> tuple[str, int]:
         sizes = {name: _field(sizes, name, int) for name in sizes}
     except FormatError as exc:
         raise FormatError(f"{cfg['sizes']}: {exc}") from None
-    plan = curation.mix_plan(sizes, cfg["budget"], cfg["seed"])
+    try:
+        plan = curation.mix_plan(sizes, cfg["budget"], cfg["seed"])
+    except ContractError as exc:
+        raise ContractError(f"{cfg['sizes']}: {exc}") from None
     return json.dumps(plan.to_json(), sort_keys=True) + "\n", 0
 
 

@@ -6,7 +6,11 @@ bin packing") and records cumulative sequence-length boundaries per bin.
 Those boundaries are the whole isolation mask: packed attention runs plain
 causal attention on each segment alone, the varlen formulation of
 FlashAttention (Dao et al. 2022), and leaves padding rows at zero, so no
-capacity x capacity matrix is ever built.
+capacity x capacity matrix is ever built. Within a segment, rows go in
+fixed-size tiles that score only the columns up to their last row, the
+causal block skipping of FlashAttention-2 (Dao 2023) without its streaming:
+each row sees its whole past in one pass, so the softmax stays exact, and
+only the diagonal block of a tile needs a mask.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from .errors import ContractError, ShapeError
 from .numkit import Tensor
 
 PACK_POLICIES = ("first_fit", "first_fit_decreasing")
+
+# Rows per attention tile, and the future half of one diagonal tile block.
+_TILE = 64
+_FUTURE = ~np.tri(_TILE, dtype=bool)
 
 
 def _check_cu_seqlens(cu: tuple[int, ...], capacity: int) -> None:
@@ -170,11 +178,12 @@ def packed_attention(bin_tokens: Tensor, mask: IsolationMask) -> Tensor:
     out = np.zeros_like(x)
     root_d = np.sqrt(x.shape[1])
     for start, end in zip(mask.cu_seqlens, mask.cu_seqlens[1:]):
-        seg = x[start:end]
-        scores = (seg @ seg.T) / root_d
-        # a future score lowered to the smallest one cannot exceed the
-        # diagonal, so each row's maximum is taken over its past alone
-        scores[np.triu_indices(end - start, 1)] = scores.min()
-        weights = np.tril(np.exp(scores - scores.max(axis=1, keepdims=True)))
-        out[start:end] = (weights / weights.sum(axis=1, keepdims=True)) @ seg
+        seg, seg_out = x[start:end], out[start:end]
+        for r0 in range(0, end - start, _TILE):
+            r1 = min(r0 + _TILE, end - start)
+            scores = (seg[r0:r1] @ seg[:r1].T) / root_d
+            # only the tile's diagonal block holds future columns
+            scores[:, r0:][_FUTURE[: r1 - r0, : r1 - r0]] = -np.inf
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            seg_out[r0:r1] = weights @ seg[:r1] / weights.sum(axis=1, keepdims=True)
     return Tensor(out)

@@ -388,6 +388,9 @@ MALFORMED = {
     "mix size past int64": (
         ["mix", "--budget", "1", "--sizes", "{s}"], {"s": f'{{"a": {HUGE}, "b": 1}}'}, 1,
         None),
+    "mix size not positive": (
+        ["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": -1, "b": 2}'}, 1, None),
+    "mix sizes empty": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": "{}"}, 1, None),
     "mix negative seed": (["mix", "--budget", "1", "--seed", "-1", "--sizes", "{sizes}"], {}, 1, None),
     "metrics ref not a string": (
         ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from omnipipe.errors import ContractError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.packing import (
+    _TILE,
     IsolationMask,
     PackedBatch,
     PackedBin,
@@ -19,6 +20,8 @@ from omnipipe.packing import (
 )
 
 from oracles import first_fit, mask_matrix, masked_attention, standalone_causal_attention
+
+B = _TILE  # rows per attention tile
 
 
 class TestPack:
@@ -161,6 +164,13 @@ class TestBuildMask:
         with pytest.raises(ContractError):
             build_mask(batch, 1)
 
+    def test_every_row_attends_to_its_whole_past_across_tiles(self):
+        # a segment of three tiles after a length-1 one, a segment that
+        # stops one row short of a tile, then padding
+        cu = [0, 1, 2 * B + 3, 3 * B + 2]
+        mask = IsolationMask.from_cu_seqlens(cu, capacity=3 * B + 5)
+        assert _attends(mask, d=2) == _pairs(mask_matrix(cu, mask.capacity))
+
     def test_matrix_matches_definition(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -180,6 +190,26 @@ class TestBuildMask:
                     si, sj = _segment_of(cu, i), _segment_of(cu, j)
                     expected = si is not None and si == sj and j <= i
                     assert matrix[i, j] == expected
+
+
+def _check_oracle_padding_and_isolation(case, d, seed):
+    """Packed attention on a (capacity, segment ends) case is within 1e-10 of
+    the masked-softmax oracle, leaves padding rows exactly 0, and gives each
+    segment the same bits whatever the other tokens hold."""
+    capacity, ends = case
+    cu = [0, *sorted(ends)]
+    mask = IsolationMask.from_cu_seqlens(cu, capacity)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(capacity, d))
+    out = packed_attention(Tensor(x), mask).array
+    assert np.max(np.abs(out - masked_attention(x, cu, capacity))) <= 1e-10
+    assert np.all(out[cu[-1] :] == 0.0)
+    other = rng.normal(size=(capacity, d))
+    for start, end in zip(cu, cu[1:]):
+        y = other.copy()
+        y[start:end] = x[start:end]
+        again = packed_attention(Tensor(y), mask).array
+        assert np.array_equal(again[start:end], out[start:end])
 
 
 class TestPackedAttention:
@@ -248,20 +278,22 @@ class TestPackedAttention:
     @example((4, set()), 3, 1)  # an all-padding bin
     @example((7, {3, 7}), 4, 2)  # a bin filled to capacity
     def test_matches_masked_softmax_oracle_and_isolates(self, case, d, seed):
-        capacity, ends = case
-        cu = [0, *sorted(ends)]
-        mask = IsolationMask.from_cu_seqlens(cu, capacity)
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(capacity, d))
-        out = packed_attention(Tensor(x), mask).array
-        assert np.max(np.abs(out - masked_attention(x, cu, capacity))) <= 1e-10
-        assert np.all(out[cu[-1] :] == 0.0)
-        other = rng.normal(size=(capacity, d))
-        for start, end in zip(cu, cu[1:]):
-            y = other.copy()
-            y[start:end] = x[start:end]
-            again = packed_attention(Tensor(y), mask).array
-            assert np.array_equal(again[start:end], out[start:end])
+        _check_oracle_padding_and_isolation(case, d, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4 * B).flatmap(
+            lambda cap: st.tuples(st.just(cap), st.sets(st.integers(1, cap), max_size=4))
+        ),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @example((3 * B + 2, {B - 1, 2 * B - 1, 3 * B}), 2, 0)  # lengths B - 1, B, B + 1
+    @example((2 * B, {2 * B}), 3, 1)  # two full tiles
+    @example((4 * B, {3 * B + 1}), 2, 2)  # a one-row fourth tile, then padding
+    @example((B + 1, {B, B + 1}), 1, 3)  # a length-1 segment after a full tile
+    def test_segments_spanning_several_tiles(self, case, d, seed):
+        _check_oracle_padding_and_isolation(case, d, seed)
 
     def test_cost_does_not_scale_with_capacity_squared(self):
         capacity = 100_000
