@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -484,8 +485,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parse_args does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     try:
         cfg = resolve_config(args)

@@ -276,6 +276,12 @@ def load_wav(path) -> np.ndarray:
     """Read a mono 16-bit PCM 16 kHz WAV file as float64 samples in [-1, 1]."""
     try:
         reader = wave.open(str(path), "rb")
+    except RuntimeError as exc:
+        # wave raises a bare RuntimeError when a chunk size (fmt's, say) makes
+        # its reader seek past the end of the RIFF chunk
+        raise FormatError(
+            f"not a readable WAV file: {path} (a chunk runs past the end of the RIFF chunk)"
+        ) from exc
     except (wave.Error, EOFError) as exc:
         reason = str(exc) or type(exc).__name__
         raise FormatError(f"not a readable WAV file: {path} ({reason})") from exc

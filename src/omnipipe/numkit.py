@@ -12,9 +12,14 @@ the gradient checker relies on it. The pointwise kernels are elementwise
 IEEE arithmetic with no scalar ``pow`` (``**2`` is numpy's square) and no
 masked gather: GELU's cube is ``x * x * x`` and sigmoid selects its
 numerator with ``np.where``. No ``<op>_backward`` calls a forward op.
+``matmul`` also takes operands with a leading probe axis, one 2-D product
+per probe, so a forward can run many parameter probes in one call.
 ``grad_check`` probes a loss-only function of a name -> array dict of
-parameters, through views of one flat copy, against gradients the caller
-computed once; a non-finite probe, or a check with no entries, is an error.
+parameters against gradients the caller computed once. It passes the loss
+a chunk of probes at a time, as views of rows of copies of one flat vector,
+each name with a leading probe axis, and takes one loss per probe back. A
+probe that does not move its entry, a non-finite probe, or a check with no
+entries is an error.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ _GELU_C1 = 0.044715
 
 # Relative-error denominator floor in grad_check.
 _REL_FLOOR = 1e-8
+
+# Bytes of probe rows one grad_check loss call may hold: each row's copy of
+# the flat parameters plus the loss's own working set per row.
+_PROBE_BUDGET = 1 << 19
 
 
 class Tensor:
@@ -66,9 +75,10 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _require_ndim(t: np.ndarray, ndim: int, name: str) -> None:
-    if t.ndim != ndim:
-        raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {t.shape}")
+def _require_ndim(t: np.ndarray, ndims: tuple[int, ...], name: str) -> None:
+    if t.ndim not in ndims:
+        wanted = " or ".join(map(str, ndims))
+        raise ShapeError(f"{name} must be {wanted}-dimensional, got shape {t.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +86,17 @@ def _require_ndim(t: np.ndarray, ndim: int, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[i,j] = sum_k a[i,k] * b[k,j]."""
-    _require_ndim(a, 2, "matmul lhs")
-    _require_ndim(b, 2, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
+    """c[..., i, j] = sum_k a[..., i, k] * b[..., k, j].
+
+    Either side may carry a leading probe axis (3-D), over which np.matmul
+    broadcasts; each probe's product is the 2-D product of its slices.
+    """
+    _require_ndim(a, (2, 3), "matmul lhs")
+    _require_ndim(b, (2, 3), "matmul rhs")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul probe axes differ: {a.shape} x {b.shape}")
     return a @ b
 
 
@@ -148,29 +164,30 @@ class GradCheckReport:
     passed: bool
 
 
-def _scalar_loss(value) -> float:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.size != 1:
-        raise ContractError(f"loss must be scalar, got array of shape {arr.shape}")
-    return float(arr.reshape(-1)[0])
-
-
 def grad_check(
     loss_fn: Callable[[dict[str, np.ndarray]], object],
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     eps: float = 1e-5,
     tol: float = 1e-4,
+    probe_bytes: int = 0,
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    ``params`` is copied once into one flat vector theta, and loss_fn gets a
-    dict of views into it with the same names and shapes; each probe moves
-    one entry of theta and restores it, so loss_fn runs twice per entry.
-    grads holds the caller's gradient for each name. The relative error per
-    entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|, 1e-8); worst_parameter_index
-    is the flat index into theta (``params`` order), and a probe whose finite
-    difference is not finite raises, naming it.
+    ``params`` is copied once into one flat vector theta. The probes run in
+    chunks: a chunk is rows of copies of theta, where rows 2i and 2i + 1 move
+    the chunk's i-th entry by +eps and -eps. loss_fn gets a dict of views
+    into the chunk with the same names and the shapes behind a leading probe
+    axis, and returns one loss per row, so it runs once per chunk. A chunk holds as
+    many rows as fit ``_PROBE_BUDGET`` bytes, counting each row's copy of
+    theta and ``probe_bytes``, the caller's estimate of what loss_fn holds
+    per row. grads holds the caller's gradient for each name.
+
+    The relative error per entry is |g_ad - g_fd| / max(|g_ad|, |g_fd|,
+    1e-8); worst_parameter_index is the flat index into theta (``params``
+    order). A probe that does not move its entry (eps below the entry's
+    spacing) or whose finite difference is not finite raises, naming the
+    entry.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
@@ -189,24 +206,49 @@ def grad_check(
         raise ContractError("grad_check has no parameter entries to probe")
 
     theta = np.concatenate([p.reshape(-1) for p in params.values()], dtype=np.float64)
-    chunks = np.split(theta, np.cumsum(sizes)[:-1])
-    probed = {name: c.reshape(p.shape) for (name, p), c in zip(params.items(), chunks)}
     g_ad = np.concatenate([grads[name].reshape(-1) for name in params])
     g_fd = np.empty_like(theta)
     # a probe that overflows is reported below, not as a numpy warning
     with np.errstate(all="ignore"):
-        for j, base in enumerate(theta.tolist()):
-            theta[j] = base + eps
-            loss_plus = _scalar_loss(loss_fn(probed))
-            theta[j] = base - eps
-            loss_minus = _scalar_loss(loss_fn(probed))
-            theta[j] = base
-            g_fd[j] = (loss_plus - loss_minus) / (2.0 * eps)
-            # a NaN error would never be the maximum and would pass unseen
-            if not math.isfinite(g_fd[j]):
+        plus, minus = theta + eps, theta - eps
+        still = np.flatnonzero((plus == theta) | (minus == theta))
+        if still.size:
+            j = int(still[0])
+            raise ContractError(
+                f"probe at flat parameter entry {j} does not move it "
+                f"({float(theta[j])!r} +- eps {eps!r} rounds back to it)"
+            )
+        entries = max(1, _PROBE_BUDGET // (2 * (theta.nbytes + probe_bytes)))
+        # one buffer of rows for every chunk; each chunk moves its entries
+        # and puts them back, as a one-entry probe would
+        buffer = np.repeat(theta[None, :], 2 * min(entries, theta.size), axis=0)
+        bounds = np.cumsum([0] + sizes)
+        for start in range(0, theta.size, entries):
+            j = np.arange(start, min(start + entries, theta.size))
+            rows = buffer[: 2 * j.size]
+            i = np.arange(j.size)
+            rows[2 * i, j] = plus[j]
+            rows[2 * i + 1, j] = minus[j]
+            probed = {
+                name: rows[:, lo:hi].reshape(-1, *p.shape)
+                for (name, p), lo, hi in zip(params.items(), bounds, bounds[1:])
+            }
+            losses = np.asarray(loss_fn(probed), dtype=np.float64)
+            if losses.shape != (rows.shape[0],):
                 raise ContractError(
-                    f"finite difference at flat parameter entry {j} is not "
-                    f"finite (losses {loss_plus!r}, {loss_minus!r} at +-eps {eps!r})"
+                    f"loss must hold one value per probe row, shape {(rows.shape[0],)}, "
+                    f"got {losses.shape}"
+                )
+            rows[2 * i, j] = rows[2 * i + 1, j] = theta[j]
+            g_fd[j] = (losses[0::2] - losses[1::2]) / (2.0 * eps)
+            # a NaN error would never be the maximum and would pass unseen
+            bad = np.flatnonzero(~np.isfinite(g_fd[j]))
+            if bad.size:
+                k = int(bad[0])
+                raise ContractError(
+                    f"finite difference at flat parameter entry {j[k]} is not finite "
+                    f"(losses {float(losses[2 * k])!r}, {float(losses[2 * k + 1])!r} "
+                    f"at +-eps {eps!r})"
                 )
         denom = np.maximum(np.maximum(np.abs(g_ad), np.abs(g_fd)), _REL_FLOOR)
         rel = np.abs(g_ad - g_fd) / denom

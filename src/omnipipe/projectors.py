@@ -18,8 +18,12 @@ Each projector has one array-level forward (``_visual_forward``,
 ``_conv_gmlp_apply``) that checks its input, runs every layer and returns
 ``(out, cache)``; the private backward reads the cache and runs no forward
 op. These work on plain float64 arrays, with the parameters as a dict of
-name -> array, and so does the toy fit; the gradient check hands that dict
-and the backward's gradient dict to ``numkit.grad_check`` as they are.
+name -> array, and so does the toy fit. The forwards also take parameters
+with a leading probe axis (bias adds index ``b[..., None, :]`` and the
+matmuls broadcast), giving each probe the output of its own 2-D forward;
+the gradient check hands the parameter dict and the backward's gradient
+dict to ``numkit.grad_check`` as they are, and its loss runs the forward
+once per chunk of probes.
 ``Tensor`` and ``ProjectorParams`` are the public edge: the public functions
 unwrap them on entry, checking the parameters against the projector's one
 parameter table (``_arrays``), and wrap their results on exit. Init and the
@@ -230,9 +234,10 @@ def _windows(cfg: VisualProjectorConfig) -> np.ndarray:
 
 
 def _gather(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(windows, 4, channels): each window's tokens, zero in a -1 slot."""
-    windows = tokens[idx]
-    windows[idx < 0] = 0.0
+    """(..., windows, 4, channels): each window's tokens, zero in a -1 slot;
+    ``tokens`` may carry a leading probe axis."""
+    windows = tokens[..., idx, :]
+    windows[..., idx < 0, :] = 0.0
     return windows
 
 
@@ -252,7 +257,7 @@ def _counts(idx: np.ndarray) -> np.ndarray:
 def _pool(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """2x2 mean pool, one row per window; the mean counts in-bounds slots.
     Each sum starts at +0.0, so a window of -0.0 pools to +0.0."""
-    return _gather(tokens, idx).sum(axis=1, initial=0.0) / _counts(idx)
+    return _gather(tokens, idx).sum(axis=-2, initial=0.0) / _counts(idx)
 
 
 def _unpool(g: np.ndarray, idx: np.ndarray, n_tokens: int) -> np.ndarray:
@@ -279,12 +284,12 @@ def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
         first = _gather(x, idx).reshape(idx.shape[0], 4 * cfg.in_dim)
     else:
         first = x
-    z1 = numkit.matmul(first, p["w1"]) + p["b1"]
+    z1 = numkit.matmul(first, p["w1"]) + p["b1"][..., None, :]
     last = numkit.gelu(z1)
     if cfg.variant == "c_abs":  # pools between its two layers
         last = _pool(last, idx)
     cache.update(first=first, z1=z1, last=last)
-    return numkit.matmul(last, p["w2"]) + p["b2"], cache
+    return numkit.matmul(last, p["w2"]) + p["b2"][..., None, :], cache
 
 
 def _visual_backward(
@@ -364,14 +369,18 @@ def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
     blocks, counts = _blocks(x, cfg.rate_n)
     width = cfg.hidden_channels
     windows = blocks.reshape(-1, width)
-    z1 = numkit.matmul(windows, p["w_in"]) + p["b_in"]
+    z1 = numkit.matmul(windows, p["w_in"]) + p["b_in"][..., None, :]
     h = numkit.gelu(z1)
-    pre2 = numkit.matmul(h, p["w_mid"]) + p["b_mid"]
-    value = pre2[:, :width]
-    sig = numkit.sigmoid(pre2[:, width:])
+    pre2 = numkit.matmul(h, p["w_mid"]) + p["b_mid"][..., None, :]
+    value = pre2[..., :width]
+    sig = numkit.sigmoid(pre2[..., width:])
     gated = value * sig
     mp = blocks.sum(axis=1) / counts[:, None]
-    out = numkit.matmul(gated, p["w_out"]) + p["b_out"] + numkit.matmul(mp, p["w_res"])
+    out = (
+        numkit.matmul(gated, p["w_out"])
+        + p["b_out"][..., None, :]
+        + numkit.matmul(mp, p["w_res"])
+    )
     return out, {
         "x": x,
         "windows": windows,
@@ -465,7 +474,9 @@ def check_gradients(
     A visual projector reads the default 27x27 grid; the conv-gMLP reads
     ``_CHECK_SEQ_LEN`` rows. The loss is half the squared Frobenius norm of
     the output, so the upstream gradient is the output itself. The backward
-    runs once; each finite-difference probe runs only the forward.
+    runs once; each chunk of finite-difference probes runs only the forward,
+    once, on parameters with a leading probe axis. The output and cache of
+    the first forward size the chunks.
     """
     rng = _rng(seed)
     if projector == "conv_gmlp":
@@ -483,11 +494,13 @@ def check_gradients(
 
     def loss(probed):
         out, _ = forward(cfg, probed, x)
-        return 0.5 * float(np.sum(out**2))
+        return 0.5 * np.sum(out**2, axis=(-2, -1))
 
     out, cache = forward(cfg, params, x)
     grads, _ = backward(cfg, params, cache, out)
-    return numkit.grad_check(loss, params, grads, eps=eps, tol=tol)
+    # what one probe row of the forward holds: its output and its cache
+    probe_bytes = out.nbytes + sum(a.nbytes for a in cache.values())
+    return numkit.grad_check(loss, params, grads, eps=eps, tol=tol, probe_bytes=probe_bytes)
 
 
 # ---------------------------------------------------------------------------

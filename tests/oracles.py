@@ -8,7 +8,9 @@ kernels replaced: GELU with numpy's ``x**3``, a sigmoid that gathers and
 scatters through boolean masks, and melspec frames gathered through an index
 array (it reads only the shared mel filterbank from the library). The last
 two are loops the library replaced: a frame-at-a-time VAD run scan and a
-finite-difference check with one probe copy per parameter. The streaming
+finite-difference check with one probe copy per parameter, which runs the
+loss once per probe (``per_probe`` maps such a scalar loss over the batch
+of probe rows that ``numkit.grad_check`` passes). The streaming
 scheduler's reference is the mode-string state machine it replaced.
 """
 
@@ -258,6 +260,17 @@ def vad_runs(active, hangover_frames: int) -> list[tuple[int, int]]:
         else:
             merged.append(seg)
     return merged
+
+
+def per_probe(loss_fn):
+    """A batch loss for ``numkit.grad_check`` from a scalar loss of one
+    name -> array dict: loss_fn runs on each probe row's views in turn."""
+
+    def batch(probed: dict) -> np.ndarray:
+        rows = len(next(iter(probed.values())))
+        return np.array([loss_fn({n: a[r] for n, a in probed.items()}) for r in range(rows)])
+
+    return batch
 
 
 def grad_check_loop(loss_fn, params: list, grads: list, eps: float, tol: float):

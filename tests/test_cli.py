@@ -4,6 +4,7 @@ import json
 import os
 import time
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def _write_wav(path, seconds=1.0, freq=440.0):
         w.setsampwidth(2)
         w.setframerate(16000)
         w.writeframes(payload.tobytes())
+
+
+def _write_wav_with_fmt_size(path, size):
+    """A valid tone WAV whose fmt chunk declares ``size`` bytes (bytes 16-19)."""
+    _write_wav(path)
+    data = bytearray(Path(path).read_bytes())
+    data[16:20] = size.to_bytes(4, "little")
+    Path(path).write_bytes(data)
 
 
 class TestExitCodes:
@@ -289,8 +298,9 @@ class TestSubcommandBehaviour:
 HUGE = 10**400
 
 # Each case: argv (with {NAME} standing for a file written from FILES, or for
-# the valid fixtures {wav} and {sizes}), the files, the expected exit code,
-# and for reader errors the failing line.
+# the fixtures {wav} and {sizes}, which are valid, and {bad_fmt_wav}, {wav}
+# with its fmt chunk size set to 18), the files, the expected exit code, and
+# for reader errors the failing line.
 MALFORMED = {
     "pack len not a number": (
         ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": "a", "len": "abc"}\n'}, 1, 1),
@@ -315,10 +325,13 @@ MALFORMED = {
         1, None),
     "melspec config wav not a string": (["melspec", "--config", "{c}"], {"c": '{"wav": 5}'}, 1, None),
     "melspec wav not a wav file": (["melspec", "--wav", "{w}"], {"w": "hello"}, 1, None),
+    "melspec wav fmt chunk size wrong": (["melspec", "--wav", "{bad_fmt_wav}"], {}, 1, None),
     "gradcheck config seeds bool": (
         ["gradcheck", "--projector", "mlp", "--config", "{c}"], {"c": '{"seeds": true}'}, 1, None),
     "gradcheck probe overflows": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e300"], {}, 1, None),
+    "gradcheck probe does not move a parameter": (
+        ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e-320"], {}, 1, None),
     "gradcheck negative seed": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
@@ -362,6 +375,8 @@ MALFORMED = {
         {"e": '{"t": 0, "kind": "audio_start"}\n{"t": 5, "kind": "audio_frame", "tokens": 2}\n'},
         1, None),
     "stream-sim wav at rate 3": (["stream-sim", "--wav", "{wav}", "--rate", "3"], {}, 1, None),
+    "stream-sim wav fmt chunk size wrong": (
+        ["stream-sim", "--wav", "{bad_fmt_wav}"], {}, 1, None),
     "stream-sim frame plan without per_frame_tokens": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"], {"p": '{"frames": [0, 30]}'},
         1, None),
@@ -418,8 +433,13 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     argv, files, code, line = MALFORMED[case]
-    paths = {"wav": str(tmp_path / "tone.wav"), "sizes": str(tmp_path / "sizes.json")}
+    paths = {
+        "wav": str(tmp_path / "tone.wav"),
+        "sizes": str(tmp_path / "sizes.json"),
+        "bad_fmt_wav": str(tmp_path / "bad_fmt.wav"),
+    }
     _write_wav(paths["wav"])
+    _write_wav_with_fmt_size(paths["bad_fmt_wav"], 18)
     (tmp_path / "sizes.json").write_text('{"a": 2}')
     for key, text in files.items():
         paths[key] = str(tmp_path / f"{key}.in")
@@ -454,6 +474,20 @@ def test_wav_ending_mid_sample_is_one_error_line(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: truncated WAV file: {path} (its data ends mid-sample)\n"
+
+
+@pytest.mark.parametrize("size", [17, 18, 32, 113])
+@pytest.mark.parametrize("command", ["melspec", "stream-sim"])
+def test_wav_with_a_wrong_fmt_chunk_size_is_one_error_line(command, size, tmp_path, capsys):
+    path = tmp_path / "bad_fmt.wav"
+    _write_wav_with_fmt_size(path, size)
+    assert main([command, "--wav", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: not a readable WAV file: {path} "
+        "(a chunk runs past the end of the RIFF chunk)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["melspec", "stream-sim"])

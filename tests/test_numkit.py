@@ -18,7 +18,14 @@ from omnipipe.numkit import (
     sigmoid_backward,
 )
 
-from oracles import gelu_backward_pow, gelu_pow, grad_check_loop, naive_matmul, sigmoid_masked
+from oracles import (
+    gelu_backward_pow,
+    gelu_pow,
+    grad_check_loop,
+    naive_matmul,
+    per_probe,
+    sigmoid_masked,
+)
 
 
 class TestTensor:
@@ -51,6 +58,26 @@ class TestMatmul:
         b = np.ones((2, 3))
         with pytest.raises(ShapeError, match=r"\(2, 3\)"):
             matmul(a, b)
+
+    def test_probe_axis_gives_each_probe_its_2d_product(self):
+        rng = np.random.default_rng(12)
+        a, a3 = rng.normal(size=(5, 4)), rng.normal(size=(3, 5, 4))
+        b, b3 = rng.normal(size=(4, 2)), rng.normal(size=(3, 4, 2))
+        for lhs, rhs in ((a, b3), (a3, b), (a3, b3)):
+            got = matmul(lhs, rhs)
+            assert got.shape == (3, 5, 2)
+            for k in range(3):
+                one = matmul(lhs[k] if lhs.ndim == 3 else lhs, rhs[k] if rhs.ndim == 3 else rhs)
+                assert got[k].tobytes() == one.tobytes()
+
+    def test_probe_axes_and_ranks_checked(self):
+        with pytest.raises(ShapeError, match="probe axes differ"):
+            matmul(np.ones((2, 3, 4)), np.ones((3, 4, 5)))
+        for bad in (np.ones(4), np.ones((1, 2, 4, 4))):
+            with pytest.raises(ShapeError, match="must be 2 or 3-dimensional"):
+                matmul(bad, np.ones((4, 2)))
+            with pytest.raises(ShapeError, match="must be 2 or 3-dimensional"):
+                matmul(np.ones((2, 4)), bad)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -150,7 +177,7 @@ class TestGradCheck:
     def test_quadratic(self):
         theta = np.array([3.0])
         report = grad_check(
-            lambda params: float(params["theta"][0] ** 2),
+            per_probe(lambda params: float(params["theta"][0] ** 2)),
             {"theta": theta},
             {"theta": np.array([2.0 * theta[0]])},
         )
@@ -167,16 +194,14 @@ class TestGradCheck:
 
         w = rng.normal(size=(3, 2))
         _, gw = matmul_backward(x, w, matmul(x, w))
-        report = grad_check(loss, {"w": w}, {"w": gw}, eps=1e-5, tol=1e-4)
+        report = grad_check(per_probe(loss), {"w": w}, {"w": gw}, eps=1e-5, tol=1e-4)
         assert report.passed
 
-    def test_vector_loss_rejected(self):
-        with pytest.raises(ContractError, match="scalar"):
-            grad_check(
-                lambda params: np.array([1.0, 2.0]),
-                {"a": np.array([1.0])},
-                {"a": np.array([0.0])},
-            )
+    def test_wrong_loss_shape_rejected(self):
+        # one entry makes two probe rows, so the loss must have shape (2,)
+        for value in (1.0, np.array([1.0, 2.0, 3.0]), np.ones((2, 1))):
+            with pytest.raises(ContractError, match=r"one value per probe row, shape \(2,\)"):
+                grad_check(lambda params: value, {"a": np.array([1.0])}, {"a": np.array([0.0])})
 
     def test_non_positive_eps_rejected(self):
         with pytest.raises(ContractError):
@@ -185,32 +210,43 @@ class TestGradCheck:
     def test_wrong_gradient_detected(self):
         theta = np.array([2.0])
         report = grad_check(
-            lambda params: float(params["theta"][0] ** 2),
+            per_probe(lambda params: float(params["theta"][0] ** 2)),
             {"theta": theta},
             {"theta": np.array([3.0 * theta[0]])},
         )
         assert not report.passed
 
     def test_loss_only_probes_two_per_entry(self):
-        calls = []
+        batches = []
 
         def loss(params):
-            calls.append({n: p.copy() for n, p in params.items()})
-            return float(sum(np.sum(p**2) for p in params.values()))
+            batches.append({n: p.copy() for n, p in params.items()})
+            return sum(np.sum(p**2, axis=tuple(range(1, p.ndim))) for p in params.values())
 
         params = {"w": np.array([[1.0, -2.0], [0.5, 3.0]]), "b": np.array([0.25, -1.5, 2.0])}
         before = {n: p.copy() for n, p in params.items()}
         grads = {n: 2.0 * p for n, p in params.items()}
         report = grad_check(loss, params, grads)
         assert report.passed
-        assert len(calls) == 2 * sum(p.size for p in params.values())
-        # each probe sees the same names and shapes and moves exactly one
-        # entry, and the caller's arrays are untouched
-        for probed in calls:
+        rows = [{n: batch[n][r] for n in batch} for batch in batches for r in range(len(batch["w"]))]
+        entries = sum(p.size for p in params.values())
+        assert len(rows) == 2 * entries
+        # each probe row sees the same names and shapes and moves exactly one
+        # entry by +eps or -eps (row 2j by +eps, row 2j + 1 by -eps), and the
+        # caller's arrays are untouched
+        theta = np.concatenate([p.reshape(-1) for p in before.values()])
+        moves = []
+        for probed in rows:
             assert [(n, p.shape) for n, p in probed.items()] == [
                 (n, p.shape) for n, p in before.items()
             ]
-            assert sum(int(np.sum(probed[n] != before[n])) for n in before) == 1
+            flat = np.concatenate([p.reshape(-1) for p in probed.values()])
+            (moved,) = np.nonzero(flat != theta)
+            assert moved.size == 1
+            j = int(moved[0])
+            assert flat[j] in (theta[j] + 1e-5, theta[j] - 1e-5)
+            moves.append((j, 1 if flat[j] > theta[j] else -1))
+        assert moves == [(j, sign) for j in range(entries) for sign in (1, -1)]
         assert all(np.array_equal(params[n], before[n]) for n in before)
 
     @pytest.mark.parametrize("loss_value", [np.inf, np.nan])
@@ -221,17 +257,34 @@ class TestGradCheck:
             return loss_value if p["b"][0] > 3.0 else float(np.sum(p["a"] ** 2))
 
         with pytest.raises(ContractError, match="entry 2 is not finite"):
-            grad_check(loss, params, {"a": 2.0 * params["a"], "b": np.zeros(1)})
+            grad_check(per_probe(loss), params, {"a": 2.0 * params["a"], "b": np.zeros(1)})
 
     def test_huge_eps_is_an_error_without_warnings(self):
         with np.errstate(all="raise"):  # a warning the check leaked would raise
             with pytest.raises(ContractError, match="entry 0 is not finite"):
                 grad_check(
-                    lambda p: float(np.sum(p["a"] ** 2)),
+                    per_probe(lambda p: float(np.sum(p["a"] ** 2))),
                     {"a": np.array([1.0])},
                     {"a": np.array([2.0])},
                     eps=1e300,
                 )
+
+    @pytest.mark.parametrize(
+        "theta, eps, entry",
+        # at 1.0, +2**-53 rounds back (a tie to even) while -2**-53 is exact
+        [([1.0, 2.0], 1e-320, 0), ([1.0, 1e20], 1e-5, 1), ([0.25, 1.0], 2.0**-53, 1)],
+    )
+    def test_a_probe_that_does_not_move_its_entry_is_an_error(self, theta, eps, entry):
+        # theta +- eps rounds back to theta: every finite difference there would
+        # be 0, and the check would report a wrong gradient, not a bad step
+        params = {"a": np.array(theta)}
+        with pytest.raises(ContractError, match=f"entry {entry} does not move it"):
+            grad_check(
+                per_probe(lambda p: float(np.sum(p["a"] ** 2))),
+                params,
+                {"a": 2.0 * params["a"]},
+                eps=eps,
+            )
 
     def test_non_finite_analytic_gradient_rejected(self):
         with pytest.raises(ContractError, match="non-finite"):
@@ -279,7 +332,7 @@ class TestGradCheck:
             n: weights[n] * np.cos(params[n]) + perturb * rng.normal(size=params[n].shape)
             for n in names
         }
-        report = grad_check(loss, params, grads, eps=1e-5, tol=1e-4)
+        report = grad_check(per_probe(loss), params, grads, eps=1e-5, tol=1e-4)
         oracle = grad_check_loop(
             lambda plist: loss(dict(zip(names, plist))),
             list(params.values()),
@@ -300,7 +353,7 @@ def _op_gradcheck(forward, backward_to_grads, param_shapes, seed):
 
     arrays = list(params.values())
     grads = backward_to_grads(arrays, forward(arrays))
-    return grad_check(loss, params, dict(zip(params, grads)), eps=1e-5, tol=1e-4)
+    return grad_check(per_probe(loss), params, dict(zip(params, grads)), eps=1e-5, tol=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import numkit, projectors
@@ -39,7 +39,7 @@ from omnipipe.projectors import (
     visual_project_backward,
 )
 
-from oracles import naive_conv1d, naive_pool2x2
+from oracles import grad_check_loop, naive_conv1d, naive_pool2x2, per_probe
 
 
 class TestConfigs:
@@ -164,7 +164,15 @@ class TestPool2x2:
             return 0.5 * float(np.sum(_pool(p["x"], idx) ** 2))
 
         g_x = _unpool(_pool(x, idx), idx, 25)
-        assert numkit.grad_check(loss, {"x": x}, {"x": g_x}).passed
+        assert numkit.grad_check(per_probe(loss), {"x": x}, {"x": g_x}).passed
+
+    def test_probe_axis_pools_each_probe(self):
+        idx = _table(5, 7)
+        tokens = np.random.default_rng(9).normal(size=(3, 35, 2))
+        pooled, windows = _pool(tokens, idx), _gather(tokens, idx)
+        for k in range(3):
+            assert pooled[k].tobytes() == _pool(tokens[k], idx).tobytes()
+            assert windows[k].tobytes() == _gather(tokens[k], idx).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -213,6 +221,56 @@ class TestGradients:
         assert conv_gmlp_shapes(cfg, projectors._CHECK_SEQ_LEN)["padded_len"] == 16
         report = check_gradients("conv_gmlp", seed=0, rate=8)
         assert report.passed, report
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        check=st.sampled_from(
+            [(v, 2) for v in VISUAL_VARIANTS] + [("conv_gmlp", r) for r in (1, 2, 4)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(check=("conv_gmlp", 8), seed=0)
+    @example(check=("conv_gmlp", 4), seed=1760409515)
+    def test_batched_check_equals_the_per_entry_loop(self, check, seed):
+        projector, rate = check
+        report = check_gradients(projector, seed=seed, rate=rate)
+        # the same check, one probe at a time through the unbatched forward
+        rng = np.random.default_rng(seed)
+        if projector == "conv_gmlp":
+            cfg = ConvGmlpConfig(
+                rate_n=rate,
+                llm_dim=projectors._CHECK_LLM_DIM,
+                in_channels=projectors._CHECK_CHANNELS,
+            )
+            params = _init(_conv_gmlp_specs(cfg), seed)
+            x = rng.normal(0.0, 1.0, (projectors._CHECK_SEQ_LEN, projectors._CHECK_CHANNELS))
+            forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
+        else:
+            cfg = VisualProjectorConfig(
+                projector, projectors._CHECK_IN_DIM, projectors._CHECK_LLM_DIM
+            )
+            params = _init(_visual_specs(cfg), seed)
+            x = rng.normal(0.0, 1.0, (cfg.input_tokens, projectors._CHECK_IN_DIM))
+            forward, backward = _visual_forward, _visual_backward
+        out, cache = forward(cfg, params, x)
+        grads, _ = backward(cfg, params, cache, out)
+        names = list(params)
+
+        def loss(plist):
+            out, _ = forward(cfg, dict(zip(names, plist)), x)
+            return 0.5 * float(np.sum(out**2))
+
+        oracle = grad_check_loop(
+            loss, list(params.values()), [grads[n] for n in names], eps=1e-5, tol=1e-4
+        )
+        assert (report.max_relative_error, report.worst_parameter_index, report.passed) == oracle
+
+    def test_known_failing_seed_keeps_its_error(self):
+        # the backward is right here; the central difference at eps=1e-5 is
+        # the noisy side, and the batched probes keep its digits
+        report = check_gradients("conv_gmlp", seed=1760409515, rate=4)
+        assert f"{report.max_relative_error:.4g}" == "0.0001566"
+        assert not report.passed
 
     def test_full_grid_variant_passes(self):
         # the default 27x27 grid ends in an odd column, a 2x2 window of its own
@@ -267,10 +325,13 @@ class TestGradients:
 
     def test_check_gradients_runs_backward_once(self, monkeypatch):
         calls = {"forward": 0, "backward": 0}
+        chunks = []  # probe rows of each forward that ran on a chunk of probes
 
         def counted(name, fn):
             def wrapper(*args):
                 calls[name] += 1
+                if args[1]["w_in"].ndim == 3:
+                    chunks.append(len(args[1]["w_in"]))
                 return fn(*args)
 
             return wrapper
@@ -280,7 +341,11 @@ class TestGradients:
         assert check_gradients("conv_gmlp", seed=0, rate=2).passed
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
         entries = init_conv_gmlp_params(cfg, 0).param_count
-        assert calls == {"forward": 1 + 2 * entries, "backward": 1}
+        assert calls == {"forward": 1 + len(chunks), "backward": 1}
+        # 2 rows per entry, in full chunks and then the rest
+        assert sum(chunks) == 2 * entries
+        assert chunks[0] > 2 and all(c == chunks[0] for c in chunks[:-1])
+        assert len(chunks) == -(-2 * entries // chunks[0])
 
     @pytest.mark.parametrize("variant", ["mlp", "c_abs", "concat", "mean_pool", "conv_gmlp"])
     def test_public_backward_runs_the_forward_once(self, variant, monkeypatch):
@@ -352,7 +417,7 @@ class TestGradients:
 
         x0 = Tensor(np.random.default_rng(6).normal(size=(10, 4)))
         _, g_x = conv_gmlp_backward(cfg, params, x0, conv_gmlp_forward(cfg, params, x0))
-        assert grad_check(loss, {"x": x0.array}, {"x": g_x.array}).passed
+        assert grad_check(per_probe(loss), {"x": x0.array}, {"x": g_x.array}).passed
 
 
 def _public_calls(projector):
