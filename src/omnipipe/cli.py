@@ -11,9 +11,11 @@ configuration instead of running.
 
 All outside input passes one type rule (``fileio.json_value``): int takes an
 integral number in the signed 64-bit range, float a finite number, str a
-string. Argparse applies it to argv values, and resolve_config to --config
-values. The JSONL and CSV readers apply it to every declared field and name
-FILE:LINE on failure.
+string. Argparse applies it to argv values, resolve_config to --config values
+and the ``_Input`` readers (json, jsonl, csv) to every declared field of the
+typed records they yield, one at a time, to their consumers. An error raised
+inside ``with _Input(path)`` while a record is in use, by the reader or by
+the record's consumer, names FILE:LINE; any other names FILE.
 
 Exit codes: 0 success, 1 contract error (one ``error:`` line on stderr), 2
 usage error (argparse). All outputs are deterministic for a fixed
@@ -41,15 +43,6 @@ def _jsonl(records) -> str:
 # typed input readers
 # ---------------------------------------------------------------------------
 
-def _load_json(path: str):
-    """One JSON document from a file (configs, sizes, frame plans)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
-
-
 _REQUIRED = object()
 
 
@@ -64,65 +57,84 @@ def _field(obj: dict, name: str, type_, default=_REQUIRED):
         raise FormatError(f"field {name!r} {exc}") from None
 
 
-def _read_jsonl(path: str, fields: dict, row=lambda *values: values) -> list:
-    """One ``row(*values)`` per non-blank line of a JSON-lines file, with the
-    values in ``fields`` order (a tuple by default).
+class _Input:
+    """One input file. Its readers set ``line`` to the line of the record in
+    use and back to None once done; leaving ``with`` re-raises a ContractError
+    as ``PATH:LINE: ...`` or ``PATH: ...`` by it. OSError passes unchanged."""
 
-    ``fields`` maps a name to its type, or to ``(type, default)`` when the
-    field may be absent. A line that is not a JSON object, lacks a required
-    field, holds a value of the wrong type or that ``row`` rejects with a
-    ContractError raises FormatError naming PATH:LINE.
-    """
-    specs = [(n, *(s if isinstance(s, tuple) else (s, _REQUIRED))) for n, s in fields.items()]
-    rows = []
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, 1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise FormatError("expected a JSON object")
-                rows.append(row(*[_field(obj, n, t, d) for n, t, d in specs]))
-            except ContractError as exc:
-                raise FormatError(f"{path}:{line_no}: {exc}") from None
-            except (ValueError, RecursionError) as exc:
-                raise FormatError(f"{path}:{line_no}: invalid JSON ({exc})") from None
-    return rows
+    def __init__(self, path: str):
+        self.path, self.line = path, None
 
+    def __enter__(self):
+        return self
 
-def _read_csv(path: str, fields: dict, key: int) -> list[tuple]:
-    """One tuple per non-empty row of a CSV file whose header starts with
-    the names in ``fields`` (name -> type); each cell is parsed with its type
-    and checked by the type rule. The first ``key`` cells of a row are its
-    key, which no two rows may share. Errors name PATH:LINE."""
-    types = list(fields.values())
-    key_names = ",".join(list(fields)[:key])
-    rows = []
-    first_line: dict[tuple, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ContractError):
+            where = self.path if self.line is None else f"{self.path}:{self.line}"
+            raise type(exc)(f"{where}: {exc}") from None
+
+    def json(self):
+        """One JSON document (configs, sizes, frame plans)."""
         try:
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[: len(types)]] != list(fields):
-                raise FormatError(f'header must start with "{",".join(fields)}"')
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < len(types):
-                    raise FormatError(f"expected {len(types)} columns, got {len(row)}")
-                rows.append(tuple([json_value(t(cell), t) for t, cell in zip(types, row)]))
-                k = rows[-1][:key]
-                if k in first_line:
-                    raise FormatError(
-                        f"duplicate {key_names} {','.join(map(str, k))!r}, "
-                        f"first on line {first_line[k]}"
-                    )
-                first_line[k] = reader.line_num
-        except (csv.Error, ValueError) as exc:
-            raise FormatError(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
-    return rows
+            with open(self.path, encoding="utf-8") as handle:
+                return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"invalid JSON ({exc})") from None
+
+    def jsonl(self, fields: dict):
+        """One tuple per non-blank line, its values in ``fields`` order;
+        ``fields`` maps a name to its type, or to ``(type, default)`` for a
+        field that may be absent. Each line holds a JSON object."""
+        specs = [(n, *(s if isinstance(s, tuple) else (s, _REQUIRED))) for n, s in fields.items()]
+        with open(self.path, "rb") as handle:
+            for self.line, raw in enumerate(handle, 1):
+                try:
+                    text = raw.decode("utf-8")
+                    if not text.strip():
+                        continue
+                    obj = json.loads(text)
+                    if not isinstance(obj, dict):
+                        raise FormatError("expected a JSON object")
+                    record = tuple([_field(obj, n, t, d) for n, t, d in specs])
+                except ContractError:
+                    raise
+                except (ValueError, RecursionError) as exc:
+                    raise FormatError(f"invalid JSON ({exc})") from None
+                yield record
+        self.line = None
+
+    def csv(self, fields: dict, key: int):
+        """One tuple per non-empty row under a header that starts with the
+        names in ``fields`` (name -> type), each cell parsed with its type.
+        The first ``key`` cells are the row's key, which no two rows share;
+        a row's line is the last line it spans."""
+        types = list(fields.values())
+        key_names = ",".join(list(fields)[:key])
+        first_line: dict[tuple, int] = {}
+        with open(self.path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header[: len(types)]] != list(fields):
+                    raise FormatError(f'header must start with "{",".join(fields)}"')
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) < len(types):
+                        raise FormatError(f"expected {len(types)} columns, got {len(row)}")
+                    record = tuple([json_value(t(cell), t) for t, cell in zip(types, row)])
+                    k = record[:key]
+                    if k in first_line:
+                        raise FormatError(
+                            f"duplicate {key_names} {','.join(map(str, k))!r}, "
+                            f"first on line {first_line[k]}"
+                        )
+                    self.line = first_line[k] = reader.line_num
+                    yield record
+            except (csv.Error, ValueError) as exc:
+                self.line = max(reader.line_num, 1)
+                raise FormatError(str(exc)) from None
+        self.line = None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +209,8 @@ def run_ablate_rates(cfg: dict) -> tuple[str, int]:
 
 
 def run_pack(cfg: dict) -> tuple[str, int]:
-    rows = _read_jsonl(cfg["manifest"], {"id": object, "len": int})
+    with _Input(cfg["manifest"]) as f:
+        rows = list(f.jsonl({"id": object, "len": int}))
     batch = packing.pack([n for _, n in rows], cfg["capacity"], cfg["policy"])
     payload = batch.to_json()
     for bin_obj in payload["bins"]:
@@ -211,29 +224,15 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
     if cfg["frame_plan"] and not cfg["wav"]:
         raise ContractError("--frame-plan needs --wav")
     if cfg["events"]:
-        # step runs inside the reader, so a protocol error names its line
-        state, entries = stream.SchedulerState(), []
-
-        def replay(t, kind, tokens):
-            nonlocal state
-            state, new = stream.step(state, stream.StreamEvent(t, kind, tokens))
-            entries.extend(new)
-
-        _read_jsonl(cfg["events"], {"t": int, "kind": str, "tokens": (int, 0)}, replay)
-        if state.audio_buffer_tokens is not None:
-            raise FormatError(
-                f"{cfg['events']}: event trace ends inside an unterminated audio segment"
-            )
-        trace = stream.InjectionTrace(tuple(entries))
+        with _Input(cfg["events"]) as f:
+            records = f.jsonl({"t": int, "kind": str, "tokens": (int, 0)})
+            trace = stream.run(stream.StreamEvent(*r) for r in records)
     else:
         spec = modality.melspec(modality.load_wav(cfg["wav"]))
         plan = None
         if cfg["frame_plan"]:
-            plan_json = _load_json(cfg["frame_plan"])
-            try:
-                plan = modality.FramePlan.from_json(plan_json)
-            except ContractError as exc:
-                raise FormatError(f"{cfg['frame_plan']}: {exc}") from None
+            with _Input(cfg["frame_plan"]) as f:
+                plan = modality.FramePlan.from_json(f.json())
         vad_cfg = stream.VadConfig(
             threshold_db=cfg["threshold_db"],
             hangover_frames=cfg["hangover"],
@@ -245,32 +244,25 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
 
 
 def run_filter_loss(cfg: dict) -> tuple[str, int]:
-    losses = dict(_read_csv(cfg["losses"], {"id": str, "loss": float}, key=1))
-    try:
-        report = curation.gaussian_filter(losses)
-    except ContractError as exc:
-        raise ContractError(f"{cfg['losses']}: {exc}") from None
+    with _Input(cfg["losses"]) as f:
+        report = curation.gaussian_filter(dict(f.csv({"id": str, "loss": float}, key=1)))
     return json.dumps(report.to_json(), sort_keys=True) + "\n", 0
 
 
 def run_split_crossmodal(cfg: dict) -> tuple[str, int]:
-    samples = _read_jsonl(cfg["input"], {"text": str}, curation.split_one_three)
+    with _Input(cfg["input"]) as f:
+        samples = [curation.split_one_three(text) for text, in f.jsonl({"text": str})]
     samples = curation.assign_timbres(samples, cfg["seed"])
     return _jsonl(s.to_json() for s in samples), 0
 
 
 def run_mix(cfg: dict) -> tuple[str, int]:
-    sizes = _load_json(cfg["sizes"])
-    if not isinstance(sizes, dict):
-        raise FormatError(f"{cfg['sizes']}: must be a JSON object of name -> size")
-    try:
+    with _Input(cfg["sizes"]) as f:
+        sizes = f.json()
+        if not isinstance(sizes, dict):
+            raise FormatError("must be a JSON object of name -> size")
         sizes = {name: _field(sizes, name, int) for name in sizes}
-    except FormatError as exc:
-        raise FormatError(f"{cfg['sizes']}: {exc}") from None
-    try:
         plan = curation.mix_plan(sizes, cfg["budget"], cfg["seed"])
-    except ContractError as exc:
-        raise ContractError(f"{cfg['sizes']}: {exc}") from None
     return json.dumps(plan.to_json(), sort_keys=True) + "\n", 0
 
 
@@ -280,9 +272,10 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
         "cer": evalkit.cer,
         "bleu": lambda ref, hyp: evalkit.bleu([ref], hyp),
     }[cfg["metric"]]
-    results = _read_jsonl(cfg["pairs"], {"ref": str, "hyp": str}, metric)
-    if not results:
-        raise FormatError(f"{cfg['pairs']}: no ref/hyp pairs")
+    with _Input(cfg["pairs"]) as f:
+        results = [metric(ref, hyp) for ref, hyp in f.jsonl({"ref": str, "hyp": str})]
+        if not results:
+            raise FormatError("no ref/hyp pairs")
     lines = [r.to_json() for r in results]
     if cfg["metric"] in ("wer", "cer"):
         errors = sum(
@@ -301,12 +294,10 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
 
 
 def run_normalize_scores(cfg: dict) -> tuple[str, int]:
-    rows = _read_csv(cfg["scores"], {"model": str, "benchmark": str, "raw": float}, key=2)
-    table = evalkit.ScoreTable.from_rows(rows)
-    try:
+    with _Input(cfg["scores"]) as f:
+        rows = f.csv({"model": str, "benchmark": str, "raw": float}, key=2)
+        table = evalkit.ScoreTable.from_rows(rows)
         return evalkit.render_report(table, cfg["format"]), 0
-    except ContractError as exc:
-        raise ContractError(f"{cfg['scores']}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +447,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     flags = _COMMANDS[args.command]["flags"]
     cfg = {name: flag["default"] for name, flag in flags.items()}
     if args.config:
-        file_cfg = _load_json(args.config)
-        if not isinstance(file_cfg, dict):
-            raise FormatError(f"{args.config}: config file must hold a JSON object")
-        for key in file_cfg:
-            if key not in flags:
-                raise ContractError(
-                    f"{args.config}: config key {key!r} is not a flag of {args.command!r}"
-                )
-            flag = flags[key]
-            try:
+        with _Input(args.config) as f:
+            file_cfg = f.json()
+            if not isinstance(file_cfg, dict):
+                raise FormatError("config file must hold a JSON object")
+            for key in file_cfg:
+                if key not in flags:
+                    raise ContractError(f"config key {key!r} is not a flag of {args.command!r}")
+                flag = flags[key]
                 cfg[key] = _field(file_cfg, key, flag["type"])
-            except FormatError as exc:
-                raise FormatError(f"{args.config}: {exc}") from None
-            if flag["choices"] and cfg[key] not in flag["choices"]:
-                raise ContractError(
-                    f"{args.config}: field {key!r} must be one of {flag['choices']}, "
-                    f"got {cfg[key]!r}"
-                )
+                if flag["choices"] and cfg[key] not in flag["choices"]:
+                    raise ContractError(
+                        f"field {key!r} must be one of {flag['choices']}, got {cfg[key]!r}"
+                    )
     for key in cfg:
         value = getattr(args, key)
         if value is not None:

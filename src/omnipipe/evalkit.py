@@ -13,6 +13,7 @@ import json
 import math
 import string
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,7 @@ class ScoreTable:
         }
 
     @classmethod
-    def from_rows(cls, rows: list[tuple[str, str, float]]) -> "ScoreTable":
+    def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "ScoreTable":
         scores: dict = {}
         for model, benchmark, value in rows:
             row = scores.setdefault(model, {})

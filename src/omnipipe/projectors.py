@@ -525,6 +525,14 @@ def toy_fit(
         raise ContractError(f"seq_len must be >= 1, got {seq_len}")
     if lr < 0:
         raise ContractError(f"lr must be >= 0, got {lr}")
+    # numpy cannot describe a float64 array of more than intp-max bytes; the
+    # gate layer holds twice the entries of the padded input's block layout
+    gate = (-(-seq_len // cfg.rate_n), 2 * cfg.hidden_channels)
+    shapes = [("input", (seq_len, cfg.in_channels)), ("target map", (cfg.in_channels, cfg.llm_dim)),
+              ("gate layer", gate), *[spec[:2] for spec in _conv_gmlp_specs(cfg)]]
+    for name, shape in shapes:
+        if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+            raise ContractError(f"toy fit {name} of shape {shape} is too large to address")
     rng = _rng(seed)
     x = rng.normal(0.0, _TOY_INPUT_SCALE, (seq_len, cfg.in_channels))
     w_target = rng.normal(0.0, 1.0, (cfg.in_channels, cfg.llm_dim))

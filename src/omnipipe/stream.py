@@ -8,13 +8,15 @@ energy VAD, a trace file, or a test harness.
 
 The scheduler's state is its audio buffer (None while no segment is open) and
 the last timestamp. ``step`` applies one event for a caller fed one at a time,
-``run`` folds it over a list, and the VAD binding takes rates 1, 2, 4 or 8.
+``run`` folds it over any iterable of events, and the VAD binding takes
+rates 1, 2, 4 or 8.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ContractError, ProtocolError
@@ -104,8 +106,8 @@ def step(state: SchedulerState, event: StreamEvent) -> tuple[SchedulerState, lis
     return SchedulerState(None, ts), [TraceEntry(ts, "audio", buffered, True)]
 
 
-def run(events: list[StreamEvent]) -> InjectionTrace:
-    """Fold step over a time-ordered event list; must end outside audio."""
+def run(events: Iterable[StreamEvent]) -> InjectionTrace:
+    """Fold step over any iterable of time-ordered events; must end outside audio."""
     state = SchedulerState()
     entries: list[TraceEntry] = []
     for event in events:

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from omnipipe import stream
+from omnipipe import evalkit, stream
+from omnipipe.errors import ContractError, ProtocolError
 from omnipipe.cli import _COMMANDS, build_parser, main
 
 SUBCOMMANDS = [
@@ -234,6 +235,21 @@ class TestSubcommandBehaviour:
         assert report["kept"] == ["b", "c", "d"]
         assert report["mu"] == 3.0
 
+    @pytest.mark.parametrize("losses, mu, sigma", [
+        ("1e200\n-1e200\n0", 0.0, 8.16496580927726e199),
+        ("1\n1e308\n1e308", 6.666666666666666e307, 4.714045207910317e307),
+    ], ids=["spread", "widest"])
+    def test_filter_loss_statistics_of_huge_losses(self, tmp_path, capsys, losses, mu, sigma):
+        path = tmp_path / "losses.csv"
+        path.write_text("id,loss\n" + "".join(
+            f"{k},{v}\n" for k, v in zip("abc", losses.split())))
+        assert main(["filter-loss", "--losses", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["mu"] == mu
+        assert report["sigma"] == pytest.approx(sigma, rel=1e-15)
+
     def test_split_crossmodal(self, tmp_path, capsys):
         texts = tmp_path / "texts.jsonl"
         texts.write_text(json.dumps({"text": "one two three four five six"}) + "\n")
@@ -340,13 +356,18 @@ MALFORMED = {
         ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates negative lr": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--lr", "-1"], {}, 1, None),
-    # sizes whose first allocation (hundreds of PiB) fails at once
+    # sizes past memory fail at their first allocation (hundreds of PiB);
+    # sizes past what numpy can address fail before it
     "ablate-rates length past memory": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--length", str(10**15)], {}, 1, None),
     "ablate-rates channels past memory": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--channels", str(10**15)], {}, 1, None),
     "ablate-rates llm-dim past memory": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--llm-dim", str(10**15)], {}, 1, None),
+    "ablate-rates length past addressable memory": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--length", str(10**17)], {}, 1, None),
+    "ablate-rates channels past addressable memory": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--channels", str(2**63 - 1)], {}, 1, None),
     "stream-sim event t not a number": (
         ["stream-sim", "--events", "{e}"], {"e": '{"t": "x", "kind": "text"}\n'}, 1, 1),
     "stream-sim event tokens not integral": (
@@ -387,8 +408,6 @@ MALFORMED = {
         {"p": '{"frames": "ab", "per_frame_tokens": 182}'}, 1, None),
     "filter-loss loss not finite": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
-    "filter-loss statistics overflow": (
-        ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1e200\nb,-1e200\nc,0\n"}, 1, None),
     "filter-loss duplicate id": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,2\na,100\nc,3\n"}, 1, 4),
     "split-crossmodal text not a string": (
@@ -531,6 +550,134 @@ def test_pack_len_is_an_integer_or_an_error(tmp_path, capsys, value):
         assert len(captured.err.splitlines()) == 1
     else:
         assert (code, captured) == run(expected)
+
+
+@st.composite
+def _event_lines(draw):
+    """Lines of an event trace: events (t mostly growing), blank lines,
+    malformed lines and values of the wrong type, in any order."""
+    lines, t = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["event"] * 6 + ["no tokens", "blank", "malformed", "bad type"]))
+        t += draw(st.integers(-5, 40))
+        kind = draw(st.sampled_from(stream.EVENT_KINDS + ("bogus",)))
+        tokens = draw(st.sampled_from([0, 0, 0, 3, 17, -1]))
+        lines.append({
+            "event": lambda: json.dumps({"t": t, "kind": kind, "tokens": tokens}),
+            "no tokens": lambda: json.dumps({"kind": kind, "t": t}),
+            "blank": lambda: draw(st.sampled_from(["", "  ", "\t"])),
+            "malformed": lambda: draw(st.sampled_from(["{", "[1, 2]", '{"t": 1,', "null"])),
+            "bad type": lambda: json.dumps(
+                {"t": draw(st.sampled_from([t, "5", 1.5, True, None])),
+                 "kind": draw(st.sampled_from([kind, 3, None])),
+                 "tokens": draw(st.sampled_from([tokens, "2", 0.5, False]))}),
+        }[shape]())
+    return lines
+
+
+def _replay_events(lines):
+    """The first line a line-by-line ``stream.step`` replay rejects (None if
+    none) and the events before it."""
+    state, events = stream.SchedulerState(), []
+    for n, text in enumerate(lines, 1):
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            return n, events
+        if not (isinstance(obj, dict) and type(obj.get("t")) is int
+                and type(obj.get("kind")) is str and type(obj.get("tokens", 0)) is int):
+            return n, events
+        try:
+            event = stream.StreamEvent(obj["t"], obj["kind"], obj.get("tokens", 0))
+            state, _ = stream.step(state, event)
+        except ContractError:
+            return n, events
+        events.append(event)
+    return None, events
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_event_lines())
+@example(['{"t": 0, "kind": "audio_start"}', "", '{"t": 4, "kind": "image", "tokens": 9}',
+          '{"t": 5, "kind": "audio_frame", "tokens": 2}', '{"t": 5, "kind": "audio_end"}'])
+@example(['{"t": 0, "kind": "text", "tokens": 1}', '{"t": 3, "kind": "audio_start"}', " "])
+def test_stream_sim_names_the_first_line_a_replay_rejects(tmp_path, capsys, lines):
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    code = main(["stream-sim", "--events", str(path)])
+    captured = capsys.readouterr()
+    bad_line, events = _replay_events(lines)
+    if bad_line is not None:
+        assert (code, captured.out, len(captured.err.splitlines())) == (1, "", 1)
+        assert captured.err.startswith(f"error: {path}:{bad_line}: ")
+        return
+    try:
+        trace = stream.run(events)
+    except ProtocolError:
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            f"error: {path}: event trace ends inside an unterminated audio segment\n")
+        return
+    assert (code, captured.err, captured.out) == (0, "", trace.to_jsonl())
+
+
+@st.composite
+def _pair_lines(draw):
+    """Lines of a pairs file: pairs whose reference a metric may reject,
+    blank lines, malformed lines and values of the wrong type."""
+    texts = st.sampled_from(["", " ", "a", "a b", "b c d", "Hello, world."])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["pair"] * 4 + ["blank", "malformed", "bad type"]))
+        lines.append({
+            "pair": lambda: json.dumps({"ref": draw(texts), "hyp": draw(texts)}),
+            "blank": lambda: "",
+            "malformed": lambda: '{"ref": "a"',
+            "bad type": lambda: json.dumps({"ref": draw(st.sampled_from([1, None])), "hyp": "a"}),
+        }[shape]())
+    return lines
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_pair_lines(), st.sampled_from(["wer", "cer"]))
+def test_metrics_names_the_first_line_its_reader_or_metric_rejects(tmp_path, capsys, lines,
+                                                                    metric):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    code = main(["metrics", "--metric", metric, "--pairs", str(path)])
+    captured = capsys.readouterr()
+    bad_line, pairs = _replay_pairs(lines, metric)
+    if bad_line is not None:
+        assert (code, captured.out, len(captured.err.splitlines())) == (1, "", 1)
+        assert captured.err.startswith(f"error: {path}:{bad_line}: ")
+    elif pairs == 0:
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {path}: no ref/hyp pairs\n"
+    else:
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out.splitlines()[-1])["aggregate"]["pairs"] == pairs
+
+
+def _replay_pairs(lines, metric):
+    """The first line a line-by-line replay of the metric rejects (None if
+    none) and the number of pairs before it."""
+    pairs = 0
+    for n, text in enumerate(lines, 1):
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+            if not (isinstance(obj, dict) and all(type(obj.get(k)) is str for k in ("ref", "hyp"))):
+                return n, pairs
+            getattr(evalkit, metric)(obj["ref"], obj["hyp"])
+        except ValueError:  # invalid JSON, or the metric's ContractError
+            return n, pairs
+        pairs += 1
+    return None, pairs
 
 
 INT_FLAGS = [

@@ -45,13 +45,34 @@ class TestGaussianFilter:
         with pytest.raises(ContractError):
             gaussian_filter({"a": 1.0, "b": float("nan")})
 
-    @pytest.mark.parametrize("losses", [[1e200, -1e200, 0.0], [1e308, 1e308], [-1e308, -1e308]])
-    def test_overflowing_statistics_rejected_without_a_warning(self, losses):
-        # sigma overflows in the first case, mu in the other two
+    def test_overflowing_sums_give_the_true_statistics(self):
+        # the plain sum of squares overflows in the first case, the plain sum
+        # in the other three; no numpy warning escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ContractError, match="loss statistics overflow"):
-                gaussian_filter(dict(enumerate(losses)))
+            spread = gaussian_filter(dict(enumerate([1e200, -1e200, 0.0])))
+            assert spread.mu == 0.0
+            assert spread.sigma == pytest.approx(math.sqrt(2 / 3) * 1e200, rel=1e-15)
+            assert (spread.kept_ids, spread.removed_low_ids, spread.removed_high_ids) == (
+                (2,), (1,), (0,))
+            for value in (1e308, -1e308):
+                equal = gaussian_filter(dict(enumerate([value, value])))
+                assert (equal.mu, equal.sigma, equal.kept_ids) == (value, 0.0, (0, 1))
+            widest = gaussian_filter(dict(enumerate([1.0, 1e308, 1e308])))
+            assert widest.mu == pytest.approx(1e308 / 3 * 2, rel=1e-15)
+            assert widest.sigma == pytest.approx(math.sqrt(2) / 3 * 1e308, rel=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6).map(float), min_size=2, max_size=30),
+           st.integers(600, 1000))
+    def test_power_of_two_scaling_is_exact_past_the_overflow(self, losses, exp):
+        # past 2**512 the plain sum of squares overflows; the statistics are
+        # the unscaled ones, scaled exactly
+        plain = gaussian_filter(dict(enumerate(losses)))
+        scaled = gaussian_filter({k: math.ldexp(v, exp) for k, v in enumerate(losses)})
+        assert scaled.mu == math.ldexp(plain.mu, exp)
+        assert scaled.sigma == math.ldexp(plain.sigma, exp)
+        assert scaled.kept_ids == plain.kept_ids
 
     def test_boundary_values_kept(self):
         # losses 0,0,2,2 -> mu=1, sigma=1; all values sit on mu +/- sigma

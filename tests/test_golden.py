@@ -30,6 +30,7 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -350,19 +351,13 @@ def run_case(root: Path, shared: dict[str, str], name: str, argv: list[str],
         Path(paths[key]).write_bytes(data)
     argv = [a.format(**paths) for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    # argparse wraps help and usage text to the terminal's width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out = Path(paths["out"])
     parts = [str(code).encode(),
              stdout.getvalue().replace(str(root), "<TMP>").encode("utf-8", "surrogatepass"),

@@ -570,6 +570,24 @@ class TestToyFit:
         with pytest.raises(DivergenceError, match="non-finite loss at step 0$"):
             toy_fit(cfg, steps=3, lr=1e308, seed=0, seq_len=16)
 
+    @pytest.mark.parametrize("channels, llm_dim, seq_len, name", [
+        (32, 16, 10**17, "input"),
+        (2**63 - 1, 16, 128, "input"),
+        (32, 2**63 - 1, 128, "target map"),
+        (10**15, 16, 128, "w_in"),
+        (2**40, 16, 1, "w_in"),
+    ])
+    def test_unaddressable_sizes_rejected_before_allocating(
+        self, monkeypatch, channels, llm_dim, seq_len, name
+    ):
+        def no_draws(seed):
+            raise AssertionError("toy_fit drew arrays")
+
+        monkeypatch.setattr(projectors, "_rng", no_draws)
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=llm_dim, in_channels=channels)
+        with pytest.raises(ContractError, match=f"^toy fit {name} of shape .* too large to address$"):
+            toy_fit(cfg, steps=1, lr=1e-3, seed=0, seq_len=seq_len)
+
 
 class TestAblateRates:
     def test_three_rates(self):
