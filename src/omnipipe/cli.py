@@ -143,50 +143,46 @@ class _Input:
 
 def run_tile(cfg: dict) -> tuple[str, int]:
     plan = modality.plan_tiles(cfg["width"], cfg["height"], cfg["max_tiles"])
-    return json.dumps(plan.to_json(), sort_keys=True) + "\n", 0
+    return _jsonl([plan.to_json()]), 0
 
 
 def run_frames(cfg: dict) -> tuple[str, int]:
     tokens = modality.frame_tokens(cfg["frame_width"], cfg["frame_height"])
     plan = modality.plan_frames(cfg["duration"], cfg["source_frames"], tokens)
-    return json.dumps(plan.to_json(), sort_keys=True) + "\n", 0
+    return _jsonl([plan.to_json()]), 0
 
 
 def run_melspec(cfg: dict) -> tuple[str, int]:
     spec = modality.melspec(modality.load_wav(cfg["wav"]))
     if cfg["out"]:
-        atomic_write(cfg["out"], json.dumps(spec.data.to_json(), sort_keys=True) + "\n")
+        atomic_write(cfg["out"], _jsonl([spec.data.to_json()]))
     summary = {
         "frames": spec.frames,
         "bins": spec.bins,
         "min": float(spec.data.array.min()),
         "max": float(spec.data.array.max()),
     }
-    return json.dumps(summary, sort_keys=True) + "\n", 0
+    return _jsonl([summary]), 0
 
 
 def run_gradcheck(cfg: dict) -> tuple[str, int]:
     if cfg["seeds"] < 1:
         raise ContractError(f"--seeds must be >= 1, got {cfg['seeds']}")
-    worst = 0.0
-    for i in range(cfg["seeds"]):
-        report = projectors.check_gradients(
-            cfg["projector"],
-            seed=cfg["seed"] + i,
-            eps=cfg["eps"],
-            tol=cfg["tol"],
-            rate=cfg["rate"],
+    reports = [
+        projectors.check_gradients(
+            cfg["projector"], seed=cfg["seed"] + i, eps=cfg["eps"], tol=cfg["tol"], rate=cfg["rate"]
         )
-        worst = max(worst, report.max_relative_error)
-    passed = worst < cfg["tol"]
+        for i in range(cfg["seeds"])
+    ]
+    passed = all(r.passed for r in reports)
     payload = {
         "projector": cfg["projector"],
         "rate": cfg["rate"] if cfg["projector"] == "conv_gmlp" else None,
         "seeds": cfg["seeds"],
-        "max_relative_error": worst,
+        "max_relative_error": max(r.max_relative_error for r in reports),
         "passed": passed,
     }
-    return json.dumps(payload, sort_keys=True) + "\n", 0 if passed else 1
+    return _jsonl([payload]), 0 if passed else 1
 
 
 def run_ablate_rates(cfg: dict) -> tuple[str, int]:
@@ -215,7 +211,7 @@ def run_pack(cfg: dict) -> tuple[str, int]:
     payload = batch.to_json()
     for bin_obj in payload["bins"]:
         bin_obj["samples"] = [rows[i][0] for i in bin_obj["samples"]]
-    return json.dumps(payload, sort_keys=True) + "\n", 0
+    return _jsonl([payload]), 0
 
 
 def run_stream_sim(cfg: dict) -> tuple[str, int]:
@@ -240,13 +236,13 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
             mel_frames_per_chunk=cfg["chunk_frames"],
         )
         trace = stream.run(stream.events_from_media(spec, vad_cfg, plan))
-    return trace.to_jsonl(), 0
+    return _jsonl(e.to_json() for e in trace.entries), 0
 
 
 def run_filter_loss(cfg: dict) -> tuple[str, int]:
     with _Input(cfg["losses"]) as f:
         report = curation.gaussian_filter(dict(f.csv({"id": str, "loss": float}, key=1)))
-    return json.dumps(report.to_json(), sort_keys=True) + "\n", 0
+    return _jsonl([report.to_json()]), 0
 
 
 def run_split_crossmodal(cfg: dict) -> tuple[str, int]:
@@ -263,14 +259,14 @@ def run_mix(cfg: dict) -> tuple[str, int]:
             raise FormatError("must be a JSON object of name -> size")
         sizes = {name: _field(sizes, name, int) for name in sizes}
         plan = curation.mix_plan(sizes, cfg["budget"], cfg["seed"])
-    return json.dumps(plan.to_json(), sort_keys=True) + "\n", 0
+    return _jsonl([plan.to_json()]), 0
 
 
 def run_metrics(cfg: dict) -> tuple[str, int]:
     metric = {
         "wer": evalkit.wer,
         "cer": evalkit.cer,
-        "bleu": lambda ref, hyp: evalkit.bleu([ref], hyp),
+        "bleu": evalkit.bleu,
     }[cfg["metric"]]
     with _Input(cfg["pairs"]) as f:
         results = [metric(ref, hyp) for ref, hyp in f.jsonl({"ref": str, "hyp": str})]
@@ -483,7 +479,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         if args.dump_config:
-            print(json.dumps({"command": args.command, **cfg}, sort_keys=True))
+            sys.stdout.write(_jsonl([{"command": args.command, **cfg}]))
             return 0
         payload, code = spec["runner"](cfg)
         if cfg["out"] and not spec["writes_out"]:

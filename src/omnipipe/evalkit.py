@@ -2,9 +2,10 @@
 
 Word and character error rates via Levenshtein alignment with full edit
 counts (the cost matrix filled one vectorised row at a time, then one
-backtrace), BLEU with modified n-gram precision and brevity penalty, the radar
-normalization x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per
-benchmark column, and deterministic CSV/JSON report rendering.
+backtrace), sentence BLEU-4 against one reference with modified n-gram
+precision and brevity penalty, the radar normalization
+x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
+column, and deterministic CSV/JSON report rendering.
 """
 
 from __future__ import annotations
@@ -114,28 +115,18 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(references: list[str], hypothesis: str) -> MetricResult:
-    """Sentence BLEU-4: modified n-gram precision for n = 1..4, geometric
-    mean, brevity penalty. Any zero precision, including an order the
-    hypothesis is too short for, zeroes the score."""
-    if not references:
-        raise ContractError("at least one reference is required")
-    hyp = hypothesis.split()
-    refs = [r.split() for r in references]
-    counts: dict = {"hyp_length": len(hyp)}
+def bleu(reference: str, hypothesis: str) -> MetricResult:
+    """Sentence BLEU-4 against one reference: modified n-gram precision for
+    n = 1..4, geometric mean, brevity penalty. Any zero precision, including
+    an order the hypothesis is too short for, zeroes the score."""
+    hyp, ref = hypothesis.split(), reference.split()
+    counts: dict = {"hyp_length": len(hyp), "ref_length": len(ref)}
     if not hyp:
-        counts["ref_length"] = min(len(r) for r in refs)
         return MetricResult(metric="bleu", value=0.0, counts=counts)
-    ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
-    counts["ref_length"] = ref_len
     precisions: list[float] = []
     for n in range(1, BLEU_MAX_N + 1):
-        hyp_ngrams = _ngram_counts(hyp, n)
-        best = Counter()
-        for r in refs:
-            for gram, c in _ngram_counts(r, n).items():
-                best[gram] = max(best[gram], c)
-        clipped = sum(min(c, best[gram]) for gram, c in hyp_ngrams.items())
+        hyp_ngrams, ref_ngrams = _ngram_counts(hyp, n), _ngram_counts(ref, n)
+        clipped = sum(min(c, ref_ngrams[gram]) for gram, c in hyp_ngrams.items())
         total = sum(hyp_ngrams.values())
         counts[f"matches_{n}"] = clipped
         counts[f"total_{n}"] = total
@@ -143,9 +134,8 @@ def bleu(references: list[str], hypothesis: str) -> MetricResult:
     if 0.0 in precisions:
         return MetricResult(metric="bleu", value=0.0, counts=counts)
     log_sum = sum(math.log(p) for p in precisions) / BLEU_MAX_N
-    bp = 1.0 if len(hyp) > ref_len else math.exp(1.0 - ref_len / len(hyp))
+    bp = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
     return MetricResult(metric="bleu", value=bp * math.exp(log_sum), counts=counts)
-
 
 # ---------------------------------------------------------------------------
 # score tables and radar normalization
@@ -187,8 +177,6 @@ def normalize_scores(table: ScoreTable) -> dict:
     normalized: dict = {m: {} for m in table.scores}
     for benchmark in table.benchmarks():
         column = table.column(benchmark)
-        if not column:
-            raise ContractError(f"benchmark {benchmark!r} has no scores")
         lo = min(column.values())
         hi = max(column.values())
         if not math.isfinite(hi - lo):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from .errors import FormatError
 
 _KINDS = {int: "a 64-bit integer", float: "a finite number", str: "a string"}
 _INT64 = range(-(2**63), 2**63)
+_SHOWN = 40  # characters of a rejected value that an error message shows
 
 
 def _in_range(value) -> bool:
@@ -19,6 +21,19 @@ def _in_range(value) -> bool:
     if type(value) is float:
         return math.isfinite(value)
     return type(value) is not int or value in _INT64
+
+
+def _head(value, depth: int):
+    """value cut to ``depth`` levels of nesting and ``_SHOWN`` items per
+    container. Each container level and each item adds at least one character
+    to the JSON text before what is cut, so its first ``_SHOWN`` characters
+    are those of the whole value's, which may be too deep for json.dumps."""
+    if isinstance(value, list):
+        return [_head(v, depth - 1) for v in value[:_SHOWN]] if depth else None
+    if isinstance(value, dict):
+        items = itertools.islice(value.items(), _SHOWN)
+        return {k: _head(v, depth - 1) for k, v in items} if depth else None
+    return value
 
 
 def json_value(value, type_):
@@ -38,9 +53,9 @@ def json_value(value, type_):
             converted = None
         if converted == value and _in_range(converted):
             return converted
-    shown = json.dumps(value)
-    if len(shown) > 40:
-        shown = shown[:37] + "..."
+    shown = json.dumps(_head(value, _SHOWN))
+    if len(shown) > _SHOWN:
+        shown = shown[: _SHOWN - 3] + "..."
     raise FormatError(f"must be {_KINDS[type_]}, got {shown}")
 
 

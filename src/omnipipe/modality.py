@@ -41,6 +41,7 @@ MEL_FMAX_HZ = 8000.0
 _MEL_FLOOR = 1e-10
 _LOG_RANGE = 8.0
 MS_PER_MEL_FRAME = 1000 * HOP_SAMPLES // SAMPLE_RATE_HZ  # 10 ms
+MS_PER_VIDEO_FRAME = round(1000 / VIDEO_FPS)  # 1000 ms
 
 
 # ---------------------------------------------------------------------------

@@ -326,14 +326,18 @@ def visual_project_backward(
 # convolutional gated-MLP audio projector
 # ---------------------------------------------------------------------------
 
+def audio_tokens(frames: int, rate: int) -> int:
+    """The audio-token law: ceil(frames / rate) tokens for ``frames`` rows."""
+    return -(-frames // rate)
+
+
 def conv_gmlp_shapes(cfg: ConvGmlpConfig, seq_len: int) -> dict:
     """Length and width laws for a given input length, without running it."""
     if seq_len < 1:
         raise ContractError(f"sequence length must be >= 1, got {seq_len}")
-    padded = seq_len + (-seq_len) % cfg.rate_n
-    out_len = padded // cfg.rate_n
+    out_len = audio_tokens(seq_len, cfg.rate_n)
     return {
-        "padded_len": padded,
+        "padded_len": out_len * cfg.rate_n,
         "output_len": out_len,
         "intermediate_channels": cfg.hidden_channels,
         "intermediate_shape": (out_len, cfg.hidden_channels),
@@ -527,7 +531,7 @@ def toy_fit(
         raise ContractError(f"lr must be >= 0, got {lr}")
     # numpy cannot describe a float64 array of more than intp-max bytes; the
     # gate layer holds twice the entries of the padded input's block layout
-    gate = (-(-seq_len // cfg.rate_n), 2 * cfg.hidden_channels)
+    gate = (audio_tokens(seq_len, cfg.rate_n), 2 * cfg.hidden_channels)
     shapes = [("input", (seq_len, cfg.in_channels)), ("target map", (cfg.in_channels, cfg.llm_dim)),
               ("gate layer", gate), *[spec[:2] for spec in _conv_gmlp_specs(cfg)]]
     for name, shape in shapes:
@@ -576,11 +580,10 @@ def ablate_rates(
     rows = []
     for cfg in cfgs:
         losses = toy_fit(cfg, steps=steps, lr=lr, seed=task_seed, seq_len=seq_len)
-        out_len = conv_gmlp_shapes(cfg, seq_len)["output_len"]
         rows.append(
             {
                 "rate": cfg.rate_n,
-                "output_length_ratio": out_len / seq_len,
+                "output_length_ratio": audio_tokens(seq_len, cfg.rate_n) / seq_len,
                 "param_count": sum(math.prod(s) for _, s, _ in _conv_gmlp_specs(cfg)),
                 "final_loss": losses[-1],
             }

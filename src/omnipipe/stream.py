@@ -9,19 +9,20 @@ energy VAD, a trace file, or a test harness.
 The scheduler's state is its audio buffer (None while no segment is open) and
 the last timestamp. ``step`` applies one event for a caller fed one at a time,
 ``run`` folds it over any iterable of events, and the VAD binding takes
-rates 1, 2, 4 or 8.
+rates 1, 2, 4 or 8 and budgets each segment with the audio projector's token
+law. This module renders no text: the CLI reads event files and writes the
+trace as JSON lines of ``TraceEntry.to_json`` records.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ContractError, ProtocolError
-from .modality import FramePlan, MelSpec, MS_PER_MEL_FRAME, vad
-from .projectors import check_rate
+from .modality import FramePlan, MelSpec, MS_PER_MEL_FRAME, MS_PER_VIDEO_FRAME, vad
+from .projectors import audio_tokens, check_rate
 
 EVENT_KINDS = ("audio_start", "audio_frame", "audio_end", "video_frame", "image", "text")
 _IMMEDIATE = {"video_frame": "video", "image": "image", "text": "text"}
@@ -44,9 +45,6 @@ class StreamEvent:
             raise ContractError(f"payload_tokens must be >= 0, got {self.payload_tokens}")
         if self.kind in ("audio_start", "audio_end") and self.payload_tokens != 0:
             raise ContractError(f"{self.kind} events carry no tokens")
-
-    def to_json(self) -> dict:
-        return {"t": self.timestamp_ms, "kind": self.kind, "tokens": self.payload_tokens}
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,6 @@ class InjectionTrace:
 
     def visual_text_entries(self) -> tuple[TraceEntry, ...]:
         return tuple(e for e in self.entries if e.modality != "audio")
-
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(e.to_json(), sort_keys=True) + "\n" for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -144,15 +139,16 @@ def events_from_media(
     """Bind the planners to the protocol.
 
     Each VAD segment becomes audio_start / audio_frame chunks / audio_end;
-    a segment of F mel frames carries ceil(F / rate_n) tokens apportioned over
-    one audio_frame per mel_frames_per_chunk frames. Planned video frames
-    arrive at 1000 ms spacing. Video events precede audio events that share a
-    timestamp (visual data streams in; audio waits for its boundary).
+    a segment of F mel frames carries ``audio_tokens(F, rate_n)`` tokens
+    apportioned over one audio_frame per mel_frames_per_chunk frames. Planned
+    video frames arrive one ``MS_PER_VIDEO_FRAME`` apart. Video events
+    precede audio events that share a timestamp (visual data streams in;
+    audio waits for its boundary).
     """
     audio_events: list[StreamEvent] = []
     for seg in vad(mel, vad_cfg.threshold_db, vad_cfg.hangover_frames):
         seg_frames = seg.end_frame - seg.start_frame
-        total_tokens = -(-seg_frames // vad_cfg.rate_n)
+        total_tokens = audio_tokens(seg_frames, vad_cfg.rate_n)
         chunks = -(-seg_frames // vad_cfg.mel_frames_per_chunk)
         tokens = _apportion(total_tokens, chunks)
         audio_events.append(StreamEvent(seg.start_frame * MS_PER_MEL_FRAME, "audio_start"))
@@ -169,7 +165,7 @@ def events_from_media(
     if frame_plan is not None:
         for j in range(len(frame_plan.frame_indices)):
             video_events.append(
-                StreamEvent(j * 1000, "video_frame", frame_plan.per_frame_tokens)
+                StreamEvent(j * MS_PER_VIDEO_FRAME, "video_frame", frame_plan.per_frame_tokens)
             )
 
     return list(heapq.merge(video_events, audio_events, key=lambda e: e.timestamp_ms))

@@ -11,12 +11,18 @@ two are loops the library replaced: a frame-at-a-time VAD run scan and a
 finite-difference check with one probe copy per parameter, which runs the
 loss once per probe (``per_probe`` maps such a scalar loss over the batch
 of probe rows that ``numkit.grad_check`` passes). The streaming
-scheduler's reference is the mode-string state machine it replaced.
+scheduler's reference is the mode-string state machine it replaced. The
+last two are earlier forms of library code kept as references: BLEU over a
+set of references (n-gram counts max-merged across them, the closest
+reference length), and the 1:3 split that counts words with ``str.split``
+and finds the cut with a second, regex pass.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -324,3 +330,50 @@ def reference_step(state: tuple, event: tuple) -> tuple[tuple, list, str | None]
     if kind == "audio_frame":
         return (mode, buffered + tokens, t), [], None
     return (REF_IDLE, 0, t), [(t, "audio", buffered, True)], None
+
+
+def bleu_multi_reference(references: list[str], hypothesis: str) -> tuple[float, dict]:
+    """Sentence BLEU-4 over a non-empty set of references: each n-gram's
+    count clipped by its largest count in any one reference, and the
+    brevity penalty against the reference length closest to the hypothesis
+    (the shorter on a tie). Returns (value, counts)."""
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+    hyp = hypothesis.split()
+    refs = [r.split() for r in references]
+    counts: dict = {"hyp_length": len(hyp)}
+    if not hyp:
+        counts["ref_length"] = min(len(r) for r in refs)
+        return 0.0, counts
+    ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(hyp)), L))
+    counts["ref_length"] = ref_len
+    precisions = []
+    for n in range(1, 5):
+        hyp_ngrams = ngrams(hyp, n)
+        best = Counter()
+        for r in refs:
+            for gram, c in ngrams(r, n).items():
+                best[gram] = max(best[gram], c)
+        clipped = sum(min(c, best[gram]) for gram, c in hyp_ngrams.items())
+        total = sum(hyp_ngrams.values())
+        counts[f"matches_{n}"] = clipped
+        counts[f"total_{n}"] = total
+        precisions.append(clipped / total if total else 0.0)
+    if 0.0 in precisions:
+        return 0.0, counts
+    log_sum = sum(math.log(p) for p in precisions) / 4
+    bp = 1.0 if len(hyp) > ref_len else math.exp(1.0 - ref_len / len(hyp))
+    return bp * math.exp(log_sum), counts
+
+
+def split_one_three_two_pass(text: str) -> tuple[str, str] | str:
+    """(audio_text, target_text) cut at the word end nearest a quarter of
+    the text, or the error text for a text of fewer than four words."""
+    words = text.split()
+    if len(words) < 4:
+        return f"text must have at least 4 words, got {len(words)}"
+    boundaries = [m.end() for m in re.finditer(r"\S+", text)][:-1]
+    target_pos = 0.25 * len(text)
+    cut = min(boundaries, key=lambda b: (abs(b - target_pos), b))
+    return text[:cut], text[cut:]

@@ -188,8 +188,8 @@ def test_criterion_8_metric_oracles():
                 got.counts[k] for k in ("substitutions", "deletions", "insertions")
             )
             assert errors == edit_distance(list(ref), list(hyp))
-        assert bleu(["the cat sat on the mat"], "the cat sat on the mat").value == 1.0
-        assert bleu(["aa bb cc"], "dd ee ff").value == 0.0
+        assert bleu("the cat sat on the mat", "the cat sat on the mat").value == 1.0
+        assert bleu("aa bb cc", "dd ee ff").value == 0.0
         table = ScoreTable.from_rows(
             [("m1", "bench", 50.0), ("m2", "bench", 70.0), ("m3", "bench", 90.0)]
         )

@@ -2,7 +2,9 @@
 
 import json
 import os
+import sys
 import time
+import warnings
 import wave
 from pathlib import Path
 
@@ -12,8 +14,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import evalkit, stream
-from omnipipe.errors import ContractError, ProtocolError
-from omnipipe.cli import _COMMANDS, build_parser, main
+from omnipipe.errors import ContractError, FormatError, ProtocolError
+from omnipipe.fileio import json_value
+from omnipipe.cli import _COMMANDS, _jsonl, build_parser, main
 
 SUBCOMMANDS = [
     "tile",
@@ -208,9 +211,11 @@ class TestSubcommandBehaviour:
         events = [stream.StreamEvent(0, "audio_start"), stream.StreamEvent(5, "audio_frame", 3),
                   stream.StreamEvent(9, "audio_end"), stream.StreamEvent(9, "text", 4)]
         path = tmp_path / "events.jsonl"
-        path.write_text("".join(json.dumps(e.to_json()) + "\n" for e in events))
+        path.write_text("".join(
+            json.dumps({"t": e.timestamp_ms, "kind": e.kind, "tokens": e.payload_tokens}) + "\n"
+            for e in events))
         assert main(["stream-sim", "--events", str(path)]) == 0
-        assert capsys.readouterr().out == stream.run(events).to_jsonl()
+        assert capsys.readouterr().out == _jsonl(e.to_json() for e in stream.run(events).entries)
 
     def test_stream_sim_from_wav(self, tmp_path, capsys):
         wav = tmp_path / "tone.wav"
@@ -621,7 +626,7 @@ def test_stream_sim_names_the_first_line_a_replay_rejects(tmp_path, capsys, line
         assert captured.err == (
             f"error: {path}: event trace ends inside an unterminated audio segment\n")
         return
-    assert (code, captured.err, captured.out) == (0, "", trace.to_jsonl())
+    assert (code, captured.err, captured.out) == (0, "", _jsonl(e.to_json() for e in trace.entries))
 
 
 @st.composite
@@ -715,3 +720,80 @@ def test_int64_bounds_are_the_int_range(capsys):
     assert main(["tile", "--width", str(-(2**63)), "--height", "1"]) == 1
     err = capsys.readouterr().err
     assert err.endswith(f"error: image dimensions must be positive, got {-(2**63)}x1\n")
+
+
+INT_BOUNDS = [-(2**63), -1, 0, 1, 2**63 - 1]
+FLOAT_BOUNDS = [1e308, -1e308, 0.0, -0.0, 5e-324]
+# a cheap valid run of each command with a numeric flag; "{name}" is an input file
+BOUNDARY_BASE = {
+    "tile": ["--width", "500", "--height", "400"],
+    "frames": ["--duration", "3", "--source-frames", "90"],
+    "gradcheck": ["--projector", "conv_gmlp", "--seeds", "1"],
+    "ablate-rates": ["--rates", "2", "--steps", "1", "--length", "8"],
+    "pack": ["--capacity", "8", "--manifest", "{manifest}"],
+    "stream-sim": ["--wav", "{wav}"],
+    "split-crossmodal": ["--input", "{texts}"],
+    "mix": ["--budget", "2", "--sizes", "{sizes}"],
+}
+# flags that count work: 2**63 - 1 seeds or steps would run that many checks
+# or fit steps, so they take only the other values
+WORK_COUNTS = {("gradcheck", "seeds"), ("ablate-rates", "steps")}
+BOUNDARY_CASES = [
+    (command, name, value)
+    for command, spec in _COMMANDS.items()
+    for name, flag in spec["flags"].items()
+    for value in {int: INT_BOUNDS, float: FLOAT_BOUNDS}.get(flag["type"], [])
+    if not ((command, name) in WORK_COUNTS and value == 2**63 - 1)
+]
+
+
+@pytest.mark.parametrize("command, name, value", BOUNDARY_CASES)
+def test_numeric_flag_boundary_values(command, name, value, tmp_path, capsys):
+    files = {"manifest": '{"id": "a", "len": 3}\n', "texts": '{"text": "one two three four"}\n',
+             "sizes": '{"a": 2, "b": 3}'}
+    paths = {"wav": str(tmp_path / "tone.wav")}
+    _write_wav(paths["wav"])
+    for key, text in files.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_text(text)
+    argv = [command, *[a.format(**paths) for a in BOUNDARY_BASE[command]],
+            f"--{name.replace('_', '-')}={value!r}"]
+    # a warning printed to stderr would be a second line, so it fails the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert err[0].startswith("usage: omnipipe ")
+        assert [e for e in err if "error:" in e] == [err[-1]]
+    elif code == 1 and not err:
+        # a gradcheck that fails its tolerance reports that on stdout
+        assert command == "gradcheck" and json.loads(captured.out)["passed"] is False
+    else:
+        assert code in (0, 1) and len(err) == code
+        assert all(e.startswith("error: ") for e in err)
+
+
+def test_a_rejected_value_past_the_recursion_limit_shows_its_head():
+    value = 1
+    for _ in range(sys.getrecursionlimit() + 100):
+        value = [value]
+    with pytest.raises(FormatError) as exc:
+        json_value(value, int)
+    assert str(exc.value) == "must be a 64-bit integer, got " + "[" * 37 + "..."
+
+
+def test_a_deeply_nested_len_gets_its_type_error(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    type_error = f"error: {manifest}:1: field 'len' must be a 64-bit integer, got {'[' * 37}...\n"
+    for depth in range(900, 1001):
+        manifest.write_text('{"id": 1, "len": ' + "[" * depth + "]" * depth + "}\n")
+        assert main(["pack", "--capacity", "8", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        # past the parser's own depth limit the line is rejected as it is read
+        assert err == type_error or "while decoding" in err

@@ -21,6 +21,8 @@ from omnipipe.curation import (
 )
 from omnipipe.errors import ContractError
 
+from oracles import split_one_three_two_pass
+
 
 class TestGaussianFilter:
     def test_hand_case(self):
@@ -110,6 +112,19 @@ class TestSplitOneThree:
     def test_too_short_rejected(self):
         with pytest.raises(ContractError):
             split_one_three("ab")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "bc", "\u00e9", " ", "\t", "\n", "\x1c", "\x1f",
+                                     "\x85", "\xa0", "\u2028", "\u3000", "\u200b"]),
+                    max_size=40).map("".join))
+    def test_one_pass_matches_the_two_pass_split(self, text):
+        expected = split_one_three_two_pass(text)
+        try:
+            sample = split_one_three(text)
+        except ContractError as exc:
+            assert str(exc) == expected
+        else:
+            assert (sample.audio_text, sample.target_text) == expected
 
     def test_default_prompt_attached(self):
         sample = split_one_three("one two three four")
