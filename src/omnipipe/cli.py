@@ -17,6 +17,9 @@ typed records they yield, one at a time, to their consumers. An error raised
 inside ``with _Input(path)`` while a record is in use, by the reader or by
 the record's consumer, names FILE:LINE; any other names FILE.
 
+The CLI renders every payload itself, as JSON lines (``_jsonl``), CSV
+(``_csv``) or the normalize-scores JSON array; the library returns values.
+
 Exit codes: 0 success, 1 contract error (one ``error:`` line on stderr), 2
 usage error (argparse). All outputs are deterministic for a fixed
 configuration and written atomically.
@@ -37,6 +40,15 @@ from .fileio import atomic_write, json_value
 
 def _jsonl(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def _csv(header, rows) -> str:
+    """A header line, then one line per row: text cells as they are, numbers
+    by repr."""
+    return "".join(
+        ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n"
+        for row in [header, *rows]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,8 @@ def run_frames(cfg: dict) -> tuple[str, int]:
 def run_melspec(cfg: dict) -> tuple[str, int]:
     spec = modality.melspec(modality.load_wav(cfg["wav"]))
     if cfg["out"]:
-        atomic_write(cfg["out"], _jsonl([spec.data.to_json()]))
+        tensor = {"shape": list(spec.data.shape), "data": spec.data.array.reshape(-1).tolist()}
+        atomic_write(cfg["out"], _jsonl([tensor]))
     summary = {
         "frames": spec.frames,
         "bins": spec.bins,
@@ -201,7 +214,7 @@ def run_ablate_rates(cfg: dict) -> tuple[str, int]:
         llm_dim=cfg["llm_dim"],
         seq_len=cfg["length"],
     )
-    return projectors.ablation_csv(rows), 0
+    return _csv(("rate", "len_ratio", "params", "final_loss"), [r.values() for r in rows]), 0
 
 
 def run_pack(cfg: dict) -> tuple[str, int]:
@@ -253,6 +266,8 @@ def run_split_crossmodal(cfg: dict) -> tuple[str, int]:
 
 
 def run_mix(cfg: dict) -> tuple[str, int]:
+    # the flags' own errors are checked first, so they name no file
+    curation.check_draw(cfg["budget"], cfg["seed"])
     with _Input(cfg["sizes"]) as f:
         sizes = f.json()
         if not isinstance(sizes, dict):
@@ -291,9 +306,19 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
 
 def run_normalize_scores(cfg: dict) -> tuple[str, int]:
     with _Input(cfg["scores"]) as f:
-        rows = f.csv({"model": str, "benchmark": str, "raw": float}, key=2)
-        table = evalkit.ScoreTable.from_rows(rows)
-        return evalkit.render_report(table, cfg["format"]), 0
+        table = evalkit.ScoreTable.from_rows(
+            f.csv({"model": str, "benchmark": str, "raw": float}, key=2))
+        normalized = evalkit.normalize_scores(table)
+    header = ("model", "benchmark", "raw", "normalized")
+    rows = sorted(
+        (model, benchmark, raw, normalized[model][benchmark])
+        for model, row in table.scores.items()
+        for benchmark, raw in row.items()
+    )
+    if cfg["format"] == "json":
+        records = [dict(zip(header, r)) for r in rows]
+        return json.dumps(records, sort_keys=True, indent=2) + "\n", 0
+    return _csv(header, rows), 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +435,9 @@ def _argv_type(type_):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="omnipipe",
         description="Deterministic multimodal input-pipeline toolkit.",
@@ -467,14 +494,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use; parse_args does not change it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     spec = _COMMANDS[args.command]
     try:
         cfg = resolve_config(args)

@@ -159,6 +159,14 @@ class MixPlan:
         }
 
 
+def check_draw(budget: int, seed: int) -> None:
+    """A mix draws a budget of samples with a seed, both >= 0."""
+    if budget < 0:
+        raise ContractError(f"budget must be >= 0, got {budget}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+
+
 def mix_plan(sizes: dict, budget: int, seed: int) -> MixPlan:
     """Sample counts proportional to dataset sizes, largest-remainder rounded.
 
@@ -168,10 +176,7 @@ def mix_plan(sizes: dict, budget: int, seed: int) -> MixPlan:
     Counts depend only on the name-to-size mapping (dataset order does not
     matter); the seed is carried for downstream per-sample selection.
     """
-    if budget < 0:
-        raise ContractError(f"budget must be >= 0, got {budget}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
+    check_draw(budget, seed)
     names = sorted(sizes)
     if not names:
         raise ContractError("sizes must be non-empty")

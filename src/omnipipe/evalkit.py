@@ -1,16 +1,15 @@
-"""Evaluation metrics and score-table reporting.
+"""Evaluation metrics and score-table normalization.
 
 Word and character error rates via Levenshtein alignment with full edit
 counts (the cost matrix filled one vectorised row at a time, then one
 backtrace), sentence BLEU-4 against one reference with modified n-gram
-precision and brevity penalty, the radar normalization
+precision and brevity penalty, and the radar normalization
 x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
-column, and deterministic CSV/JSON report rendering.
+column. Results are values, not text: the CLI renders every report.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from collections import Counter
@@ -187,28 +186,3 @@ def normalize_scores(table: ScoreTable) -> dict:
             )
     return normalized
 
-
-def render_report(table: ScoreTable, fmt: str) -> str:
-    """Rows sorted by (model, benchmark) with raw and normalized values."""
-    normalized = normalize_scores(table)
-    rows = []
-    for model in table.models():
-        for benchmark in sorted(table.scores[model]):
-            rows.append(
-                {
-                    "model": model,
-                    "benchmark": benchmark,
-                    "raw": table.scores[model][benchmark],
-                    "normalized": normalized[model][benchmark],
-                }
-            )
-    if fmt == "csv":
-        lines = ["model,benchmark,raw,normalized"]
-        for r in rows:
-            lines.append(
-                f"{r['model']},{r['benchmark']},{r['raw']!r},{r['normalized']!r}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    raise ContractError(f"unsupported report format {fmt!r}")

@@ -68,9 +68,6 @@ class Tensor:
     def size(self) -> int:
         return self.array.size
 
-    def to_json(self) -> dict:
-        return {"shape": list(self.shape), "data": self.array.reshape(-1).tolist()}
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

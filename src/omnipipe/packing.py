@@ -3,14 +3,16 @@
 Bins variable-length samples into fixed-capacity rows by first fit over a
 max segment tree of the bins' free space (Johnson 1974, "Fast algorithms for
 bin packing") and records cumulative sequence-length boundaries per bin.
-Those boundaries are the whole isolation mask: packed attention runs plain
-causal attention on each segment alone, the varlen formulation of
-FlashAttention (Dao et al. 2022), and leaves padding rows at zero, so no
-capacity x capacity matrix is ever built. Within a segment, rows go in
-fixed-size tiles that score only the columns up to their last row, the
-causal block skipping of FlashAttention-2 (Dao 2023) without its streaming:
-each row sees its whole past in one pass, so the softmax stays exact, and
-only the diagonal block of a tile needs a mask.
+A bin is its own isolation mask: its boundaries, checked when it is built,
+and its capacity (fill plus padding) are all that packed attention reads.
+Attention runs plain causal attention on each segment alone, the varlen
+formulation of FlashAttention (Dao et al. 2022), which takes ``cu_seqlens``
+itself as the mask, and leaves padding rows at zero, so no capacity x
+capacity matrix is ever built. Within a segment, rows go in fixed-size tiles
+that score only the columns up to their last row, the causal block skipping
+of FlashAttention-2 (Dao 2023) without its streaming: each row sees its
+whole past in one pass, so the softmax stays exact, and only the diagonal
+block of a tile needs a mask.
 """
 
 from __future__ import annotations
@@ -29,17 +31,25 @@ _TILE = 64
 _FUTURE = ~np.tri(_TILE, dtype=bool)
 
 
-def _check_cu_seqlens(cu: tuple[int, ...], capacity: int) -> None:
-    """Boundaries are non-empty, start at 0, rise strictly and fit capacity."""
-    if not cu or cu[0] != 0 or cu[-1] > capacity or any(y <= x for x, y in zip(cu, cu[1:])):
-        raise ContractError(f"invalid cu_seqlens {cu} for capacity {capacity}")
-
-
 @dataclass(frozen=True)
 class PackedBin:
+    """One packed row and its block-causal mask: position i attends to j iff
+    both sit in the same segment and j <= i; padding attends to nothing."""
+
     sample_ids: tuple[int, ...]
     cu_seqlens: tuple[int, ...]
     pad_len: int
+
+    def __post_init__(self):
+        # boundaries are non-empty, start at 0 and rise strictly; the padding
+        # is not negative, so they fit the capacity
+        cu = self.cu_seqlens
+        if not cu or cu[0] != 0 or self.pad_len < 0 or any(y <= x for x, y in zip(cu, cu[1:])):
+            raise ContractError(f"invalid cu_seqlens {cu} with padding {self.pad_len}")
+
+    @property
+    def capacity(self) -> int:
+        return self.cu_seqlens[-1] + self.pad_len
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(
@@ -54,16 +64,11 @@ class PackedBatch:
 
     def __post_init__(self):
         for b in self.bins:
-            _check_cu_seqlens(b.cu_seqlens, self.capacity)
-            if b.cu_seqlens[-1] + b.pad_len != self.capacity:
+            if b.capacity != self.capacity:
                 raise ContractError(
                     f"bin fill {b.cu_seqlens[-1]} + pad {b.pad_len} != "
                     f"capacity {self.capacity}"
                 )
-
-    @property
-    def total_padding(self) -> int:
-        return sum(b.pad_len for b in self.bins)
 
     def to_json(self) -> dict:
         return {
@@ -140,31 +145,16 @@ def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> Packed
     return PackedBatch(capacity=capacity, bins=tuple(bins))
 
 
-@dataclass(frozen=True)
-class IsolationMask:
-    """Block-causal mask as its boundaries: position i attends to j iff both
-    sit in the same packed segment and j <= i; padding attends to nothing."""
-
-    capacity: int
-    cu_seqlens: tuple[int, ...]
-
-    @classmethod
-    def from_cu_seqlens(cls, cu_seqlens, capacity: int) -> "IsolationMask":
-        cu = tuple(int(v) for v in cu_seqlens)
-        _check_cu_seqlens(cu, capacity)
-        return cls(capacity=capacity, cu_seqlens=cu)
-
-
-def build_mask(batch: PackedBatch, bin_index: int) -> IsolationMask:
+def build_mask(batch: PackedBatch, bin_index: int) -> PackedBin:
+    """The mask of one bin of the batch, which is the bin itself."""
     if not 0 <= bin_index < len(batch.bins):
         raise ContractError(
             f"bin index {bin_index} out of range for {len(batch.bins)} bins"
         )
-    b = batch.bins[bin_index]
-    return IsolationMask.from_cu_seqlens(b.cu_seqlens, batch.capacity)
+    return batch.bins[bin_index]
 
 
-def packed_attention(bin_tokens: Tensor, mask: IsolationMask) -> Tensor:
+def packed_attention(bin_tokens: Tensor, mask: PackedBin) -> Tensor:
     """Single-head scaled dot-product attention with identity projections.
 
     Each segment attends causally within itself; padding rows stay zero.

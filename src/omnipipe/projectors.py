@@ -590,12 +590,3 @@ def ablate_rates(
         )
     return rows
 
-
-def ablation_csv(rows: list[dict]) -> str:
-    lines = ["rate,len_ratio,params,final_loss"]
-    for r in rows:
-        lines.append(
-            f"{r['rate']},{r['output_length_ratio']!r},{r['param_count']},"
-            f"{r['final_loss']!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """CLI contract: subcommand behaviour, exit codes, config precedence."""
 
+import ast
 import json
 import os
 import sys
@@ -431,6 +432,8 @@ MALFORMED = {
         ["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": -1, "b": 2}'}, 1, None),
     "mix sizes empty": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": "{}"}, 1, None),
     "mix negative seed": (["mix", "--budget", "1", "--seed", "-1", "--sizes", "{sizes}"], {}, 1, None),
+    "mix negative budget": (["mix", "--budget", "-1", "--sizes", "{sizes}"], {}, 1, None),
+    "mix budget exceeds the pool": (["mix", "--budget", "3", "--sizes", "{s}"], {"s": '{"a": 2}'}, 1, None),
     "metrics ref not a string": (
         ["metrics", "--metric", "wer", "--pairs", "{p}"], {"p": '{"ref": 5, "hyp": "a"}\n'}, 1, 1),
     "metrics cer empty ref on line 2": (
@@ -797,3 +800,134 @@ def test_a_deeply_nested_len_gets_its_type_error(tmp_path, capsys):
         err = capsys.readouterr().err
         # past the parser's own depth limit the line is rejected as it is read
         assert err == type_error or "while decoding" in err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--budget=-1", "budget must be >= 0, got -1"),
+    ("--seed=-1", "seed must be >= 0, got -1"),
+])
+def test_mix_flag_errors_name_no_file(flag, message, tmp_path, capsys):
+    sizes = tmp_path / "sizes.json"
+    sizes.write_text('{"a": 2}')
+    assert main(["mix", "--budget", "1", "--sizes", str(sizes), flag]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Each file-reading flag: the argv that reads the mutated file {f}, and the
+# key of the valid input its mutants start from.
+READERS = {
+    "config": (["tile", "--config", "{f}"], "config"),
+    "melspec wav": (["melspec", "--wav", "{f}"], "wav"),
+    "stream-sim wav": (["stream-sim", "--wav", "{f}"], "wav"),
+    "stream-sim frame-plan": (["stream-sim", "--wav", "{wav}", "--frame-plan", "{f}"],
+                              "frame_plan"),
+    "stream-sim events": (["stream-sim", "--events", "{f}"], "events"),
+    "pack manifest": (["pack", "--capacity", "1024", "--manifest", "{f}"], "manifest"),
+    "filter-loss losses": (["filter-loss", "--losses", "{f}"], "losses"),
+    "split-crossmodal input": (["split-crossmodal", "--input", "{f}"], "texts"),
+    "mix sizes": (["mix", "--budget", "1000", "--sizes", "{f}"], "sizes"),
+    "metrics pairs": (["metrics", "--metric", "wer", "--pairs", "{f}"], "pairs"),
+    "normalize-scores scores": (["normalize-scores", "--scores", "{f}"], "scores"),
+}
+
+
+def test_readers_cover_every_file_flag():
+    # a file flag is a str flag without choices, other than --out (written)
+    # and --rates (a list); every command reads --config alike, so tile stands
+    # for all
+    read = {(argv[0], argv[argv.index("{f}") - 1]) for argv, _ in READERS.values()}
+    files = {
+        (command, "--" + name.replace("_", "-"))
+        for command, spec in _COMMANDS.items()
+        for name, flag in spec["flags"].items()
+        if flag["type"] is str and not flag["choices"] and name not in ("out", "rates")
+    }
+    assert read == files | {("tile", "--config")}
+
+
+@pytest.fixture(scope="module")
+def seed_inputs(tmp_path_factory):
+    """The golden corpus's valid input files: their paths and their bytes."""
+    from test_golden import inputs  # imported here: test_golden imports this module
+
+    root = tmp_path_factory.mktemp("seeds")
+    data = inputs()
+    for key, content in data.items():
+        (root / key).write_bytes(content)
+    return {key: str(root / key) for key in data}, data
+
+
+# one edit: an operation, a position (taken modulo the span it edits) and a byte
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("replace", "insert", "delete", "truncate")),
+        st.integers(0, 2**20),
+        st.sampled_from(b'{}[]",:-.019eE \n\r\x00\xff\\') | st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edit(data: bytes, edits, span: int) -> bytes:
+    """data after the edits; replace, insert and delete land in the first
+    ``span`` bytes, a truncation anywhere."""
+    for op, at, byte in edits:
+        if op == "truncate":
+            data = data[: at % (len(data) + 1)]
+            continue
+        at %= min(span, len(data)) + 1
+        if op == "replace":
+            data = data[:at] + bytes([byte]) + data[at + 1:]
+        elif op == "insert":
+            data = data[:at] + bytes([byte]) + data[at:]
+        else:
+            data = data[:at] + data[at + 1:]
+    return data
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=_EDITS)
+def test_mutated_input_is_a_result_or_one_error_line(reader, edits, seed_inputs, tmp_path,
+                                                     capsys):
+    paths, data = seed_inputs
+    argv, key = READERS[reader]
+    # a WAV's byte edits land in its header and first samples
+    mutant = tmp_path / "mutant"
+    mutant.write_bytes(_edit(data[key], edits, 64 if key == "wav" else len(data[key])))
+    argv = [a.format(**paths, f=str(mutant)) for a in argv]
+    # a warning printed to stderr would be a second line, so it fails the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    if code == 2:
+        assert err[0].startswith("usage: omnipipe ")
+        assert [e for e in err if "error:" in e] == [err[-1]]
+    elif code == 1:
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+    else:
+        assert (code, err) == (0, [])
+
+
+def test_only_cli_and_fileio_import_json_or_csv():
+    """Text formats are the package's edge: fileio reads and the CLI renders."""
+    importers = set()
+    for path in sorted(Path(evalkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] in ("json", "csv") for m in modules):
+                importers.add(path.stem)
+    assert importers == {"cli", "fileio"}

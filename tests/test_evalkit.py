@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnipipe.cli import main
 from omnipipe.errors import ContractError
 from omnipipe.evalkit import (
     ScoreTable,
@@ -15,7 +16,6 @@ from omnipipe.evalkit import (
     bleu,
     cer,
     normalize_scores,
-    render_report,
     tokenize_words,
     wer,
 )
@@ -218,25 +218,27 @@ class TestNormalizeScores:
             assert max(raw, key=raw.get) == max(norm, key=norm.get)
 
 
+def _report(tmp_path, capsys, rows, fmt):
+    """The normalize-scores report of a score table, run through the CLI."""
+    scores = tmp_path / "scores.csv"
+    scores.write_text("model,benchmark,raw\n" + "".join(f"{m},{b},{x!r}\n" for m, b, x in rows))
+    assert main(["normalize-scores", "--scores", str(scores), "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
 class TestReports:
-    def test_single_cell_csv(self):
-        table = ScoreTable.from_rows([("m", "b", 5.0)])
-        text = render_report(table, "csv")
+    def test_single_cell_csv(self, tmp_path, capsys):
+        text = _report(tmp_path, capsys, [("m", "b", 5.0)], "csv")
         assert text.splitlines()[0] == "model,benchmark,raw,normalized"
         assert text.splitlines()[1] == "m,b,5.0,1.0"
 
-    def test_synthetic_radar_table(self):
+    def test_synthetic_radar_table(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         rows = [
             (f"model{m}", f"bench{b}", float(rng.uniform(1, 99)))
             for m in range(3)
             for b in range(10)
         ]
-        text = render_report(ScoreTable.from_rows(rows), "json")
-        records = json.loads(text)
+        records = json.loads(_report(tmp_path, capsys, rows, "json"))
         assert len(records) == 30
         assert all(0.0 < r["normalized"] <= 1.0 for r in records)
-
-    def test_unsupported_format(self):
-        with pytest.raises(ContractError):
-            render_report(ScoreTable.from_rows([("m", "b", 1.0)]), "xml")

@@ -35,7 +35,7 @@ from unittest import mock
 import pytest
 
 from omnipipe.cli import _COMMANDS, main
-from test_cli import MALFORMED
+from test_cli import MALFORMED, READERS
 
 MANIFEST = Path(__file__).with_name("golden_digests.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
@@ -242,22 +242,7 @@ EDGE = {
     "frame plan bad json": (["stream-sim", "--wav", "{wav}", "--frame-plan", "{f}"], b"{"),
 }
 
-# Each file-reading flag: the argv that reads the mutated file {f}, and the
-# key of the valid input its mutants start from.
-READERS = {
-    "config": (["tile", "--config", "{f}"], "config"),
-    "melspec wav": (["melspec", "--wav", "{f}"], "wav"),
-    "stream-sim wav": (["stream-sim", "--wav", "{f}"], "wav"),
-    "stream-sim frame-plan": (["stream-sim", "--wav", "{wav}", "--frame-plan", "{f}"],
-                              "frame_plan"),
-    "stream-sim events": (["stream-sim", "--events", "{f}"], "events"),
-    "pack manifest": (["pack", "--capacity", "1024", "--manifest", "{f}"], "manifest"),
-    "filter-loss losses": (["filter-loss", "--losses", "{f}"], "losses"),
-    "split-crossmodal input": (["split-crossmodal", "--input", "{f}"], "texts"),
-    "mix sizes": (["mix", "--budget", "1000", "--sizes", "{f}"], "sizes"),
-    "metrics pairs": (["metrics", "--metric", "wer", "--pairs", "{f}"], "pairs"),
-    "normalize-scores scores": (["normalize-scores", "--scores", "{f}"], "scores"),
-}
+# mutants of the valid input of each file-reading flag in test_cli.READERS
 MUTANTS_PER_READER = 20
 _NOISE = b'{}[]",:0123456789-.eE \n\r\t\x00\xff\xc3abtruenl\\'
 

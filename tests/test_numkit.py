@@ -32,7 +32,7 @@ class TestTensor:
     def test_shape_and_flat_data(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.shape == (2, 2)
-        assert t.to_json() == {"shape": [2, 2], "data": [1.0, 2.0, 3.0, 4.0]}
+        assert t.array.reshape(-1).tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_scalar_becomes_one_element(self):
         assert Tensor(3.0).shape == (1,)

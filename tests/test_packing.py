@@ -1,7 +1,5 @@
 """Packing: first-fit bins, cu_seqlens, block-causal masks, isolation proof."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +9,6 @@ from omnipipe.errors import ContractError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.packing import (
     _TILE,
-    IsolationMask,
     PackedBatch,
     PackedBin,
     build_mask,
@@ -22,6 +19,12 @@ from omnipipe.packing import (
 from oracles import first_fit, mask_matrix, masked_attention, standalone_causal_attention
 
 B = _TILE  # rows per attention tile
+
+
+def _bin(cu, capacity):
+    """A bin with boundaries cu, filled with samples 0, 1, ... and padded to
+    capacity."""
+    return PackedBin(tuple(range(len(cu) - 1)), tuple(cu), capacity - cu[-1])
 
 
 class TestPack:
@@ -86,7 +89,7 @@ class TestPack:
                 for sid, ln in zip(b.sample_ids, b.lengths()):
                     reconstructed[sid] = ln
             assert reconstructed == dict(enumerate(lengths))
-            assert batch.total_padding == len(batch.bins) * capacity - sum(lengths)
+            assert sum(b.pad_len for b in batch.bins) == len(batch.bins) * capacity - sum(lengths)
 
     def test_json_shape(self):
         assert pack([3, 5, 2], capacity=8).to_json() == {
@@ -125,7 +128,7 @@ def _pairs(matrix):
 
 class TestBuildMask:
     def test_enumerated_hand_case(self):
-        mask = IsolationMask.from_cu_seqlens([0, 2, 4], capacity=4)
+        mask = _bin([0, 2, 4], 4)
         expected = {(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3)}
         assert _pairs(mask_matrix(mask.cu_seqlens, mask.capacity)) == expected
         assert _attends(mask) == expected
@@ -147,17 +150,30 @@ class TestBuildMask:
         out = packed_attention(Tensor(np.random.default_rng(5).normal(size=(4, 3))), mask)
         assert np.all(out.array[2:] == 0.0)
 
-    def test_fields_are_the_boundaries(self):
-        mask = IsolationMask.from_cu_seqlens([0, 2, 4], capacity=6)
-        assert [f.name for f in dataclasses.fields(mask)] == ["capacity", "cu_seqlens"]
-
     def test_batch_bin_overfilling_capacity_rejected(self):
         with pytest.raises(ContractError, match="invalid cu_seqlens"):
             PackedBatch(capacity=4, bins=(PackedBin((0,), (0, 5), -1),))
 
     def test_empty_cu_seqlens_rejected(self):
         with pytest.raises(ContractError, match="invalid cu_seqlens"):
-            IsolationMask.from_cu_seqlens([], 4)
+            PackedBin((), (), 4)
+
+    @pytest.mark.parametrize("cu, pad", [
+        ((1, 3), 0), ((0, 2, 2), 1), ((0, 3, 2), 1), ((0, 2), -1),
+    ], ids=["not from 0", "empty segment", "falling", "negative padding"])
+    def test_invalid_bin_rejected_when_built(self, cu, pad):
+        with pytest.raises(ContractError, match="invalid cu_seqlens"):
+            PackedBin(tuple(range(len(cu) - 1)), cu, pad)
+
+    def test_mask_is_the_bin(self):
+        batch = pack([3, 5, 2], capacity=8)
+        for i, b in enumerate(batch.bins):
+            assert build_mask(batch, i) is b
+            assert b.capacity == batch.capacity
+
+    def test_bin_capacity_must_be_the_batch_capacity(self):
+        with pytest.raises(ContractError, match=r"bin fill 3 \+ pad 2 != capacity 4"):
+            PackedBatch(capacity=4, bins=(PackedBin((0,), (0, 3), 2),))
 
     def test_index_out_of_range(self):
         batch = pack([2], capacity=4)
@@ -168,7 +184,7 @@ class TestBuildMask:
         # a segment of three tiles after a length-1 one, a segment that
         # stops one row short of a tile, then padding
         cu = [0, 1, 2 * B + 3, 3 * B + 2]
-        mask = IsolationMask.from_cu_seqlens(cu, capacity=3 * B + 5)
+        mask = _bin(cu, 3 * B + 5)
         assert _attends(mask, d=2) == _pairs(mask_matrix(cu, mask.capacity))
 
     def test_matrix_matches_definition(self):
@@ -198,7 +214,7 @@ def _check_oracle_padding_and_isolation(case, d, seed):
     segment the same bits whatever the other tokens hold."""
     capacity, ends = case
     cu = [0, *sorted(ends)]
-    mask = IsolationMask.from_cu_seqlens(cu, capacity)
+    mask = _bin(cu, capacity)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(capacity, d))
     out = packed_attention(Tensor(x), mask).array
@@ -216,7 +232,7 @@ class TestPackedAttention:
     def test_single_sample_equals_plain_causal(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 3))
-        mask = IsolationMask.from_cu_seqlens([0, 5], capacity=5)
+        mask = _bin([0, 5], 5)
         got = packed_attention(Tensor(x), mask).array
         assert np.max(np.abs(got - standalone_causal_attention(x))) <= 1e-10
 
@@ -225,19 +241,19 @@ class TestPackedAttention:
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 4))
         tokens = np.concatenate([a, b, np.zeros((1, 4))])
-        mask = IsolationMask.from_cu_seqlens([0, 3, 7], capacity=8)
+        mask = _bin([0, 3, 7], 8)
         got = packed_attention(Tensor(tokens), mask).array
         assert np.max(np.abs(got[0:3] - standalone_causal_attention(a))) <= 1e-10
         assert np.max(np.abs(got[3:7] - standalone_causal_attention(b))) <= 1e-10
         assert np.all(got[7] == 0.0)
 
     def test_all_padding_bin_is_zero(self):
-        mask = IsolationMask.from_cu_seqlens([0], capacity=3)
+        mask = _bin([0], 3)
         out = packed_attention(Tensor(np.ones((3, 2))), mask)
         assert np.all(out.array == 0.0)
 
     def test_size_mismatch(self):
-        mask = IsolationMask.from_cu_seqlens([0, 2], capacity=4)
+        mask = _bin([0, 2], 4)
         with pytest.raises(ShapeError):
             packed_attention(Tensor(np.ones((3, 2))), mask)
 
@@ -299,7 +315,7 @@ class TestPackedAttention:
         capacity = 100_000
         rng = np.random.default_rng(6)
         x = rng.normal(size=(capacity, 1))
-        mask = IsolationMask.from_cu_seqlens([0, 3, 5], capacity)
+        mask = _bin([0, 3, 5], capacity)
         out = packed_attention(Tensor(x), mask).array
         assert np.max(np.abs(out[0:3] - standalone_causal_attention(x[0:3]))) <= 1e-10
         assert np.max(np.abs(out[3:5] - standalone_causal_attention(x[3:5]))) <= 1e-10

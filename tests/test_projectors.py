@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe import numkit, projectors
+from omnipipe.cli import main
 from omnipipe.errors import ContractError, DivergenceError, ShapeError
 from omnipipe.numkit import Tensor
 from omnipipe.projectors import (
@@ -27,7 +28,6 @@ from omnipipe.projectors import (
     _visual_specs,
     _windows,
     ablate_rates,
-    ablation_csv,
     check_gradients,
     conv_gmlp_backward,
     conv_gmlp_forward,
@@ -620,8 +620,10 @@ class TestAblateRates:
         with pytest.raises(ContractError):
             ablate_rates([], task_seed=0)
 
-    def test_csv_header(self):
-        rows = ablate_rates([2], task_seed=0, steps=2, in_channels=4, llm_dim=2, seq_len=8)
-        text = ablation_csv(rows)
+    def test_csv_header(self, capsys):
+        argv = ["ablate-rates", "--rates", "2", "--seed", "0", "--steps", "2", "--channels", "4",
+                "--llm-dim", "2", "--length", "8"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
         assert text.startswith("rate,len_ratio,params,final_loss\n")
         assert text.count("\n") == 2
