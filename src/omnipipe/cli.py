@@ -42,13 +42,19 @@ def _jsonl(records) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
+def _csv_cell(cell) -> str:
+    if not isinstance(cell, str):
+        return repr(cell)
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv(header, rows) -> str:
-    """A header line, then one line per row: text cells as they are, numbers
-    by repr."""
-    return "".join(
-        ",".join(c if isinstance(c, str) else repr(c) for c in row) + "\n"
-        for row in [header, *rows]
-    )
+    """A header line, then one line per row: numbers by repr, text cells as
+    they are, or in double quotes (inner quotes doubled) when they hold a
+    comma, a quote or a line break."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +284,12 @@ def run_mix(cfg: dict) -> tuple[str, int]:
 
 
 def run_metrics(cfg: dict) -> tuple[str, int]:
-    metric = {
-        "wer": evalkit.wer,
-        "cer": evalkit.cer,
-        "bleu": evalkit.bleu,
-    }[cfg["metric"]]
     with _Input(cfg["pairs"]) as f:
-        results = [metric(ref, hyp) for ref, hyp in f.jsonl({"ref": str, "hyp": str})]
+        pairs = f.jsonl({"ref": str, "hyp": str})
+        if cfg["metric"] == "bleu":
+            results = [evalkit.bleu(ref, hyp) for ref, hyp in pairs]
+        else:
+            results = evalkit.error_rates(cfg["metric"], pairs)
         if not results:
             raise FormatError("no ref/hyp pairs")
     lines = [r.to_json() for r in results]

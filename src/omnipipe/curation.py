@@ -215,21 +215,24 @@ def asr_roundtrip_filter(
     """Keep (prompt, transcript) pairs whose transcript matches the prompt.
 
     exact compares normalized texts; cer_threshold keeps pairs whose
-    character error rate against the normalized prompt is <= threshold.
+    character error rate against the normalized prompt is <= threshold, and
+    a pair whose prompt normalizes to "" only if its transcript does too. The
+    non-empty prompts are scored in one ``evalkit.error_rates`` call.
     """
     if mode not in ("exact", "cer_threshold"):
         raise ContractError(f"unknown mode {mode!r}")
     if mode == "cer_threshold" and not 0.0 <= threshold <= 1.0:
         raise ContractError(f"threshold must be in [0, 1], got {threshold}")
+    texts = [(normalize_transcript(p), normalize_transcript(t)) for p, t in pairs]
+    if mode == "cer_threshold":
+        rates = iter(evalkit.error_rates("cer", [(ref, hyp) for ref, hyp in texts if ref]))
     kept, removed = [], []
-    for prompt, transcript in pairs:
-        ref = normalize_transcript(prompt)
-        hyp = normalize_transcript(transcript)
+    for (prompt, transcript), (ref, hyp) in zip(pairs, texts):
         if mode == "exact":
             ok = ref == hyp
         elif not ref:
             ok = not hyp
         else:
-            ok = evalkit.cer(ref, hyp).value <= threshold
+            ok = next(rates).value <= threshold
         (kept if ok else removed).append((prompt, transcript))
     return kept, removed

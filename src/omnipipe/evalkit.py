@@ -1,8 +1,10 @@
 """Evaluation metrics and score-table normalization.
 
 Word and character error rates via Levenshtein alignment with full edit
-counts (the cost matrix filled one vectorised row at a time, then one
-backtrace), sentence BLEU-4 against one reference with modified n-gram
+counts (``error_rates`` aligns every pair of a call at once: the cost
+matrices of a length-sorted batch of pairs are filled together, one
+vectorised row step for all of them, then each pair is backtraced),
+sentence BLEU-4 against one reference with modified n-gram
 precision and brevity penalty, and the radar normalization
 x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
 column. Results are values, not text: the CLI renders every report.
@@ -34,42 +36,89 @@ class MetricResult:
         return {"metric": self.metric, "value": self.value, "counts": self.counts}
 
 
-def _edit_ops(ref: list, hyp: list) -> tuple[int, int, int]:
-    """Minimal (substitutions, deletions, insertions) aligning hyp to ref.
+# Bytes one batch of the edit-distance fill may hold in its cost matrices
+# (int32) and mismatch masks (bool). A larger budget takes fewer row steps
+# for long pairs, and raises the peak memory of a call by as much.
+_DP_BYTES = 1 << 20
 
-    The cost matrix is filled one row at a time: substitution and deletion
-    come from the row above, and the insertion chain along the row is a
-    running minimum of ``cand[k] - k``. Among cost-ties the backtrace prefers
-    substitution, then deletion, then insertion, making the counts
-    deterministic.
+
+def _dp_bytes(n: int, m: int) -> int:
+    return 4 * (n + 1) * (m + 1) + n * m
+
+
+def _edit_ops(pairs: list) -> list[tuple[int, int, int]]:
+    """Minimal (substitutions, deletions, insertions) aligning each hyp to its
+    ref, for a list of (ref_tokens, hyp_tokens), in input order.
+
+    The pairs are sorted by length and cut into batches whose padded cost
+    matrices and masks fit in ``_DP_BYTES``; a pair larger than that runs
+    alone. Each batch fills the matrices of all its pairs together, one row
+    step for every pair, then backtraces each pair (``_align``).
     """
-    n, m = len(ref), len(hyp)
+    batches, batch, rows, cols = [], [], 0, 0
+    for k in sorted(range(len(pairs)), key=lambda k: (len(pairs[k][0]), len(pairs[k][1]))):
+        n, m = max(rows, len(pairs[k][0])), max(cols, len(pairs[k][1]))
+        if batch and (len(batch) + 1) * _dp_bytes(n, m) > _DP_BYTES:
+            batches.append(batch)
+            batch, n, m = [], len(pairs[k][0]), len(pairs[k][1])
+        batch.append(k)
+        rows, cols = n, m
+    if batch:
+        batches.append(batch)
+    ops: list = [None] * len(pairs)
+    for batch in batches:
+        for k, counts in zip(batch, _align([pairs[k] for k in batch])):
+            ops[k] = counts
+    return ops
+
+
+def _align(batch: list) -> list[tuple[int, int, int]]:
+    """Edit counts for one batch of pairs, padded on the right and bottom.
+
+    Row i of every cost matrix is filled in one step along axis 1:
+    substitution and deletion come from the row above, and the insertion
+    chain along the row is a running minimum of ``cand[k] - k``. A cell
+    depends only on cells above and to its left, so right padding cannot
+    change a pair's columns, and rows past a pair's length are never read.
+    Among cost-ties the backtrace prefers substitution, then deletion, then
+    insertion, making the counts deterministic.
+    """
     codes: dict = {}
-    ref_codes = np.array([codes.setdefault(t, len(codes)) for t in ref], dtype=np.int64)
-    hyp_codes = np.array([codes.setdefault(t, len(codes)) for t in hyp], dtype=np.int64)
-    diff = (ref_codes[:, None] != hyp_codes[None, :]).astype(np.int32)
-    j = np.arange(m + 1, dtype=np.int32)
-    cost = np.empty((n + 1, m + 1), dtype=np.int32)
+    rows = max(len(ref) for ref, _ in batch)
+    cols = max(len(hyp) for _, hyp in batch)
+    ref_codes = np.full((rows, len(batch)), -1, dtype=np.int64)
+    hyp_codes = np.full((len(batch), cols), -1, dtype=np.int64)
+    for b, (ref, hyp) in enumerate(batch):
+        ref_codes[: len(ref), b] = [codes.setdefault(t, len(codes)) for t in ref]
+        hyp_codes[b, : len(hyp)] = [codes.setdefault(t, len(codes)) for t in hyp]
+    diff = ref_codes[:, :, None] != hyp_codes[None]
+    j = np.arange(cols + 1, dtype=np.int32)
+    cost = np.empty((rows + 1, len(batch), cols + 1), dtype=np.int32)
     cost[0] = j
-    for i in range(1, n + 1):
+    for i in range(1, rows + 1):
         prev, row = cost[i - 1], cost[i]
-        row[0] = i
-        np.minimum(prev[:-1] + diff[i - 1], prev[1:] + 1, out=row[1:])
-        np.minimum.accumulate(row - j, out=row)
+        row[:, 0] = i
+        np.minimum(prev[:, :-1] + diff[i - 1], prev[:, 1:] + 1, out=row[:, 1:])
+        np.minimum.accumulate(row - j, axis=1, out=row)
         row += j
-    subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + diff[i - 1, j - 1]:
-            subs += int(diff[i - 1, j - 1])
-            i, j = i - 1, j - 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return subs, dels, ins
+    ops = []
+    for b, (ref, hyp) in enumerate(batch):
+        # .item reads a cell as a Python int, which the loop compares faster
+        c, d = cost[:, b].item, diff[:, b].item
+        subs = dels = ins = 0
+        i, j = len(ref), len(hyp)
+        while i > 0 or j > 0:
+            if i > 0 and j > 0 and c(i, j) == c(i - 1, j - 1) + d(i - 1, j - 1):
+                subs += d(i - 1, j - 1)
+                i, j = i - 1, j - 1
+            elif i > 0 and c(i, j) == c(i - 1, j) + 1:
+                dels += 1
+                i -= 1
+            else:
+                ins += 1
+                j -= 1
+        ops.append((subs, dels, ins))
+    return ops
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -81,37 +130,49 @@ def tokenize_words(text: str) -> list[str]:
     return tokens
 
 
-def _error_rate(metric: str, ref: list, hyp: list) -> MetricResult:
-    s, d, i = _edit_ops(ref, hyp)
-    return MetricResult(
-        metric=metric,
-        value=(s + d + i) / len(ref),
-        counts={
-            "substitutions": s,
-            "deletions": d,
-            "insertions": i,
-            "reference_length": len(ref),
-        },
-    )
+def error_rates(metric: str, pairs: Iterable[tuple[str, str]]) -> list[MetricResult]:
+    """WER or CER for each (reference, hypothesis), in input order.
+
+    Each pair is tokenized and checked as it is drawn, so an empty reference
+    raises while its record is in use; then one ``_edit_ops`` call aligns
+    every pair. ``wer`` tokenizes with ``tokenize_words``, ``cer`` compares
+    code points, whitespace included.
+    """
+    if metric == "wer":
+        tokens, empty = tokenize_words, "reference is empty after tokenization"
+    elif metric == "cer":
+        tokens, empty = list, "reference is empty"
+    else:
+        raise ContractError(f"unknown error-rate metric {metric!r}")
+    token_pairs = []
+    for reference, hypothesis in pairs:
+        ref = tokens(reference)
+        if not ref:
+            raise ContractError(empty)
+        token_pairs.append((ref, tokens(hypothesis)))
+    return [
+        MetricResult(
+            metric=metric,
+            value=(s + d + i) / len(ref),
+            counts={
+                "substitutions": s,
+                "deletions": d,
+                "insertions": i,
+                "reference_length": len(ref),
+            },
+        )
+        for (ref, _), (s, d, i) in zip(token_pairs, _edit_ops(token_pairs))
+    ]
 
 
 def wer(reference: str, hypothesis: str) -> MetricResult:
     """(S + D + I) / N over whitespace-tokenized, lightly normalized words."""
-    ref = tokenize_words(reference)
-    if not ref:
-        raise ContractError("reference is empty after tokenization")
-    return _error_rate("wer", ref, tokenize_words(hypothesis))
+    return error_rates("wer", [(reference, hypothesis)])[0]
 
 
 def cer(reference: str, hypothesis: str) -> MetricResult:
     """Character-level edit rate; whitespace counts, code points compared."""
-    if not reference:
-        raise ContractError("reference is empty")
-    return _error_rate("cer", list(reference), list(hypothesis))
-
-
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return error_rates("cer", [(reference, hypothesis)])[0]
 
 
 def bleu(reference: str, hypothesis: str) -> MetricResult:
@@ -124,9 +185,10 @@ def bleu(reference: str, hypothesis: str) -> MetricResult:
         return MetricResult(metric="bleu", value=0.0, counts=counts)
     precisions: list[float] = []
     for n in range(1, BLEU_MAX_N + 1):
-        hyp_ngrams, ref_ngrams = _ngram_counts(hyp, n), _ngram_counts(ref, n)
-        clipped = sum(min(c, ref_ngrams[gram]) for gram, c in hyp_ngrams.items())
-        total = sum(hyp_ngrams.values())
+        hyp_grams = Counter(zip(*[hyp[i:] for i in range(n)]))
+        ref_grams = Counter(zip(*[ref[i:] for i in range(n)]))
+        clipped = sum((hyp_grams & ref_grams).values())
+        total = max(len(hyp) - n + 1, 0)
         counts[f"matches_{n}"] = clipped
         counts[f"total_{n}"] = total
         precisions.append(clipped / total if total else 0.0)

@@ -1,6 +1,8 @@
 """CLI contract: subcommand behaviour, exit codes, config precedence."""
 
 import ast
+import csv
+import io
 import json
 import os
 import sys
@@ -294,6 +296,15 @@ class TestSubcommandBehaviour:
         assert lines[0] == "model,benchmark,raw,normalized"
         m2 = [l for l in lines if l.startswith("m2")][0]
         assert m2.endswith("0.6")
+
+    def test_normalize_scores_csv_reads_back_quoted_names(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b'model,benchmark,raw\n"m,1",b,5\n"m\n""2""",b,7\nplain,"b\r\nx",3\n')
+        assert main(["normalize-scores", "--scores", str(scores)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert rows[0] == ["model", "benchmark", "raw", "normalized"]
+        assert sorted(r[:3] for r in rows[1:]) == [
+            ['m\n"2"', "b", "7.0"], ["m,1", "b", "5.0"], ["plain", "b\r\nx", "3.0"]]
 
     @pytest.mark.parametrize("argv, text, message", [
         (["filter-loss", "--losses"], "id,loss\na,1\nb,2\na,100\nc,3\n",

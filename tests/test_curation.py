@@ -21,7 +21,7 @@ from omnipipe.curation import (
 )
 from omnipipe.errors import ContractError
 
-from oracles import split_one_three_two_pass
+from oracles import edit_distance, split_one_three_two_pass
 
 
 class TestGaussianFilter:
@@ -221,6 +221,10 @@ class TestMixPlan:
         )
 
 
+# prompts and transcripts, some of which normalize to ""
+_ROUNDTRIP_TEXT = st.one_of(st.sampled_from(["", " ", "!?", ". ."]), st.text("ab .!", max_size=30))
+
+
 class TestAsrRoundtrip:
     def test_exact_mode_normalizes(self):
         kept, removed = asr_roundtrip_filter([("Hello world", "hello world")])
@@ -252,6 +256,19 @@ class TestAsrRoundtrip:
                 asr_roundtrip_filter([(prompt, transcript)], "cer_threshold", 0.0)[0]
             )
             assert exact_kept == cer0_kept
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(_ROUNDTRIP_TEXT, _ROUNDTRIP_TEXT), max_size=12),
+        st.floats(0.0, 1.0),
+    )
+    def test_cer_threshold_equals_per_pair_decisions(self, pairs, threshold):
+        expected: tuple[list, list] = ([], [])
+        for prompt, transcript in pairs:
+            ref, hyp = normalize_transcript(prompt), normalize_transcript(transcript)
+            ok = edit_distance(ref, hyp) / len(ref) <= threshold if ref else not hyp
+            expected[0 if ok else 1].append((prompt, transcript))
+        assert asr_roundtrip_filter(pairs, "cer_threshold", threshold) == expected
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ContractError):

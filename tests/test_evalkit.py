@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnipipe import evalkit
 from omnipipe.cli import main
 from omnipipe.errors import ContractError
 from omnipipe.evalkit import (
@@ -15,12 +16,16 @@ from omnipipe.evalkit import (
     _edit_ops,
     bleu,
     cer,
+    error_rates,
     normalize_scores,
     tokenize_words,
     wer,
 )
 
 from oracles import bleu_multi_reference, edit_distance, edit_ops
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=40)
 
 
 def _random_string(rng, vocab, max_len):
@@ -32,7 +37,7 @@ class TestEditOps:
     @given(st.text("abc", max_size=40), st.text("abc", max_size=40))
     def test_characters_match_dp_oracle(self, ref, hyp):
         # a three-letter alphabet forces many cost ties in the backtrace
-        assert _edit_ops(list(ref), list(hyp)) == edit_ops(list(ref), list(hyp))
+        assert _edit_ops([(list(ref), list(hyp))]) == [edit_ops(list(ref), list(hyp))]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -40,10 +45,64 @@ class TestEditOps:
         st.lists(st.sampled_from(["a", "dog", "cat", "the", "uh"]), max_size=40),
     )
     def test_words_match_dp_oracle(self, ref, hyp):
-        assert _edit_ops(ref, hyp) == edit_ops(ref, hyp)
+        assert _edit_ops([(ref, hyp)]) == [edit_ops(ref, hyp)]
 
     def test_empty_hypothesis_is_all_deletions(self):
-        assert _edit_ops(list("abca"), []) == edit_ops(list("abca"), []) == (0, 4, 0)
+        assert _edit_ops([(list("abca"), [])]) == [edit_ops(list("abca"), [])] == [(0, 4, 0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(_TOKENS, st.one_of(st.just([]), _TOKENS)), max_size=8),
+        st.tuples(*[st.lists(st.sampled_from(["a", "b", "c"]), min_size=22, max_size=40)] * 2),
+        st.integers(0, 8),
+    )
+    def test_batches_match_dp_oracle(self, pairs, large, at):
+        # a 2 KiB budget holds about a dozen short pairs; the large pair
+        # (at least 22 x 22 tokens, 2600 bytes) must run alone
+        pairs.insert(min(at, len(pairs)), large)
+        batches = []
+
+        def spy(batch):
+            batches.append(batch)
+            return align(batch)
+
+        align = evalkit._align
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalkit, "_DP_BYTES", 2048)
+            patch.setattr(evalkit, "_align", spy)
+            assert _edit_ops(pairs) == [edit_ops(r, h) for r, h in pairs]
+        assert sum(map(len, batches)) == len(pairs)
+        assert [large] in batches
+        for batch in batches:
+            rows = max(len(r) for r, _ in batch)
+            cols = max(len(h) for _, h in batch)
+            assert len(batch) == 1 or len(batch) * evalkit._dp_bytes(rows, cols) <= 2048
+
+
+class TestErrorRates:
+    def test_checks_each_pair_as_it_is_drawn(self):
+        drawn = []
+
+        def pairs():
+            for ref in ("a b", "", "c"):
+                drawn.append(ref)
+                yield ref, "x"
+
+        with pytest.raises(ContractError, match="reference is empty after tokenization"):
+            error_rates("wer", pairs())
+        assert drawn == ["a b", ""]
+
+    def test_results_in_input_order(self):
+        pairs = [("a b c d e f", "a x c"), ("a", "b"), ("abc", "abc"), ("a b c", "")]
+        for metric in ("wer", "cer"):
+            results = error_rates(metric, pairs)
+            assert [r.metric for r in results] == [metric] * 4
+            assert results == [getattr(evalkit, metric)(r, h) for r, h in pairs]
+        assert [r.value for r in error_rates("wer", pairs)] == [4 / 6, 1.0, 0.0, 1.0]
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ContractError, match="unknown error-rate metric 'bleu'"):
+            error_rates("bleu", [("a", "a")])
 
 
 class TestWer:

@@ -228,6 +228,9 @@ EDGE = {
                                      b"model,benchmark,raw\n"),
     "normalize-scores crlf endings": (["normalize-scores", "--scores", "{f}"],
                                       b"model,benchmark,raw\r\nm1,b,1\r\nm2,b,2\r\n"),
+    "normalize-scores quoted names": (["normalize-scores", "--scores", "{f}"],
+                                      b'model,benchmark,raw\n"m,1",b,5\n"m\n""2""",b,7\n'
+                                      b'plain,"b\r\nx",3\n'),
     "split-crossmodal surrogate text": (["split-crossmodal", "--input", "{f}"],
                                         b'{"text": "\\ud800 one two three four"}\n'),
     "metrics pairs not objects": (["metrics", "--metric", "cer", "--pairs", "{f}"], b"[]\n"),
