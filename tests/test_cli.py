@@ -333,7 +333,9 @@ HUGE = 10**400
 # Each case: argv (with {NAME} standing for a file written from FILES, or for
 # the fixtures {wav} and {sizes}, which are valid, and {bad_fmt_wav}, {wav}
 # with its fmt chunk size set to 18), the files, the expected exit code, and
-# for reader errors the failing line.
+# for reader errors the failing line, or NAMES_NO_FILE for an error about a
+# file's content that names no file.
+NAMES_NO_FILE = "names no file"
 MALFORMED = {
     "pack len not a number": (
         ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": "a", "len": "abc"}\n'}, 1, 1),
@@ -344,6 +346,11 @@ MALFORMED = {
         ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": "a"}\n'}, 1, 1),
     "pack line not an object": (
         ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": "\n[1, 2]\n"}, 1, 2),
+    "pack len 0": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"],
+        {"m": '{"id": "a", "len": 2}\n{"id": "b", "len": 0}\n'}, 1, NAMES_NO_FILE),
+    "pack capacity 0": (["pack", "--capacity", "0", "--manifest", os.devnull], {}, 1, None),
+    "tile height missing": (["tile", "--width", "3"], {}, 1, None),
     "tile config width not a number": (
         ["tile", "--config", "{c}"], {"c": '{"width": "abc", "height": 3}'}, 1, None),
     "tile config out not a string": (
@@ -365,6 +372,7 @@ MALFORMED = {
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e300"], {}, 1, None),
     "gradcheck probe does not move a parameter": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e-320"], {}, 1, None),
+    "gradcheck seeds 0": (["gradcheck", "--projector", "mlp", "--seeds", "0"], {}, 1, None),
     "gradcheck negative seed": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
@@ -412,6 +420,9 @@ MALFORMED = {
         ["stream-sim", "--events", "{e}"],
         {"e": '{"t": 0, "kind": "audio_start"}\n{"t": 5, "kind": "audio_frame", "tokens": 2}\n'},
         1, None),
+    "stream-sim neither events nor wav": (["stream-sim"], {}, 1, None),
+    "stream-sim both events and wav": (
+        ["stream-sim", "--events", os.devnull, "--wav", "{wav}"], {}, 1, None),
     "stream-sim wav at rate 3": (["stream-sim", "--wav", "{wav}", "--rate", "3"], {}, 1, None),
     "stream-sim wav fmt chunk size wrong": (
         ["stream-sim", "--wav", "{bad_fmt_wav}"], {}, 1, None),
@@ -497,7 +508,9 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "Traceback" not in captured.err and "()" not in err[0]
-    if files:
+    if line == NAMES_NO_FILE:
+        assert not any(p in err[0] for p in paths.values())
+    elif files:
         (named,) = [p for k, p in paths.items() if k in files and p in err[0]]
         if line is not None:
             assert err[0].startswith(f"error: {named}:{line}: ")

@@ -42,6 +42,8 @@ REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
 ROUNDING = "BLAS/FFT rounding"
 ARGPARSE = "argparse version"
 
+_CHUNK = 2048
+
 WORDS = ("the a cat sat on mat dog ran far away big small red blue green sky sea sun "
          "we go to see it now").split()
 
@@ -243,7 +245,42 @@ EDGE = {
     "config nul byte": (["tile", "--config", "{f}"], b'{"width": 3\x00}'),
     "frame plan not an object": (["stream-sim", "--wav", "{wav}", "--frame-plan", "{f}"], b"[1]"),
     "frame plan bad json": (["stream-sim", "--wav", "{wav}", "--frame-plan", "{f}"], b"{"),
+    # each line of a JSON-lines file is parsed alone: joined, these two lines
+    # would be two valid records
+    "pack two lines that join into records": (
+        ["pack", "--capacity", "8", "--manifest", "{f}"],
+        b'{"id": [{}\n{"x": 2}], "len": 3}, {"id": 1, "len": 2}\n'),
 }
+
+
+def _manifest_lines(n: int) -> list[bytes]:
+    return [b'{"id": "s%d", "len": %d}\n' % (i, i % 7 + 1) for i in range(n)]
+
+
+def _at(lines: list[bytes], index: int, line: bytes) -> bytes:
+    return b"".join(lines[:index] + [line] + lines[index:])
+
+
+# Files that cross the readers' chunk boundary (cli._CHUNK lines or rows).
+_LOSS_ROWS = [b"x%d,%r\n" % (i, 1.0 + i % 11 / 4) for i in range(_CHUNK + 5)]
+EDGE.update({
+    "pack bad len after the first chunk": (
+        ["pack", "--capacity", "64", "--manifest", "{f}"],
+        b"".join(_manifest_lines(_CHUNK + 5)) + b'{"id": "z", "len": "3"}\n'),
+    "pack len 3.0 past the first chunk": (
+        ["pack", "--capacity", "64", "--manifest", "{f}"],
+        _at(_manifest_lines(_CHUNK + 5), _CHUNK + 2, b'{"id": "f", "len": 3.0}\n')),
+    "stream-sim time regression before invalid json in a later chunk": (
+        ["stream-sim", "--events", "{f}"],
+        b'{"t": 10, "kind": "text"}\n\n{"t": 5, "kind": "image", "tokens": 2}\n'
+        + b'{"t": 20, "kind": "text"}\n' * _CHUNK + b"{\n"),
+    "filter-loss quoted multi-line id after the first chunk": (
+        ["filter-loss", "--losses", "{f}"],
+        b"id,loss\n" + _at(_LOSS_ROWS, _CHUNK + 2, b'"multi\nline",2.5\n')),
+    "filter-loss duplicate multi-line id across chunks": (
+        ["filter-loss", "--losses", "{f}"],
+        b'id,loss\n"a\nb",1\n' + _at(_LOSS_ROWS, _CHUNK + 2, b'"a\nb",2.5\n')),
+})
 
 # mutants of the valid input of each file-reading flag in test_cli.READERS
 MUTANTS_PER_READER = 20
