@@ -15,7 +15,9 @@ string. Argparse applies it to argv values, resolve_config to --config values
 and the ``_Input`` readers (json, jsonl, csv) to every declared field of the
 typed records they yield, one at a time, to their consumers. An error raised
 inside ``with _Input(path)`` while a record is in use, by the reader or by
-the record's consumer, names FILE:LINE; any other names FILE.
+the record's consumer, names FILE:LINE; any other names FILE. The jsonl and
+csv readers check ``_CHUNK`` lines or rows at a time and replay line by line
+only a chunk that fails a check, which raises the same error at the same line.
 
 The CLI renders every payload itself, as JSON lines (``_jsonl``), CSV
 (``_csv``) or the normalize-scores JSON array; the library returns values.
@@ -30,12 +32,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 
 from . import curation, evalkit, modality, packing, projectors, stream
 from .errors import ContractError, FormatError
-from .fileio import atomic_write, json_value
+from .fileio import atomic_write, exact, json_value
 
 
 def _jsonl(records) -> str:
@@ -62,6 +65,8 @@ def _csv(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
+_CHUNK = 2048  # lines (JSON lines) or rows (CSV) a typed reader checks at once
+_scan = json.JSONDecoder().scan_once
 
 
 def _field(obj: dict, name: str, type_, default=_REQUIRED):
@@ -75,10 +80,70 @@ def _field(obj: dict, name: str, type_, default=_REQUIRED):
         raise FormatError(f"field {name!r} {exc}") from None
 
 
+def _jsonl_chunk(texts, start: int, specs):
+    """(line, record) for each record of a chunk's decoded lines, numbered
+    from ``start``, or None if a non-blank line is not an object whose
+    declared fields ``_field`` returns unchanged. Raises nothing of its own."""
+    objs, lines = [], []
+    for line, text in enumerate(texts, start):
+        try:
+            obj, end = _scan(text, 0)
+        except StopIteration:  # no value starts the line
+            if text.strip():
+                return None
+            continue
+        except (ValueError, RecursionError):
+            return None
+        if type(obj) is not dict or text[end:].strip(" \t\r"):
+            return None
+        objs.append(obj)
+        lines.append(line)
+    columns = []
+    for name, type_, default in specs:
+        try:
+            if default is _REQUIRED:
+                column = [obj[name] for obj in objs]
+            else:
+                column = [obj.get(name, default) for obj in objs]
+        except KeyError:
+            return None
+        if not exact(column, type_):
+            return None
+        columns.append(column)
+    return list(zip(lines, zip(*columns)))
+
+
+def _csv_chunk(rows, types: list, key: int, first_line: dict):
+    """(line, record) for each of a chunk's (line, row) pairs, or None if a
+    row is short, a cell does not parse to exactly its type or a key is seen
+    twice. Adds the chunk's keys to ``first_line`` only on success."""
+    if not rows:
+        return []
+    lines, cells = zip(*rows)
+    if min(map(len, cells)) < len(types):
+        return None
+    try:
+        columns = [list(map(t, column)) for t, column in zip(types, zip(*cells))]
+    except ValueError:
+        return None
+    if not all(map(exact, columns, types)):
+        return None
+    keys = dict(zip(zip(*columns[:key]), lines))
+    if len(keys) < len(lines) or not keys.keys().isdisjoint(first_line):
+        return None
+    first_line.update(keys)
+    return list(zip(lines, zip(*columns)))
+
+
 class _Input:
     """One input file. Its readers set ``line`` to the line of the record in
     use and back to None once done; leaving ``with`` re-raises a ContractError
-    as ``PATH:LINE: ...`` or ``PATH: ...`` by it. OSError passes unchanged."""
+    as ``PATH:LINE: ...`` or ``PATH: ...`` by it. OSError passes unchanged.
+
+    The typed readers check ``_CHUNK`` lines or rows at once. A chunk that
+    fails a check is replayed line by line, which raises the error at its
+    line after yielding the records before it; records of earlier chunks
+    have been yielded already, so every record and error comes in file order."""
 
     def __init__(self, path: str):
         self.path, self.line = path, None
@@ -102,32 +167,54 @@ class _Input:
     def jsonl(self, fields: dict):
         """One tuple per non-blank line, its values in ``fields`` order;
         ``fields`` maps a name to its type, or to ``(type, default)`` for a
-        field that may be absent. Each line holds a JSON object."""
+        field that may be absent. Each line holds a JSON object.
+
+        A chunk is decoded once and each of its lines is parsed alone with
+        the C scanner; the chunk passes when every value ends its line and is
+        an object whose declared fields hold exactly their types."""
         specs = [(n, *(s if isinstance(s, tuple) else (s, _REQUIRED))) for n, s in fields.items()]
         with open(self.path, "rb") as handle:
-            for self.line, raw in enumerate(handle, 1):
+            start = 1
+            while chunk := list(itertools.islice(handle, _CHUNK)):
                 try:
-                    text = raw.decode("utf-8")
-                    if not text.strip():
-                        continue
-                    obj = json.loads(text)
-                    if not isinstance(obj, dict):
-                        raise FormatError("expected a JSON object")
-                    record = tuple([_field(obj, n, t, d) for n, t, d in specs])
-                except ContractError:
-                    raise
-                except (ValueError, RecursionError) as exc:
-                    raise FormatError(f"invalid JSON ({exc})") from None
-                yield record
+                    found = _jsonl_chunk(b"".join(chunk).decode("utf-8").split("\n"), start, specs)
+                except UnicodeDecodeError:
+                    found = None
+                if found is None:
+                    yield from self._replay_jsonl(chunk, start, specs)
+                else:
+                    for self.line, record in found:
+                        yield record
+                start += len(chunk)
         self.line = None
+
+    def _replay_jsonl(self, chunk, start: int, specs):
+        """The chunk's raw lines read one at a time, each error raised at its line."""
+        for self.line, raw in enumerate(chunk, start):
+            try:
+                text = raw.decode("utf-8")
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
+                if not isinstance(obj, dict):
+                    raise FormatError("expected a JSON object")
+                record = tuple([_field(obj, n, t, d) for n, t, d in specs])
+            except ContractError:
+                raise
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"invalid JSON ({exc})") from None
+            yield record
 
     def csv(self, fields: dict, key: int):
         """One tuple per non-empty row under a header that starts with the
         names in ``fields`` (name -> type), each cell parsed with its type.
         The first ``key`` cells are the row's key, which no two rows share;
-        a row's line is the last line it spans."""
+        a row's line is the last line it spans.
+
+        A chunk of rows passes when every row is long enough, every cell
+        parses to exactly its type and every key is new. An error of the
+        CSV reader itself comes after the rows read before it."""
         types = list(fields.values())
-        key_names = ",".join(list(fields)[:key])
         first_line: dict[tuple, int] = {}
         with open(self.path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -135,24 +222,47 @@ class _Input:
                 header = next(reader, None)
                 if header is None or [h.strip() for h in header[: len(types)]] != list(fields):
                     raise FormatError(f'header must start with "{",".join(fields)}"')
-                for row in reader:
-                    if not row:
-                        continue
-                    if len(row) < len(types):
-                        raise FormatError(f"expected {len(types)} columns, got {len(row)}")
-                    record = tuple([json_value(t(cell), t) for t, cell in zip(types, row)])
-                    k = record[:key]
-                    if k in first_line:
-                        raise FormatError(
-                            f"duplicate {key_names} {','.join(map(str, k))!r}, "
-                            f"first on line {first_line[k]}"
-                        )
-                    self.line = first_line[k] = reader.line_num
-                    yield record
             except (csv.Error, ValueError) as exc:
                 self.line = max(reader.line_num, 1)
                 raise FormatError(str(exc)) from None
+            read = _CHUNK
+            while read == _CHUNK:
+                rows, read, error = [], 0, None
+                try:
+                    for read, row in enumerate(itertools.islice(reader, _CHUNK), 1):
+                        if row:
+                            rows.append((reader.line_num, row))
+                except (csv.Error, ValueError) as exc:
+                    error = (max(reader.line_num, 1), str(exc))
+                found = _csv_chunk(rows, types, key, first_line)
+                if found is None:
+                    yield from self._replay_csv(rows, fields, key, first_line)
+                else:
+                    for self.line, record in found:
+                        yield record
+                if error:
+                    self.line = error[0]
+                    raise FormatError(error[1])
         self.line = None
+
+    def _replay_csv(self, rows, fields: dict, key: int, first_line: dict):
+        """The chunk's rows checked one at a time, each error raised at its line."""
+        types = list(fields.values())
+        for self.line, row in rows:
+            if len(row) < len(types):
+                raise FormatError(f"expected {len(types)} columns, got {len(row)}")
+            try:
+                record = tuple([json_value(t(cell), t) for t, cell in zip(types, row)])
+            except ValueError as exc:
+                raise FormatError(str(exc)) from None
+            k = record[:key]
+            if k in first_line:
+                raise FormatError(
+                    f"duplicate {','.join(list(fields)[:key])} {','.join(map(str, k))!r}, "
+                    f"first on line {first_line[k]}"
+                )
+            first_line[k] = self.line
+            yield record
 
 
 # ---------------------------------------------------------------------------

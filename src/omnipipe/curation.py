@@ -3,14 +3,13 @@
 Deterministic, auditable filters and splitters for building a training mix:
 a one-standard-deviation loss filter, 1:3 text splitting with timbre
 assignment for speech synthesis manifests, size-proportional dataset mixing,
-and a transcription round-trip filter. The 1:3 split reads a text's words
-(runs of non-whitespace, the same words ``str.split`` gives) in one pass.
+and a transcription round-trip filter. The 1:3 split counts a text's words
+with ``str.split`` and reads only the two word ends around its quarter mark.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,20 +105,32 @@ class CrossModalSample:
         }
 
 
+def _is_word_end(text: str, i: int) -> bool:
+    return not text[i - 1].isspace() and (i == len(text) or text[i].isspace())
+
+
 def split_one_three(text: str) -> CrossModalSample:
     """Cut the text at the word boundary nearest one quarter of its length.
 
-    The cut lands at the end of a word; the separating whitespace stays at the
-    head of target_text, so audio_text + target_text is byte-identical to the
-    source.
+    The cut lands at the end of a word other than the last, ties going to
+    the earlier end; the separating whitespace stays at the head of
+    target_text, so audio_text + target_text is byte-identical to the
+    source. Only two word ends can be nearest: the last at or before the
+    quarter mark and the first after it, so only those two are looked for.
     """
-    word_ends = [m.end() for m in re.finditer(r"\S+", text)]
-    if len(word_ends) < MIN_SPLIT_WORDS:
-        raise ContractError(
-            f"text must have at least {MIN_SPLIT_WORDS} words, got {len(word_ends)}"
-        )
+    words = len(text.split())
+    if words < MIN_SPLIT_WORDS:
+        raise ContractError(f"text must have at least {MIN_SPLIT_WORDS} words, got {words}")
     target_pos = 0.25 * len(text)
-    cut = min(word_ends[:-1], key=lambda b: (abs(b - target_pos), b))
+    last = len(text.rstrip())  # the last word's end, never a cut
+    before = min(int(target_pos), last - 1)
+    while before > 0 and not _is_word_end(text, before):
+        before -= 1
+    after = int(target_pos) + 1
+    while after < last and not _is_word_end(text, after):
+        after += 1
+    ends = [b for b in (before, after) if 0 < b < last]
+    cut = min(ends, key=lambda b: (abs(b - target_pos), b))
     return CrossModalSample(audio_text=text[:cut], target_text=text[cut:])
 
 

@@ -59,6 +59,18 @@ def json_value(value, type_):
     raise FormatError(f"must be {_KINDS[type_]}, got {shown}")
 
 
+def exact(values: list, type_) -> bool:
+    """Whether ``json_value(v, type_)`` returns every v in values unchanged:
+    each is exactly of type_ (a bool is not an int) and in range."""
+    if type_ is object or not values:
+        return True
+    if set(map(type, values)) != {type_}:
+        return False
+    if type_ is int:
+        return min(values) in _INT64 and max(values) in _INT64
+    return type_ is str or all(map(math.isfinite, values))
+
+
 def atomic_write(path, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never see a
     partially written file and repeated runs are byte-identical."""

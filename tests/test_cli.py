@@ -1,6 +1,7 @@
 """CLI contract: subcommand behaviour, exit codes, config precedence."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -10,13 +11,14 @@ import time
 import warnings
 import wave
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from omnipipe import evalkit, stream
+from omnipipe import cli, evalkit, stream
 from omnipipe.errors import ContractError, FormatError, ProtocolError
 from omnipipe.fileio import json_value
 from omnipipe.cli import _COMMANDS, _jsonl, build_parser, main
@@ -955,3 +957,157 @@ def test_only_cli_and_fileio_import_json_or_csv():
             if any(m.split(".")[0] in ("json", "csv") for m in modules):
                 importers.add(path.stem)
     assert importers == {"cli", "fileio"}
+
+
+# ---------------------------------------------------------------------------
+# the chunked typed readers against their per-line replay
+# ---------------------------------------------------------------------------
+
+_JSONL_FIELDS = {"n": int, "x": (float, 0.5), "s": str, "o": object}
+_CSV_FIELDS = {"id": str, "v": float}
+
+
+@st.composite
+def _jsonl_bytes(draw):
+    """JSON-lines bytes: objects whose fields hold good, converted or bad
+    values, or are missing, among blank lines (also \\x0c and \\x1c), CRLF
+    endings, a BOM, NUL, invalid UTF-8, objects split over two lines and
+    values that are not objects."""
+    values = {
+        "n": st.sampled_from([0, 5, -3, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, True,
+                              3.0, 3.5, "4", None, [1]]),
+        "x": st.sampled_from([0.25, 2, -7, False, 1e308, "x", None, 2**70]),
+        "s": st.sampled_from(["a", "", "é ", 1, None]),
+        "o": st.sampled_from([None, True, [1, {}], 2**64]),
+    }
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["good"] * 8 + ["blank", "crlf", "bom", "nul", "split",
+                                                     "not an object", "spaced", "trailing",
+                                                     "bad utf-8", "missing"]))
+        obj = {name: draw(values[name]) if draw(st.integers(0, 3)) == 3
+               else {"n": 7, "x": 1.5, "s": "w", "o": "z"}[name] for name in values}
+        if shape == "missing":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        line = json.dumps(obj).encode()
+        lines += {
+            "blank": [draw(st.sampled_from([b"", b"  ", b"\t", b"\x0c", b"\x1c", b" \x0c\r"]))],
+            "crlf": [line + b"\r"],
+            "bom": [b"\xef\xbb\xbf" + line],
+            "nul": [draw(st.sampled_from([b"\x00", line + b"\x00"]))],
+            "split": [b'{"n": [1', b'2], "s": "a", "o": 0}'],
+            "not an object": [draw(st.sampled_from([b"[1, 2]", b"3", b"null", b'"s"', b"NaN"]))],
+            "spaced": [b" \t" + line],
+            "trailing": [line + draw(st.sampled_from([b" x", b" \t", b"}", b" {}"]))],
+            "bad utf-8": [b'{"n": 1, "s": "\xff", "o": 0}'],
+        }.get(shape, [line])
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n"]))
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV bytes under a good or bad header: rows whose keys repeat, whose
+    values parse or not, short rows, extra cells, empty lines, CRLF, quoted
+    multi-line ids, NUL, an unterminated quote and invalid UTF-8."""
+    header = draw(st.sampled_from([b"id,v"] * 6 + [b" id , v ,note", b"v,id", b""]))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        key = draw(st.sampled_from([b"a", b"b", b"c", b"d", b"e", b"f", b"g", b"h",
+                                    b'"a\nb"', b'"q""\r\nr"']))
+        value = draw(st.sampled_from([b"1", b"2.5", b"-0", b" 3", b"1_0"] * 2
+                                     + [b"1e400", b"inf", b"nan", b"x", b""]))
+        shape = draw(st.sampled_from(["row"] * 8 + ["short", "extra", "empty", "crlf", "nul",
+                                                    "open quote", "bad utf-8"]))
+        rows.append({
+            "short": key,
+            "extra": key + b"," + value + b",more",
+            "empty": b"",
+            "crlf": key + b"," + value + b"\r",
+            "nul": key + b"\x00," + value,
+            "open quote": b'"' + key + b"," + value,
+            "bad utf-8": b"\xff," + value,
+        }.get(shape, key + b"," + value))
+    return b"\n".join([header, *rows]) + draw(st.sampled_from([b"", b"\n"]))
+
+
+def _consume(path, reader: str, chunk: int, per_line: bool, stop_at: int):
+    """The (record, line) pairs a consumer sees and the error text that ends
+    the read, if any; the consumer raises its own error at record
+    ``stop_at`` (never when 0). ``per_line`` sends every chunk to the
+    replay."""
+    checks = {"jsonl": "_jsonl_chunk", "csv": "_csv_chunk"}
+    seen = []
+    with mock.patch.object(cli, "_CHUNK", chunk), contextlib.ExitStack() as stack:
+        if per_line:
+            stack.enter_context(mock.patch.object(cli, checks[reader], lambda *args: None))
+        try:
+            with cli._Input(str(path)) as f:
+                records = f.jsonl(_JSONL_FIELDS) if reader == "jsonl" else f.csv(_CSV_FIELDS, 1)
+                for record in records:
+                    seen.append((record, f.line))
+                    if len(seen) == stop_at:
+                        raise ContractError("the consumer stops")
+                assert f.line is None
+        except (ContractError, OSError) as exc:
+            return seen, str(exc)
+    return seen, None
+
+
+# a CSV longer than one decoded block of the text reader, so that its bad
+# byte fails a read after the first rows of a chunk
+_LATE_BAD_BYTE = b"id,v\n" + b"".join(b"k%d,1\n" % i for i in range(2000)) + b"\xff,2\n"
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(_jsonl_bytes().map(lambda data: ("jsonl", data)),
+                      _csv_bytes().map(lambda data: ("csv", data))),
+       chunk=st.integers(1, 4), stop_at=st.integers(0, 8))
+@example(case=("jsonl", b'{"id": [{}\n{"x": 2}], "len": 3}, {"id": 1, "len": 2}\n'),
+         chunk=2, stop_at=0)
+@example(case=("jsonl", b'{"n": 1, "s": "a", "o": 0}\n{"n": 1, "s": "a"}\n'), chunk=4,
+         stop_at=0)
+@example(case=("jsonl", b'{"n": 1, "s": "a", "o": 0}\n{"n": 9223372036854775808, "s": "a", '
+                        b'"o": 0}\n'), chunk=4, stop_at=0)
+@example(case=("jsonl", b'{"n": 3.0, "x": 2, "s": "b", "o": 1}\n{"n": true, "s": "a", "o": 0}\n'),
+         chunk=4, stop_at=0)
+@example(case=("csv", b"id,v\na,1\nb,2\nc,3\na,4\n"), chunk=3, stop_at=0)
+@example(case=("csv", _LATE_BAD_BYTE), chunk=4, stop_at=0)
+def test_chunked_reader_equals_its_per_line_replay(tmp_path, case, chunk, stop_at):
+    reader, content = case
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    expected = _consume(path, reader, 10**9, True, stop_at)
+    # NaN is not equal to itself, so the records are compared by their repr
+    assert repr(_consume(path, reader, chunk, False, stop_at)) == repr(expected)
+    assert repr(_consume(path, reader, chunk, True, stop_at)) == repr(expected)
+
+
+def test_clean_input_takes_the_fast_path(tmp_path, monkeypatch):
+    """No chunk of clean files is replayed line by line."""
+    replayed = []
+    for name in ("_replay_jsonl", "_replay_csv"):
+        replay = getattr(cli._Input, name)
+        monkeypatch.setattr(cli._Input, name,
+                            lambda self, rows, *args, replay=replay: replayed.append(rows)
+                            or replay(self, rows, *args))
+    rng = np.random.default_rng(0)
+    n = 5000
+    (tmp_path / "m.jsonl").write_text("".join(
+        json.dumps({"id": f"s{i}", "len": int(v)}) + "\n"
+        for i, v in enumerate(rng.integers(1, 2049, n))))
+    (tmp_path / "l.csv").write_text("id,loss\n" + "".join(
+        f"s{i},{v!r}\n" for i, v in enumerate(rng.normal(2.0, 0.5, n).tolist())))
+    (tmp_path / "t.jsonl").write_text("".join(
+        json.dumps({"text": f"text {i} with some words"}) + "\n" for i in range(n)))
+    (tmp_path / "e.jsonl").write_text("".join(
+        json.dumps({"t": i, "kind": "text", "tokens": i % 5}) + "\n" for i in range(n)))
+    with cli._Input(str(tmp_path / "m.jsonl")) as f:
+        assert len(list(f.jsonl({"id": object, "len": int}))) == n
+    with cli._Input(str(tmp_path / "l.csv")) as f:
+        assert len(dict(f.csv({"id": str, "loss": float}, key=1))) == n
+    with cli._Input(str(tmp_path / "t.jsonl")) as f:
+        assert len(list(f.jsonl({"text": str}))) == n
+    with cli._Input(str(tmp_path / "e.jsonl")) as f:
+        assert len(list(f.jsonl({"t": int, "kind": str, "tokens": (int, 0)}))) == n
+    assert replayed == []

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe.curation import (
@@ -117,6 +117,9 @@ class TestSplitOneThree:
     @given(st.lists(st.sampled_from(["a", "bc", "\u00e9", " ", "\t", "\n", "\x1c", "\x1f",
                                      "\x85", "\xa0", "\u2028", "\u3000", "\u200b"]),
                     max_size=40).map("".join))
+    @example("ab c ddd eee")  # word ends 2 and 4 tie around the quarter mark 3
+    @example("a b c d" + " " * 40)  # the quarter mark lies past the last word
+    @example("\u3000 a b\x1c c d")
     def test_one_pass_matches_the_two_pass_split(self, text):
         expected = split_one_three_two_pass(text)
         try:

@@ -34,15 +34,13 @@ from unittest import mock
 
 import pytest
 
-from omnipipe.cli import _COMMANDS, main
+from omnipipe.cli import _CHUNK, _COMMANDS, main
 from test_cli import MALFORMED, READERS
 
 MANIFEST = Path(__file__).with_name("golden_digests.json")
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py --regenerate"
 ROUNDING = "BLAS/FFT rounding"
 ARGPARSE = "argparse version"
-
-_CHUNK = 2048
 
 WORDS = ("the a cat sat on mat dog ran far away big small red blue green sky sea sun "
          "we go to see it now").split()
