@@ -81,9 +81,9 @@ def _field(obj: dict, name: str, type_, default=_REQUIRED):
 
 
 def _jsonl_chunk(texts, start: int, specs):
-    """(line, record) for each record of a chunk's decoded lines, numbered
-    from ``start``, or None if a non-blank line is not an object whose
-    declared fields ``_field`` returns unchanged. Raises nothing of its own."""
+    """The line numbers and records of a chunk's decoded lines, numbered from
+    ``start``, or None if a non-blank line is not an object whose declared
+    fields ``_field`` returns unchanged. Raises nothing of its own."""
     objs, lines = [], []
     for line, text in enumerate(texts, start):
         try:
@@ -110,29 +110,28 @@ def _jsonl_chunk(texts, start: int, specs):
         if not exact(column, type_):
             return None
         columns.append(column)
-    return list(zip(lines, zip(*columns)))
+    return lines, list(zip(*columns))
 
 
-def _csv_chunk(rows, types: list, key: int, first_line: dict):
-    """(line, record) for each of a chunk's (line, row) pairs, or None if a
-    row is short, a cell does not parse to exactly its type or a key is seen
-    twice. Adds the chunk's keys to ``first_line`` only on success."""
+def _csv_chunk(lines: list, rows: list, types: list, key: int, first_line: dict):
+    """The records of a chunk's non-empty rows, or None if a row is short, a
+    cell does not parse to exactly its type or a key is seen twice. Adds the
+    chunk's keys, with their lines, to ``first_line`` only on success."""
     if not rows:
         return []
-    lines, cells = zip(*rows)
-    if min(map(len, cells)) < len(types):
+    if min(map(len, rows)) < len(types):
         return None
     try:
-        columns = [list(map(t, column)) for t, column in zip(types, zip(*cells))]
+        columns = [list(map(t, column)) for t, column in zip(types, zip(*rows))]
     except ValueError:
         return None
     if not all(map(exact, columns, types)):
         return None
     keys = dict(zip(zip(*columns[:key]), lines))
-    if len(keys) < len(lines) or not keys.keys().isdisjoint(first_line):
+    if len(keys) < len(lines) or any(map(first_line.__contains__, keys)):
         return None
     first_line.update(keys)
-    return list(zip(lines, zip(*columns)))
+    return list(zip(*columns))
 
 
 class _Input:
@@ -183,7 +182,7 @@ class _Input:
                 if found is None:
                     yield from self._replay_jsonl(chunk, start, specs)
                 else:
-                    for self.line, record in found:
+                    for self.line, record in zip(*found):
                         yield record
                 start += len(chunk)
         self.line = None
@@ -227,28 +226,29 @@ class _Input:
                 raise FormatError(str(exc)) from None
             read = _CHUNK
             while read == _CHUNK:
-                rows, read, error = [], 0, None
+                lines, rows, read, error = [], [], 0, None
                 try:
                     for read, row in enumerate(itertools.islice(reader, _CHUNK), 1):
                         if row:
-                            rows.append((reader.line_num, row))
+                            lines.append(reader.line_num)
+                            rows.append(row)
                 except (csv.Error, ValueError) as exc:
                     error = (max(reader.line_num, 1), str(exc))
-                found = _csv_chunk(rows, types, key, first_line)
-                if found is None:
-                    yield from self._replay_csv(rows, fields, key, first_line)
+                records = _csv_chunk(lines, rows, types, key, first_line)
+                if records is None:
+                    yield from self._replay_csv(lines, rows, fields, key, first_line)
                 else:
-                    for self.line, record in found:
+                    for self.line, record in zip(lines, records):
                         yield record
                 if error:
                     self.line = error[0]
                     raise FormatError(error[1])
         self.line = None
 
-    def _replay_csv(self, rows, fields: dict, key: int, first_line: dict):
+    def _replay_csv(self, lines: list, rows: list, fields: dict, key: int, first_line: dict):
         """The chunk's rows checked one at a time, each error raised at its line."""
         types = list(fields.values())
-        for self.line, row in rows:
+        for self.line, row in zip(lines, rows):
             if len(row) < len(types):
                 raise FormatError(f"expected {len(types)} columns, got {len(row)}")
             try:

@@ -982,10 +982,10 @@ def _jsonl_bytes(draw):
     }
     lines = []
     for _ in range(draw(st.integers(0, 12))):
-        shape = draw(st.sampled_from(["good"] * 8 + ["blank", "crlf", "bom", "nul", "split",
+        shape = draw(st.sampled_from(["good"] * 16 + ["blank", "crlf", "bom", "nul", "split",
                                                      "not an object", "spaced", "trailing",
                                                      "bad utf-8", "missing"]))
-        obj = {name: draw(values[name]) if draw(st.integers(0, 3)) == 3
+        obj = {name: draw(values[name]) if draw(st.integers(0, 7)) == 7
                else {"n": 7, "x": 1.5, "s": "w", "o": "z"}[name] for name in values}
         if shape == "missing":
             del obj[draw(st.sampled_from(sorted(obj)))]
@@ -1009,14 +1009,14 @@ def _csv_bytes(draw):
     """CSV bytes under a good or bad header: rows whose keys repeat, whose
     values parse or not, short rows, extra cells, empty lines, CRLF, quoted
     multi-line ids, NUL, an unterminated quote and invalid UTF-8."""
-    header = draw(st.sampled_from([b"id,v"] * 6 + [b" id , v ,note", b"v,id", b""]))
+    header = draw(st.sampled_from([b"id,v"] * 12 + [b" id , v ,note", b"v,id", b""]))
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         key = draw(st.sampled_from([b"a", b"b", b"c", b"d", b"e", b"f", b"g", b"h",
                                     b'"a\nb"', b'"q""\r\nr"']))
-        value = draw(st.sampled_from([b"1", b"2.5", b"-0", b" 3", b"1_0"] * 2
+        value = draw(st.sampled_from([b"1", b"2.5", b"-0", b" 3", b"1_0"] * 4
                                      + [b"1e400", b"inf", b"nan", b"x", b""]))
-        shape = draw(st.sampled_from(["row"] * 8 + ["short", "extra", "empty", "crlf", "nul",
+        shape = draw(st.sampled_from(["row"] * 16 + ["short", "extra", "empty", "crlf", "nul",
                                                     "open quote", "bad utf-8"]))
         rows.append({
             "short": key,
@@ -1070,7 +1070,11 @@ _LATE_BAD_BYTE = b"id,v\n" + b"".join(b"k%d,1\n" % i for i in range(2000)) + b"\
 @example(case=("jsonl", b'{"n": 1, "s": "a", "o": 0}\n{"n": 9223372036854775808, "s": "a", '
                         b'"o": 0}\n'), chunk=4, stop_at=0)
 @example(case=("jsonl", b'{"n": 3.0, "x": 2, "s": "b", "o": 1}\n{"n": true, "s": "a", "o": 0}\n'),
-         chunk=4, stop_at=0)
+         chunk=1, stop_at=0)
+@example(case=("jsonl", b'{"n": 1, "s": "a", "o": 0}\n{"n": 2, "s": "b", "o": 0} x\n'), chunk=1,
+         stop_at=0)
+@example(case=("jsonl", b'{"n": 1, "s": "a", "o": 0}\n\n{"n": 2, "s": "b", "o": 0}\n'), chunk=4,
+         stop_at=1)
 @example(case=("csv", b"id,v\na,1\nb,2\nc,3\na,4\n"), chunk=3, stop_at=0)
 @example(case=("csv", _LATE_BAD_BYTE), chunk=4, stop_at=0)
 def test_chunked_reader_equals_its_per_line_replay(tmp_path, case, chunk, stop_at):
