@@ -259,7 +259,8 @@ def _at(lines: list[bytes], index: int, line: bytes) -> bytes:
     return b"".join(lines[:index] + [line] + lines[index:])
 
 
-# Files that cross the readers' chunk boundary (cli._CHUNK lines or rows).
+# Files that cross the readers' chunk boundary (cli._CHUNK lines or rows);
+# their sizes, and so their digests, follow _CHUNK.
 _LOSS_ROWS = [b"x%d,%r\n" % (i, 1.0 + i % 11 / 4) for i in range(_CHUNK + 5)]
 EDGE.update({
     "pack bad len after the first chunk": (
