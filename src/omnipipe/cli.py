@@ -82,8 +82,9 @@ def _field(obj: dict, name: str, type_, default=_REQUIRED):
 
 def _jsonl_chunk(texts, start: int, specs):
     """The line numbers and records of a chunk's decoded lines, numbered from
-    ``start``, or None if a non-blank line is not an object whose declared
-    fields ``_field`` returns unchanged. Raises nothing of its own."""
+    ``start``, or None unless each non-blank line is one JSON object, from its
+    first character to its end (trailing space, tab or CR allowed), whose
+    declared fields ``_field`` returns unchanged. Raises nothing of its own."""
     objs, lines = [], []
     for line, text in enumerate(texts, start):
         try:
