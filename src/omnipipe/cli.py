@@ -335,9 +335,16 @@ def run_ablate_rates(cfg: dict) -> tuple[str, int]:
 
 
 def run_pack(cfg: dict) -> tuple[str, int]:
+    # the flag is checked first, so its error names no file; each length is
+    # checked while its record is in use, so its error names FILE:LINE
+    capacity = cfg["capacity"]
+    packing.check_capacity(capacity)
     with _Input(cfg["manifest"]) as f:
-        rows = list(f.jsonl({"id": object, "len": int}))
-    batch = packing.pack([n for _, n in rows], cfg["capacity"], cfg["policy"])
+        rows = []
+        for row in f.jsonl({"id": object, "len": int}):
+            packing.check_length(row[1], capacity)
+            rows.append(row)
+    batch = packing.pack([n for _, n in rows], capacity, cfg["policy"])
     payload = batch.to_json()
     for bin_obj in payload["bins"]:
         bin_obj["samples"] = [rows[i][0] for i in bin_obj["samples"]]
@@ -398,7 +405,7 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
     with _Input(cfg["pairs"]) as f:
         pairs = f.jsonl({"ref": str, "hyp": str})
         if cfg["metric"] == "bleu":
-            results = [evalkit.bleu(ref, hyp) for ref, hyp in pairs]
+            results = evalkit.bleu_scores(pairs)
         else:
             results = evalkit.error_rates(cfg["metric"], pairs)
         if not results:

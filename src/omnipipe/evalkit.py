@@ -5,7 +5,10 @@ counts (``error_rates`` aligns every pair of a call at once: the cost
 matrices of a length-sorted batch of pairs are filled together, one
 vectorised row step for all of them, then each pair is backtraced),
 sentence BLEU-4 against one reference with modified n-gram
-precision and brevity penalty, and the radar normalization
+precision and brevity penalty (``bleu_scores`` counts the clipped n-gram
+matches of every pair of a call at once: n-grams get call-wide ids by rank,
+and one ``np.unique`` per order counts them per pair and side), and the
+radar normalization
 x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
 column. Results are values, not text: the CLI renders every report.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -175,28 +177,79 @@ def cer(reference: str, hypothesis: str) -> MetricResult:
     return error_rates("cer", [(reference, hypothesis)])[0]
 
 
-def bleu(reference: str, hypothesis: str) -> MetricResult:
-    """Sentence BLEU-4 against one reference: modified n-gram precision for
-    n = 1..4, geometric mean, brevity penalty. Any zero precision, including
-    an order the hypothesis is too short for, zeroes the score."""
-    hyp, ref = hypothesis.split(), reference.split()
-    counts: dict = {"hyp_length": len(hyp), "ref_length": len(ref)}
-    if not hyp:
-        return MetricResult(metric="bleu", value=0.0, counts=counts)
-    precisions: list[float] = []
+def _clipped_matches(sides: list[list[str]]) -> list[list[int]]:
+    """Clipped n-gram matches of orders 1..BLEU_MAX_N for every pair, from
+    ``sides`` = [hyp_0, ref_0, hyp_1, ref_1, ...] word lists; entry n - 1 of
+    the result lists each pair's matches of order n, as Python ints.
+
+    Every word of the call gets one id, and an n-gram starting at a position
+    gets the rank of (its (n-1)-gram's id, its last word's id), so equal
+    n-grams anywhere in the call share an id. Per order, one ``np.unique``
+    counts each (pair, n-gram, side); a hyp count and its ref count sit next
+    to each other, and their minimum summed per pair is the clipped matches.
+    """
+    codes: dict = {}
+    ids = np.array([codes.setdefault(w, len(codes)) for side in sides for w in side], np.int64)
+    lengths = np.array([len(side) for side in sides], dtype=np.int64)
+    sentence = np.repeat(np.arange(len(sides), dtype=np.int64), lengths)
+    # tokens from each position to the end of its sentence, itself included
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids))
+    # ``at`` holds the start positions of the order's n-grams, ``grams`` their
+    # ids, all below ``n_grams``. For T tokens every id is below T, so a rank
+    # key is below T * (T + 1) and a count key below 2 * pairs * T: neither
+    # overflows int64.
+    at, grams, n_grams = np.arange(len(ids)), ids, len(codes)
+    matches = []
     for n in range(1, BLEU_MAX_N + 1):
-        hyp_grams = Counter(zip(*[hyp[i:] for i in range(n)]))
-        ref_grams = Counter(zip(*[ref[i:] for i in range(n)]))
-        clipped = sum((hyp_grams & ref_grams).values())
-        total = max(len(hyp) - n + 1, 0)
-        counts[f"matches_{n}"] = clipped
-        counts[f"total_{n}"] = total
-        precisions.append(clipped / total if total else 0.0)
-    if 0.0 in precisions:
-        return MetricResult(metric="bleu", value=0.0, counts=counts)
-    log_sum = sum(math.log(p) for p in precisions) / BLEU_MAX_N
-    bp = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-    return MetricResult(metric="bleu", value=bp * math.exp(log_sum), counts=counts)
+        if n > 1:
+            fits = left[at] >= n
+            at = at[fits]
+            ranked, grams = np.unique(
+                grams[fits] * (len(codes) + 1) + ids[at + n - 1], return_inverse=True)
+            n_grams = len(ranked)
+        owner = sentence[at]  # 2 * pair + side, the hyp's side 0 and the ref's 1
+        keys, counts = np.unique(
+            ((owner >> 1) * n_grams + grams) * 2 + (owner & 1), return_counts=True)
+        # a hyp key (even) followed by its key + 1 is an n-gram on both sides
+        both = (keys[1:] == keys[:-1] + 1) & (keys[:-1] % 2 == 0)
+        clipped = np.minimum(counts[:-1], counts[1:])[both]
+        pair = keys[:-1][both] // (2 * n_grams)
+        matches.append(np.bincount(pair, clipped, len(sides) // 2).astype(np.int64).tolist())
+    return matches
+
+
+def bleu_scores(pairs: Iterable[tuple[str, str]]) -> list[MetricResult]:
+    """Sentence BLEU-4 for each (reference, hypothesis), in input order:
+    modified n-gram precision for n = 1..4, geometric mean, brevity penalty.
+    Any zero precision, including an order the hypothesis is too short for,
+    zeroes the score. Words are split on whitespace.
+
+    The clipped matches of every pair of the call are counted at once, by a
+    fixed number of numpy calls whatever the pair count
+    (``_clipped_matches``); the formula then runs per pair on Python ints."""
+    sides = []
+    for reference, hypothesis in pairs:
+        sides += [hypothesis.split(), reference.split()]
+    results = []
+    for hyp, ref, clipped in zip(sides[::2], sides[1::2], zip(*_clipped_matches(sides))):
+        counts: dict = {"hyp_length": len(hyp), "ref_length": len(ref)}
+        value = 0.0
+        if hyp:
+            totals = [max(len(hyp) - n, 0) for n in range(BLEU_MAX_N)]
+            for n in range(BLEU_MAX_N):
+                counts[f"matches_{n + 1}"], counts[f"total_{n + 1}"] = clipped[n], totals[n]
+            # a precision is zero exactly when its order has no match
+            if all(clipped):
+                log_sum = sum(math.log(m / t) for m, t in zip(clipped, totals)) / BLEU_MAX_N
+                bp = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
+                value = bp * math.exp(log_sum)
+        results.append(MetricResult(metric="bleu", value=value, counts=counts))
+    return results
+
+
+def bleu(reference: str, hypothesis: str) -> MetricResult:
+    """Sentence BLEU-4 against one reference (``bleu_scores`` for one pair)."""
+    return bleu_scores([(reference, hypothesis)])[0]
 
 # ---------------------------------------------------------------------------
 # score tables and radar normalization

@@ -241,11 +241,6 @@ def mel_filterbank() -> np.ndarray:
     return bank
 
 
-def mel_bin_for_hz(hz: float) -> int:
-    """Index of the mel filter whose centre frequency is nearest ``hz``."""
-    return int(np.argmin(np.abs(_mel_edges_hz()[1:-1] - hz)))
-
-
 def melspec(waveform) -> MelSpec:
     """Log-mel features of a 16 kHz waveform, padded or trimmed to 30 s.
 

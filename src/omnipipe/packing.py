@@ -84,6 +84,22 @@ class PackedBatch:
         }
 
 
+def check_capacity(capacity: int) -> None:
+    """A bin holds at least one token."""
+    if capacity < 1:
+        raise ContractError(f"capacity must be >= 1, got {capacity}")
+
+
+def check_length(length: int, capacity: int, index: int | None = None) -> None:
+    """A sample holds at least one token and fits one bin; ``index``, when
+    given, numbers the sample in the error."""
+    sample = "sample" if index is None else f"sample {index}"
+    if length < 1:
+        raise ContractError(f"{sample} has non-positive length {length}")
+    if length > capacity:
+        raise ContractError(f"{sample} length {length} exceeds capacity {capacity}")
+
+
 def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> PackedBatch:
     """Place samples into capacity-sized bins with the first-fit heuristic.
 
@@ -92,17 +108,11 @@ def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> Packed
     its bin by one descent of a max segment tree over free space, so packing
     n samples costs O(n log n) rather than O(n * bins).
     """
-    if capacity < 1:
-        raise ContractError(f"capacity must be >= 1, got {capacity}")
+    check_capacity(capacity)
     if policy not in PACK_POLICIES:
         raise ContractError(f"unknown policy {policy!r}, expected {PACK_POLICIES}")
     for i, length in enumerate(lengths):
-        if length < 1:
-            raise ContractError(f"sample {i} has non-positive length {length}")
-        if length > capacity:
-            raise ContractError(
-                f"sample {i} length {length} exceeds capacity {capacity}"
-            )
+        check_length(length, capacity, i)
     order = list(range(len(lengths)))
     if policy == "first_fit_decreasing":
         order.sort(key=lambda i: (-lengths[i], i))

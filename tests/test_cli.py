@@ -350,8 +350,13 @@ MALFORMED = {
         ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": "\n[1, 2]\n"}, 1, 2),
     "pack len 0": (
         ["pack", "--capacity", "8", "--manifest", "{m}"],
-        {"m": '{"id": "a", "len": 2}\n{"id": "b", "len": 0}\n'}, 1, NAMES_NO_FILE),
+        {"m": '{"id": "a", "len": 2}\n{"id": "b", "len": 0}\n'}, 1, 2),
+    "pack len over capacity after a blank line": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"],
+        {"m": '{"id": "a", "len": 2}\n\n{"id": "b", "len": 9}\n'}, 1, 3),
     "pack capacity 0": (["pack", "--capacity", "0", "--manifest", os.devnull], {}, 1, None),
+    "pack capacity 0 before a bad manifest": (
+        ["pack", "--capacity", "0", "--manifest", "{m}"], {"m": "[1, 2]\n"}, 1, NAMES_NO_FILE),
     "tile height missing": (["tile", "--width", "3"], {}, 1, None),
     "tile config width not a number": (
         ["tile", "--config", "{c}"], {"c": '{"width": "abc", "height": 3}'}, 1, None),

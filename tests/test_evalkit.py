@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnipipe import evalkit
-from omnipipe.cli import main
+from omnipipe.cli import _CHUNK, main
 from omnipipe.errors import ContractError
 from omnipipe.evalkit import (
     ScoreTable,
     _edit_ops,
     bleu,
+    bleu_scores,
     cer,
     error_rates,
     normalize_scores,
@@ -219,6 +220,47 @@ class TestBleu:
             ref = _random_string(rng, vocab, 8) or "u"
             hyp = _random_string(rng, vocab, 8)
             assert 0.0 <= bleu(ref, hyp).value <= 1.0
+
+
+# four words and at most seven per side, so n-grams repeat within and across
+# pairs, and empty sides and hyps too short for some orders are common
+_BLEU_SIDE = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=7).map(" ".join)
+
+
+class TestBleuScores:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_BLEU_SIDE, _BLEU_SIDE), max_size=8))
+    def test_a_whole_call_matches_the_oracle_pair_by_pair(self, pairs):
+        results = bleu_scores(pairs)
+        assert [r.metric for r in results] == ["bleu"] * len(pairs)
+        assert [(r.value, r.counts) for r in results] == [
+            bleu_multi_reference([ref], hyp) for ref, hyp in pairs
+        ]
+        assert all(type(v) is int for r in results for v in r.counts.values())
+        # no count leaks from one pair into another
+        assert bleu_scores(pairs[::-1]) == results[::-1]
+
+    def test_no_pairs_no_results(self):
+        assert bleu_scores([]) == []
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, _CHUNK + 3])
+    def test_a_bleu_run_scores_every_pair_in_one_call(self, n_pairs, tmp_path, monkeypatch,
+                                                      capsys):
+        calls = []
+        score = evalkit.bleu_scores
+
+        def counting(pairs):
+            calls.append(pairs)
+            return score(pairs)
+
+        monkeypatch.setattr(evalkit, "bleu_scores", counting)
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("".join(
+            json.dumps({"ref": "a b c d e", "hyp": "a b c d" if k % 3 else ""}) + "\n"
+            for k in range(n_pairs)))
+        assert main(["metrics", "--metric", "bleu", "--pairs", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == n_pairs + 1
+        assert len(calls) == 1
 
 
 class TestNormalizeScores:

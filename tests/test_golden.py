@@ -259,6 +259,18 @@ def _at(lines: list[bytes], index: int, line: bytes) -> bytes:
     return b"".join(lines[:index] + [line] + lines[index:])
 
 
+def _bleu_pairs(n: int) -> bytes:
+    """n ref/hyp pairs over eight words, so n-grams repeat within and across
+    pairs: a hyp keeps most of its ref's words, and some sides are empty."""
+    rng = random.Random(22)
+    pairs = []
+    for _ in range(n):
+        ref = [rng.choice(WORDS[:8]) for _ in range(rng.randint(0, 14))]
+        hyp = [w for w in ref if rng.random() > 0.15] + [rng.choice(WORDS[:8])] * (rng.random() < 0.3)
+        pairs.append({"ref": " ".join(ref), "hyp": " ".join(hyp)})
+    return _jsonl(pairs)
+
+
 # Files that cross the readers' chunk boundary (cli._CHUNK lines or rows);
 # their sizes, and so their digests, follow _CHUNK.
 _LOSS_ROWS = [b"x%d,%r\n" % (i, 1.0 + i % 11 / 4) for i in range(_CHUNK + 5)]
@@ -279,6 +291,8 @@ EDGE.update({
     "filter-loss duplicate multi-line id across chunks": (
         ["filter-loss", "--losses", "{f}"],
         b'id,loss\n"a\nb",1\n' + _at(_LOSS_ROWS, _CHUNK + 2, b'"a\nb",2.5\n')),
+    "metrics bleu past the first chunk": (
+        ["metrics", "--metric", "bleu", "--pairs", "{f}"], _bleu_pairs(_CHUNK + 5)),
 })
 
 # mutants of the valid input of each file-reading flag in test_cli.READERS

@@ -12,6 +12,8 @@ from omnipipe.packing import (
     PackedBatch,
     PackedBin,
     build_mask,
+    check_capacity,
+    check_length,
     pack,
     packed_attention,
 )
@@ -44,6 +46,17 @@ class TestPack:
     def test_non_positive_length_rejected(self):
         with pytest.raises(ContractError):
             pack([3, 0], capacity=8)
+
+    def test_length_rule_names_the_sample_by_index_when_given(self):
+        with pytest.raises(ContractError, match="^sample 1 has non-positive length 0$"):
+            pack([3, 0], capacity=8)
+        with pytest.raises(ContractError, match="^sample has non-positive length -2$"):
+            check_length(-2, 8)
+        with pytest.raises(ContractError, match="^sample length 9 exceeds capacity 8$"):
+            check_length(9, 8)
+        check_length(8, 8)
+        with pytest.raises(ContractError, match="^capacity must be >= 1, got 0$"):
+            check_capacity(0)
 
     def test_deterministic(self):
         lengths = [5, 1, 7, 3, 3, 2, 6]
