@@ -420,6 +420,7 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
         aggregate = {"corpus_value": errors / total, "pairs": len(results)}
     else:
         aggregate = {
+            "corpus_value": evalkit.corpus_bleu(results),
             "mean_value": sum(r.value for r in results) / len(results),
             "pairs": len(results),
         }

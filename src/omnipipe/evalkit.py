@@ -7,7 +7,8 @@ vectorised row step for all of them, then each pair is backtraced),
 sentence BLEU-4 against one reference with modified n-gram
 precision and brevity penalty (``bleu_scores`` counts the clipped n-gram
 matches of every pair of a call at once: n-grams get call-wide ids by rank,
-and one ``np.unique`` per order counts them per pair and side), and the
+and one ``np.unique`` per order counts them per pair and side), corpus
+BLEU-4 as a fold over those sentence results (``corpus_bleu``), and the
 radar normalization
 x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
 column. Results are values, not text: the CLI renders every report.
@@ -238,13 +239,38 @@ def bleu_scores(pairs: Iterable[tuple[str, str]]) -> list[MetricResult]:
             totals = [max(len(hyp) - n, 0) for n in range(BLEU_MAX_N)]
             for n in range(BLEU_MAX_N):
                 counts[f"matches_{n + 1}"], counts[f"total_{n + 1}"] = clipped[n], totals[n]
-            # a precision is zero exactly when its order has no match
-            if all(clipped):
-                log_sum = sum(math.log(m / t) for m, t in zip(clipped, totals)) / BLEU_MAX_N
-                bp = 1.0 if len(hyp) > len(ref) else math.exp(1.0 - len(ref) / len(hyp))
-                value = bp * math.exp(log_sum)
+            value = _bleu_value(clipped, totals, len(hyp), len(ref))
         results.append(MetricResult(metric="bleu", value=value, counts=counts))
     return results
+
+
+def _bleu_value(matches, totals, hyp_length: int, ref_length: int) -> float:
+    """BLEU-4 from clipped matches and totals per order and the hyp and ref
+    lengths (hyp_length > 0): the geometric mean of the precisions times the
+    brevity penalty. A precision is zero exactly when its order has no match,
+    and then so is the score."""
+    if not all(matches):
+        return 0.0
+    log_sum = sum(math.log(m / t) for m, t in zip(matches, totals)) / BLEU_MAX_N
+    bp = 1.0 if hyp_length > ref_length else math.exp(1.0 - ref_length / hyp_length)
+    return bp * math.exp(log_sum)
+
+
+def corpus_bleu(results: Iterable[MetricResult]) -> float:
+    """Corpus BLEU-4 (Papineni et al. 2002) of ``bleu_scores`` results: each
+    order's clipped matches and totals are summed over all pairs, and one
+    brevity penalty applies to the summed hyp and ref lengths. 0.0 when an
+    order has no match or the summed hyp length is 0. A fold over the
+    results' counts; an empty hyp's result holds its lengths only."""
+    matches, totals = [0] * BLEU_MAX_N, [0] * BLEU_MAX_N
+    hyp_length = ref_length = 0
+    for r in results:
+        hyp_length += r.counts["hyp_length"]
+        ref_length += r.counts["ref_length"]
+        for n in range(BLEU_MAX_N):
+            matches[n] += r.counts.get(f"matches_{n + 1}", 0)
+            totals[n] += r.counts.get(f"total_{n + 1}", 0)
+    return _bleu_value(matches, totals, hyp_length, ref_length) if hyp_length else 0.0
 
 
 def bleu(reference: str, hypothesis: str) -> MetricResult:

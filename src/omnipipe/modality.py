@@ -40,6 +40,9 @@ MEL_FMIN_HZ = 0.0
 MEL_FMAX_HZ = 8000.0
 _MEL_FLOOR = 1e-10
 _LOG_RANGE = 8.0
+# Frames per block of melspec's spectra: a whole-clip spectrum would hold
+# ~27 MiB of temporaries, a block of 256 frames ~2 MiB.
+_MEL_BLOCK = 256
 MS_PER_MEL_FRAME = 1000 * HOP_SAMPLES // SAMPLE_RATE_HZ  # 10 ms
 MS_PER_VIDEO_FRAME = round(1000 / VIDEO_FPS)  # 1000 ms
 
@@ -113,6 +116,10 @@ class FramePlan:
     per_frame_tokens: int = TOKENS_PER_TILE
 
     def __post_init__(self):
+        if not self.frame_indices:
+            raise ContractError("a frame plan needs at least one frame")
+        if self.frame_indices[0] < 0:
+            raise ContractError(f"frame indices must be >= 0, got {self.frame_indices[0]}")
         if len(self.frame_indices) > MAX_VIDEO_FRAMES:
             raise ContractError(
                 f"{len(self.frame_indices)} frames exceeds cap {MAX_VIDEO_FRAMES}"
@@ -247,6 +254,9 @@ def melspec(waveform) -> MelSpec:
     400-sample Hann window, 160-sample hop, 128 triangular mel filters over
     0-8000 Hz on the magnitude spectrum; log10 clamped eight decades below
     the peak, then mapped with (x + 4) / 4, giving a 3000 x 128 grid.
+    The spectra run in blocks of ``_MEL_BLOCK`` frames into the one output
+    array, and the log and the clamp run in place on it, so no temporary
+    the size of the whole clip is made.
     """
     samples = np.asarray(waveform, dtype=np.float64).reshape(-1)
     if samples.size == 0:
@@ -259,13 +269,20 @@ def melspec(waveform) -> MelSpec:
     clip = samples[:CLIP_SAMPLES]
     padded[: clip.size] = clip
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES))
-    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES] * window
-    magnitude = np.abs(np.fft.rfft(frames, axis=1))
-    mel = magnitude @ mel_filterbank()
-    log_mel = np.log10(np.maximum(mel, _MEL_FLOOR))
-    log_mel = np.maximum(log_mel, log_mel.max() - _LOG_RANGE)
-    normalized = (log_mel + 4.0) / 4.0
-    return MelSpec(Tensor(normalized))
+    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    # each frame's spectrum depends on that frame alone, so the spectra are
+    # taken _MEL_BLOCK frames at a time, straight into their rows of mel
+    mel = np.empty((n_frames, MEL_BINS))
+    for a in range(0, n_frames, _MEL_BLOCK):
+        b = a + _MEL_BLOCK
+        magnitude = np.abs(np.fft.rfft(frames[a:b] * window, axis=1))
+        np.matmul(magnitude, mel_filterbank(), out=mel[a:b])
+    np.maximum(mel, _MEL_FLOOR, out=mel)
+    np.log10(mel, out=mel)
+    np.maximum(mel, mel.max() - _LOG_RANGE, out=mel)
+    mel += 4.0
+    mel /= 4.0
+    return MelSpec(Tensor(mel))
 
 
 def load_wav(path) -> np.ndarray:

@@ -17,10 +17,12 @@ backward passes end to end.
 Each projector has one array-level forward (``_visual_forward``,
 ``_conv_gmlp_apply``) that checks its input, runs every layer and returns
 ``(out, cache)``; the private backward reads the cache and runs no forward
-op. These work on plain float64 arrays, with the parameters as a dict of
-name -> array, and so does the toy fit. The forwards also take parameters
-with a leading probe axis (bias adds index ``b[..., None, :]`` and the
-matmuls broadcast), giving each probe the output of its own 2-D forward;
+op; the public conv-gMLP forward, which needs no cache, runs its forward on
+blocks of ``_GMLP_BLOCK`` windows. These work on plain float64 arrays, with
+the parameters as a dict of name -> array, and so does the toy fit. The
+forwards also take parameters with a leading probe axis (bias adds index
+``b[..., None, :]`` and the matmuls broadcast), giving each probe the output
+of its own 2-D forward;
 the gradient check hands the parameter dict and the backward's gradient
 dict to ``numkit.grad_check`` as they are, and its loss runs the forward
 once per chunk of probes.
@@ -47,6 +49,11 @@ VISUAL_VARIANTS = ("mlp", "c_abs", "concat", "mean_pool")
 SUPPORTED_RATES = (1, 2, 4, 8)
 
 _TOY_INPUT_SCALE = 5.0
+
+# Windows per block of the public conv-gMLP forward. A fixed row count, not
+# a byte budget: every matmul keeps at least 128 rows, so each weight is read
+# once per 128 windows at any channel count.
+_GMLP_BLOCK = 128
 
 # Sizes of the small projectors that check_gradients builds. 11 rows take
 # the pad path at rates 2, 4 and 8 (5 padded rows at rate 8).
@@ -406,9 +413,23 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
     to the rate) and a pointwise layer expand channels to rate x in_channels
     for a value path and a sigmoid gate path, their product is projected to
     llm_dim, and a block-mean-pooled linear shortcut of the input is added.
+
+    Each output row reads only its own window of rate rows, so the forward
+    runs on ``_GMLP_BLOCK`` windows at a time and keeps no backward cache;
+    only the last block can pad. Its output equals ``_conv_gmlp_forward``'s.
     """
-    out, _ = _conv_gmlp_forward(cfg, params, x)
-    return Tensor(out)
+    p = _arrays(params, _conv_gmlp_specs(cfg))
+    x = x.array
+    _check_conv_gmlp_input(cfg, x)
+    windows = audio_tokens(x.shape[0], cfg.rate_n)
+    cuts = list(range(_GMLP_BLOCK, windows, _GMLP_BLOCK))
+    # numpy runs a one-row matmul as a matrix-vector product, whose sums can
+    # differ in the last bit from a matrix product's, so a lone last window
+    # joins the block before it
+    if cuts and cuts[-1] == windows - 1:
+        cuts.pop()
+    blocks = np.split(x, [c * cfg.rate_n for c in cuts])
+    return Tensor(np.concatenate([_conv_gmlp_apply(cfg, p, b)[0] for b in blocks]))
 
 
 def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):

@@ -5,16 +5,18 @@ a bin scan per sample, a tile-at-a-time shrink loop, a capacity-wide masked
 softmax, a window-at-a-time 2x2 pool) and shares no code with the implementation paths it verifies.
 The pointwise and melspec references at the end are the formulas the fast
 kernels replaced: GELU with numpy's ``x**3``, a sigmoid that gathers and
-scatters through boolean masks, and melspec frames gathered through an index
-array (it reads only the shared mel filterbank from the library). The last
+scatters through boolean masks, melspec frames gathered through an index
+array, and melspec on the whole clip at once, each step a new array (both
+read only the shared mel filterbank from the library). The last
 two are loops the library replaced: a frame-at-a-time VAD run scan and a
 finite-difference check with one probe copy per parameter, which runs the
 loss once per probe (``per_probe`` maps such a scalar loss over the batch
 of probe rows that ``numkit.grad_check`` passes). The streaming
 scheduler's reference is the mode-string state machine it replaced. The
-last two are earlier forms of library code kept as references: BLEU over a
-set of references (n-gram counts max-merged across them, the closest
-reference length), and the 1:3 split that counts words with ``str.split``
+last three are earlier forms of library code kept as references, or plain
+loops: BLEU over a set of references (n-gram counts max-merged across them,
+the closest reference length), corpus BLEU summed pair by pair, and the 1:3
+split that counts words with ``str.split``
 and finds the cut with a second, regex pass.
 """
 
@@ -246,6 +248,27 @@ def melspec_gather(waveform: np.ndarray) -> np.ndarray:
     return (log_mel + 4.0) / 4.0
 
 
+def melspec_whole(waveform: np.ndarray) -> np.ndarray:
+    """The 3000 x 128 log-mel grid from whole-clip arrays: every frame is
+    windowed, transformed and filtered in one step, then logged and clamped
+    into new arrays."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from omnipipe.modality import CLIP_SAMPLES, HOP_SAMPLES, WINDOW_SAMPLES, mel_filterbank
+
+    samples = np.asarray(waveform, dtype=np.float64).reshape(-1)
+    n_frames = CLIP_SAMPLES // HOP_SAMPLES
+    padded = np.zeros((n_frames - 1) * HOP_SAMPLES + WINDOW_SAMPLES)
+    clip = samples[:CLIP_SAMPLES]
+    padded[: clip.size] = clip
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WINDOW_SAMPLES) / WINDOW_SAMPLES))
+    frames = sliding_window_view(padded, WINDOW_SAMPLES)[::HOP_SAMPLES] * window
+    mel = np.abs(np.fft.rfft(frames, axis=1)) @ mel_filterbank()
+    log_mel = np.log10(np.maximum(mel, 1e-10))
+    log_mel = np.maximum(log_mel, log_mel.max() - 8.0)
+    return (log_mel + 4.0) / 4.0
+
+
 def vad_runs(active, hangover_frames: int) -> list[tuple[int, int]]:
     """[start, end) runs of a boolean frame mask, found a frame at a time;
     runs separated by at most ``hangover_frames`` frames are merged."""
@@ -332,14 +355,15 @@ def reference_step(state: tuple, event: tuple) -> tuple[tuple, list, str | None]
     return (REF_IDLE, 0, t), [(t, "audio", buffered, True)], None
 
 
+def _ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
 def bleu_multi_reference(references: list[str], hypothesis: str) -> tuple[float, dict]:
     """Sentence BLEU-4 over a non-empty set of references: each n-gram's
     count clipped by its largest count in any one reference, and the
     brevity penalty against the reference length closest to the hypothesis
     (the shorter on a tie). Returns (value, counts)."""
-    def ngrams(tokens, n):
-        return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
     hyp = hypothesis.split()
     refs = [r.split() for r in references]
     counts: dict = {"hyp_length": len(hyp)}
@@ -350,10 +374,10 @@ def bleu_multi_reference(references: list[str], hypothesis: str) -> tuple[float,
     counts["ref_length"] = ref_len
     precisions = []
     for n in range(1, 5):
-        hyp_ngrams = ngrams(hyp, n)
+        hyp_ngrams = _ngrams(hyp, n)
         best = Counter()
         for r in refs:
-            for gram, c in ngrams(r, n).items():
+            for gram, c in _ngrams(r, n).items():
                 best[gram] = max(best[gram], c)
         clipped = sum(min(c, best[gram]) for gram, c in hyp_ngrams.items())
         total = sum(hyp_ngrams.values())
@@ -365,6 +389,27 @@ def bleu_multi_reference(references: list[str], hypothesis: str) -> tuple[float,
     log_sum = sum(math.log(p) for p in precisions) / 4
     bp = 1.0 if len(hyp) > ref_len else math.exp(1.0 - ref_len / len(hyp))
     return bp * math.exp(log_sum), counts
+
+
+def corpus_bleu_loop(pairs) -> float:
+    """Corpus BLEU-4 of (reference, hypothesis) pairs by a plain loop: each
+    order's clipped matches (a Counter intersection per pair) and totals are
+    summed over the pairs, then the fourth root of the precisions' product
+    times one brevity penalty on the summed lengths; 0.0 when an order has
+    no match or every hypothesis is empty."""
+    matches, totals = [0] * 4, [0] * 4
+    hyp_length = ref_length = 0
+    for reference, hypothesis in pairs:
+        hyp, ref = hypothesis.split(), reference.split()
+        hyp_length += len(hyp)
+        ref_length += len(ref)
+        for n in range(1, 5):
+            matches[n - 1] += sum((_ngrams(hyp, n) & _ngrams(ref, n)).values())
+            totals[n - 1] += max(len(hyp) - n + 1, 0)
+    if hyp_length == 0 or 0 in matches:
+        return 0.0
+    bp = 1.0 if hyp_length > ref_length else math.exp(1.0 - ref_length / hyp_length)
+    return bp * math.prod(m / t for m, t in zip(matches, totals)) ** 0.25
 
 
 def split_one_three_two_pass(text: str) -> tuple[str, str] | str:

@@ -441,6 +441,12 @@ MALFORMED = {
     "stream-sim frame plan frames not a list": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
         {"p": '{"frames": "ab", "per_frame_tokens": 182}'}, 1, None),
+    "stream-sim frame plan with no frames": (
+        ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
+        {"p": '{"frames": [], "per_frame_tokens": 182}'}, 1, None),
+    "stream-sim frame plan negative frames": (
+        ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
+        {"p": '{"frames": [-3, -1], "per_frame_tokens": 182}'}, 1, None),
     "filter-loss loss not finite": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
     "filter-loss duplicate id": (

@@ -17,13 +17,14 @@ from omnipipe.evalkit import (
     bleu,
     bleu_scores,
     cer,
+    corpus_bleu,
     error_rates,
     normalize_scores,
     tokenize_words,
     wer,
 )
 
-from oracles import bleu_multi_reference, edit_distance, edit_ops
+from oracles import bleu_multi_reference, corpus_bleu_loop, edit_distance, edit_ops
 
 
 _TOKENS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=40)
@@ -262,6 +263,43 @@ class TestBleuScores:
         assert len(capsys.readouterr().out.splitlines()) == n_pairs + 1
         assert len(calls) == 1
 
+
+class TestCorpusBleu:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_BLEU_SIDE, _BLEU_SIDE), min_size=1, max_size=8))
+    def test_the_fold_matches_a_plain_loop(self, pairs):
+        got, want = corpus_bleu(bleu_scores(pairs)), corpus_bleu_loop(pairs)
+        assert (got == 0.0) == (want == 0.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BLEU_SIDE, _BLEU_SIDE)
+    def test_one_pair_is_its_sentence_bleu(self, ref, hyp):
+        result = bleu(ref, hyp)
+        assert corpus_bleu([result]) == result.value
+
+    def test_sums_before_one_brevity_penalty(self):
+        # every n-gram matches; 9 hyp words against 10 ref words overall,
+        # although the first pair alone has no brevity penalty
+        results = bleu_scores([("a b c d", "a b c d"), ("a b c d e f", "a b c d e")])
+        assert corpus_bleu(results) == math.exp(1.0 - 10 / 9)
+
+    def test_an_order_with_no_match_or_no_hyp_words_gives_zero(self):
+        assert corpus_bleu(bleu_scores([("a b c", "a b c"), ("a b c d", "")])) == 0.0
+        assert corpus_bleu(bleu_scores([("a b", ""), ("c", "")])) == 0.0
+
+    def test_metrics_reports_it_beside_the_mean(self, tmp_path, capsys):
+        pairs = [("a b c d", "a b c d"), ("a b c d e f", "a b c d e"), ("x y", "")]
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("".join(json.dumps({"ref": r, "hyp": h}) + "\n" for r, h in pairs))
+        assert main(["metrics", "--metric", "bleu", "--pairs", str(path)]) == 0
+        aggregate = json.loads(capsys.readouterr().out.splitlines()[-1])["aggregate"]
+        results = bleu_scores(pairs)
+        assert aggregate == {
+            "corpus_value": corpus_bleu(results),
+            "mean_value": sum(r.value for r in results) / 3,
+            "pairs": 3,
+        }
 
 class TestNormalizeScores:
     def test_formula_cases(self):

@@ -1,10 +1,11 @@
 """Planner tests: tiling, frame sampling, token budgets, mel features, VAD."""
 
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omnipipe.errors import ContractError, FormatError
@@ -28,7 +29,9 @@ from omnipipe.modality import (
 )
 from omnipipe.numkit import Tensor
 
-from oracles import direct_dft_magnitude, melspec_gather, shrink_tile_grid, vad_runs
+from oracles import (
+    direct_dft_magnitude, melspec_gather, melspec_whole, shrink_tile_grid, vad_runs,
+)
 
 
 class TestPlanTiles:
@@ -111,6 +114,9 @@ class TestPlanFrames:
         ({"frames": list(range(49)), "per_frame_tokens": 182}, "49 frames exceeds cap 48"),
         ({"frames": [0, 5, 5], "per_frame_tokens": 182}, "strictly increasing"),
         ({"frames": [0], "per_frame_tokens": 100}, "per_frame_tokens must be one of"),
+        ({"frames": [], "per_frame_tokens": 182}, "needs at least one frame"),
+        ({"frames": [-3, -1], "per_frame_tokens": 182}, r"must be >= 0, got -3"),
+        ({"frames": [-1, 0, 4], "per_frame_tokens": 182}, r"must be >= 0, got -1"),
     ])
     def test_from_json_rejects_invalid_plans(self, obj, message):
         with pytest.raises(ContractError, match=message):
@@ -222,6 +228,38 @@ class TestMelspec:
         wave_ = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, size=length)
         got, want = melspec(wave_).data.array, melspec_gather(wave_)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(
+        st.one_of(st.integers(1, 4000), st.integers(1, 35 * SAMPLE_RATE_HZ)),
+        st.sampled_from(["zero", "tiny", "plain", "clipped"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, "plain", 0)
+    @example(35 * SAMPLE_RATE_HZ, "clipped", 1)
+    @settings(max_examples=25, deadline=None)
+    def test_blocked_melspec_is_bit_identical_to_the_whole_clip(self, length, amplitude, seed):
+        wave_ = np.random.default_rng(seed).uniform(-1.0, 1.0, size=length)
+        if amplitude == "zero":
+            wave_ = np.zeros(length)
+        elif amplitude == "tiny":  # every mel energy below the 1e-10 floor
+            wave_ *= 1e-9
+        elif amplitude == "clipped":
+            wave_ = np.clip(8.0 * wave_, -1.0, 1.0)
+        got, want = melspec(wave_).data.array, melspec_whole(wave_)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_working_set_of_a_30s_clip_stays_bounded(self):
+        # numpy reports its buffers to tracemalloc; whole-clip temporaries
+        # peaked at ~27 MiB, blocks of frames at ~9 MiB
+        wave_ = _sine(440.0, 30.0)
+        mel_filterbank()
+        tracemalloc.start()
+        try:
+            melspec(wave_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
     def test_filterbank_cache_is_read_only(self):
         before = melspec(_sine(440.0, 1.0)).data.array

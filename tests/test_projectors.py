@@ -1,5 +1,7 @@
 """Projector variants: shape laws, gradients, toy fits, rate ablation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from omnipipe.projectors import (
     ProjectorParams,
     VISUAL_VARIANTS,
     VisualProjectorConfig,
+    _GMLP_BLOCK,
     _conv_gmlp_apply,
     _conv_gmlp_backward,
     _conv_gmlp_forward,
@@ -536,6 +539,45 @@ class TestConvGmlpShapes:
         assert z1.shape == want.shape
         assert np.max(np.abs(z1 - want)) <= 1e-12
 
+
+class TestConvGmlpBlocks:
+    """The public forward runs ``_GMLP_BLOCK`` windows at a time and must
+    equal the whole-array forward bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rate=st.sampled_from([1, 2, 4, 8]),
+        # rows = blocks * (_GMLP_BLOCK * rate) + extra: 1, one block and one
+        # row either side of it, a lone window after two blocks, and 3001
+        length=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (0, 3001)]),
+        channels=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @example(rate=1, length=(1, 1), channels=6, seed=0)
+    @example(rate=8, length=(2, 1), channels=5, seed=1)
+    def test_blocked_forward_equals_the_whole_array_forward(self, rate, length, channels, seed):
+        blocks, extra = length
+        rows = blocks * _GMLP_BLOCK * rate + extra
+        cfg = ConvGmlpConfig(rate_n=rate, llm_dim=3, in_channels=channels)
+        params = init_conv_gmlp_params(cfg, seed)
+        x = Tensor(np.random.default_rng(seed).normal(size=(rows, channels)))
+        got = conv_gmlp_forward(cfg, params, x).array
+        want = _conv_gmlp_forward(cfg, params, x)[0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_working_set_of_a_3000_row_input_stays_bounded(self):
+        # numpy reports its buffers to tracemalloc; the whole-array forward
+        # and its cache peaked at ~21 MiB, blocks of windows at ~4 MiB
+        cfg = ConvGmlpConfig(rate_n=4, llm_dim=64, in_channels=128)
+        params = init_conv_gmlp_params(cfg, 0)
+        x = Tensor(np.random.default_rng(0).normal(size=(3000, 128)))
+        tracemalloc.start()
+        try:
+            conv_gmlp_forward(cfg, params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
 class TestToyFit:
     def test_spec_case_halves_loss(self):
