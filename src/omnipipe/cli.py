@@ -356,6 +356,12 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
         raise ContractError("provide exactly one of --events or --wav")
     if cfg["frame_plan"] and not cfg["wav"]:
         raise ContractError("--frame-plan needs --wav")
+    vad_cfg = stream.VadConfig(
+        threshold_db=cfg["threshold_db"],
+        hangover_frames=cfg["hangover"],
+        rate_n=cfg["rate"],
+        mel_frames_per_chunk=cfg["chunk_frames"],
+    )
     if cfg["events"]:
         with _Input(cfg["events"]) as f:
             records = f.jsonl({"t": int, "kind": str, "tokens": (int, 0)})
@@ -366,12 +372,6 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
         if cfg["frame_plan"]:
             with _Input(cfg["frame_plan"]) as f:
                 plan = modality.FramePlan.from_json(f.json())
-        vad_cfg = stream.VadConfig(
-            threshold_db=cfg["threshold_db"],
-            hangover_frames=cfg["hangover"],
-            rate_n=cfg["rate"],
-            mel_frames_per_chunk=cfg["chunk_frames"],
-        )
         trace = stream.run(stream.events_from_media(spec, vad_cfg, plan))
     return _jsonl(e.to_json() for e in trace.entries), 0
 
@@ -412,12 +412,7 @@ def run_metrics(cfg: dict) -> tuple[str, int]:
             raise FormatError("no ref/hyp pairs")
     lines = [r.to_json() for r in results]
     if cfg["metric"] in ("wer", "cer"):
-        errors = sum(
-            r.counts["substitutions"] + r.counts["deletions"] + r.counts["insertions"]
-            for r in results
-        )
-        total = sum(r.counts["reference_length"] for r in results)
-        aggregate = {"corpus_value": errors / total, "pairs": len(results)}
+        aggregate = {"corpus_value": evalkit.corpus_error_rate(results), "pairs": len(results)}
     else:
         aggregate = {
             "corpus_value": evalkit.corpus_bleu(results),

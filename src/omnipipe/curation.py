@@ -88,7 +88,6 @@ class CrossModalSample:
     audio_text: str
     target_text: str
     timbre_id: int | None = None
-    prompt: str = DEFAULT_PROMPT
 
     def __post_init__(self):
         if self.timbre_id is not None and not 0 <= self.timbre_id < TIMBRE_COUNT:
@@ -101,7 +100,7 @@ class CrossModalSample:
             "audio_text": self.audio_text,
             "target_text": self.target_text,
             "timbre": self.timbre_id,
-            "prompt": self.prompt,
+            "prompt": DEFAULT_PROMPT,
         }
 
 
@@ -225,25 +224,22 @@ def asr_roundtrip_filter(
 ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
     """Keep (prompt, transcript) pairs whose transcript matches the prompt.
 
-    exact compares normalized texts; cer_threshold keeps pairs whose
-    character error rate against the normalized prompt is <= threshold, and
-    a pair whose prompt normalizes to "" only if its transcript does too. The
-    non-empty prompts are scored in one ``evalkit.error_rates`` call.
+    A pair is kept when the character error rate of its normalized
+    transcript against its normalized prompt is <= threshold, and a pair
+    whose prompt normalizes to "" only if its transcript does too. exact is
+    the threshold 0, an identical normalized text. The non-empty prompts are
+    scored in one ``evalkit.error_rates`` call.
     """
-    if mode not in ("exact", "cer_threshold"):
+    if mode == "exact":
+        threshold = 0.0
+    elif mode != "cer_threshold":
         raise ContractError(f"unknown mode {mode!r}")
-    if mode == "cer_threshold" and not 0.0 <= threshold <= 1.0:
+    elif not 0.0 <= threshold <= 1.0:
         raise ContractError(f"threshold must be in [0, 1], got {threshold}")
     texts = [(normalize_transcript(p), normalize_transcript(t)) for p, t in pairs]
-    if mode == "cer_threshold":
-        rates = iter(evalkit.error_rates("cer", [(ref, hyp) for ref, hyp in texts if ref]))
+    rates = iter(evalkit.error_rates("cer", [(ref, hyp) for ref, hyp in texts if ref]))
     kept, removed = [], []
     for (prompt, transcript), (ref, hyp) in zip(pairs, texts):
-        if mode == "exact":
-            ok = ref == hyp
-        elif not ref:
-            ok = not hyp
-        else:
-            ok = next(rates).value <= threshold
+        ok = next(rates).value <= threshold if ref else not hyp
         (kept if ok else removed).append((prompt, transcript))
     return kept, removed

@@ -3,13 +3,13 @@
 Word and character error rates via Levenshtein alignment with full edit
 counts (``error_rates`` aligns every pair of a call at once: the cost
 matrices of a length-sorted batch of pairs are filled together, one
-vectorised row step for all of them, then each pair is backtraced),
-sentence BLEU-4 against one reference with modified n-gram
-precision and brevity penalty (``bleu_scores`` counts the clipped n-gram
-matches of every pair of a call at once: n-grams get call-wide ids by rank,
-and one ``np.unique`` per order counts them per pair and side), corpus
-BLEU-4 as a fold over those sentence results (``corpus_bleu``), and the
-radar normalization
+vectorised row step for all of them, then each pair is backtraced) and their
+corpus rate as a fold over those results (``corpus_error_rate``), sentence
+BLEU-4 against one reference with modified n-gram precision and brevity
+penalty (``bleu_scores`` counts the clipped n-gram matches of every pair of
+a call at once: n-grams get call-wide ids by rank, and one ``np.unique`` per
+order counts them per pair and side), corpus BLEU-4 as a fold over those
+sentence results (``corpus_bleu``), and the radar normalization
 x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
 column. Results are values, not text: the CLI renders every report.
 """
@@ -256,6 +256,14 @@ def _bleu_value(matches, totals, hyp_length: int, ref_length: int) -> float:
     return bp * math.exp(log_sum)
 
 
+def corpus_error_rate(results: Iterable[MetricResult]) -> float:
+    """Corpus WER or CER of ``error_rates`` results: the total edits
+    (S + D + I) over the total reference length, a fold over the counts."""
+    counts = [r.counts for r in results]
+    edits = sum(c["substitutions"] + c["deletions"] + c["insertions"] for c in counts)
+    return edits / sum(c["reference_length"] for c in counts)
+
+
 def corpus_bleu(results: Iterable[MetricResult]) -> float:
     """Corpus BLEU-4 (Papineni et al. 2002) of ``bleu_scores`` results: each
     order's clipped matches and totals are summed over all pairs, and one
@@ -284,9 +292,6 @@ def bleu(reference: str, hypothesis: str) -> MetricResult:
 @dataclass(frozen=True)
 class ScoreTable:
     scores: dict  # model -> benchmark -> raw score
-
-    def models(self) -> list[str]:
-        return sorted(self.scores)
 
     def benchmarks(self) -> list[str]:
         names = {b for row in self.scores.values() for b in row}

@@ -299,8 +299,6 @@ def load_wav(path) -> np.ndarray:
         reason = str(exc) or type(exc).__name__
         raise FormatError(f"not a readable WAV file: {path} ({reason})") from exc
     with reader:
-        if reader.getcomptype() != "NONE":
-            raise FormatError(f"WAV must be uncompressed PCM, got {reader.getcomptype()}")
         if reader.getnchannels() != 1:
             raise FormatError(f"WAV must be mono, got {reader.getnchannels()} channels")
         if reader.getsampwidth() != 2:

@@ -416,7 +416,9 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
 
     Each output row reads only its own window of rate rows, so the forward
     runs on ``_GMLP_BLOCK`` windows at a time and keeps no backward cache;
-    only the last block can pad. Its output equals ``_conv_gmlp_forward``'s.
+    only the last block can pad. Its output is ``_conv_gmlp_forward``'s bit
+    for bit at layers (rate x in_channels) under 512 wide; at wider ones BLAS
+    may sum a short last block in another order, within 1e-14 of max |out|.
     """
     p = _arrays(params, _conv_gmlp_specs(cfg))
     x = x.array
@@ -501,8 +503,9 @@ def check_gradients(
     the output, so the upstream gradient is the output itself. The backward
     runs once; each chunk of finite-difference probes runs only the forward,
     once, on parameters with a leading probe axis. The output and cache of
-    the first forward size the chunks.
+    the first forward size the chunks. Every projector checks ``rate``.
     """
+    check_rate(rate)
     rng = _rng(seed)
     if projector == "conv_gmlp":
         cfg = ConvGmlpConfig(

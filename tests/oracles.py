@@ -13,11 +13,12 @@ finite-difference check with one probe copy per parameter, which runs the
 loss once per probe (``per_probe`` maps such a scalar loss over the batch
 of probe rows that ``numkit.grad_check`` passes). The streaming
 scheduler's reference is the mode-string state machine it replaced. The
-last three are earlier forms of library code kept as references, or plain
+last four are earlier forms of library code kept as references, or plain
 loops: BLEU over a set of references (n-gram counts max-merged across them,
-the closest reference length), corpus BLEU summed pair by pair, and the 1:3
+the closest reference length), corpus BLEU summed pair by pair, the 1:3
 split that counts words with ``str.split``
-and finds the cut with a second, regex pass.
+and finds the cut with a second, regex pass, and the round-trip filter's
+exact rule, a comparison of normalized texts.
 """
 
 from __future__ import annotations
@@ -422,3 +423,19 @@ def split_one_three_two_pass(text: str) -> tuple[str, str] | str:
     target_pos = 0.25 * len(text)
     cut = min(boundaries, key=lambda b: (abs(b - target_pos), b))
     return text[:cut], text[cut:]
+
+
+def roundtrip_exact(pairs) -> tuple[list, list]:
+    """(kept, removed) (prompt, transcript) pairs by the exact rule: a pair
+    is kept when both texts are equal once lowercased, their whitespace runs
+    collapsed to one space, and trailing terminal punctuation (ASCII and
+    CJK) and spaces stripped."""
+
+    def normalize(text: str) -> str:
+        return " ".join(text.lower().split()).rstrip(".,!?;:。！？，；： ")
+
+    kept, removed = [], []
+    for prompt, transcript in pairs:
+        (kept if normalize(prompt) == normalize(transcript) else removed).append(
+            (prompt, transcript))
+    return kept, removed

@@ -49,11 +49,13 @@ def _write_wav(path, seconds=1.0, freq=440.0):
         w.writeframes(payload.tobytes())
 
 
-def _write_wav_with_fmt_size(path, size):
-    """A valid tone WAV whose fmt chunk declares ``size`` bytes (bytes 16-19)."""
+def _write_wav_with_fmt_field(path, at, value, width=2):
+    """A valid tone WAV whose header field of ``width`` bytes at byte ``at``
+    holds ``value``: bytes 16-19 are the fmt chunk's size, 20-21 the format
+    tag (1 PCM, 3 IEEE float), 34-35 the bits per sample."""
     _write_wav(path)
     data = bytearray(Path(path).read_bytes())
-    data[16:20] = size.to_bytes(4, "little")
+    data[at:at + width] = value.to_bytes(width, "little")
     Path(path).write_bytes(data)
 
 
@@ -334,7 +336,9 @@ HUGE = 10**400
 
 # Each case: argv (with {NAME} standing for a file written from FILES, or for
 # the fixtures {wav} and {sizes}, which are valid, and {bad_fmt_wav}, {wav}
-# with its fmt chunk size set to 18), the files, the expected exit code, and
+# with its fmt chunk size set to 18, {pcm8_wav}, {wav} declaring 8 bits per
+# sample, and {float_wav}, {wav} declaring format 3, IEEE float), the files,
+# the expected exit code, and
 # for reader errors the failing line, or NAMES_NO_FILE for an error about a
 # file's content that names no file.
 NAMES_NO_FILE = "names no file"
@@ -373,6 +377,8 @@ MALFORMED = {
     "melspec config wav not a string": (["melspec", "--config", "{c}"], {"c": '{"wav": 5}'}, 1, None),
     "melspec wav not a wav file": (["melspec", "--wav", "{w}"], {"w": "hello"}, 1, None),
     "melspec wav fmt chunk size wrong": (["melspec", "--wav", "{bad_fmt_wav}"], {}, 1, None),
+    "melspec wav 8-bit": (["melspec", "--wav", "{pcm8_wav}"], {}, 1, NAMES_NO_FILE),
+    "melspec wav float format": (["melspec", "--wav", "{float_wav}"], {}, 1, None),
     "gradcheck config seeds bool": (
         ["gradcheck", "--projector", "mlp", "--config", "{c}"], {"c": '{"seeds": true}'}, 1, None),
     "gradcheck probe overflows": (
@@ -380,6 +386,8 @@ MALFORMED = {
     "gradcheck probe does not move a parameter": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e-320"], {}, 1, None),
     "gradcheck seeds 0": (["gradcheck", "--projector", "mlp", "--seeds", "0"], {}, 1, None),
+    "gradcheck mlp rate 3": (
+        ["gradcheck", "--projector", "mlp", "--seeds", "1", "--rate", "3"], {}, 1, None),
     "gradcheck negative seed": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates rates not integers": (["ablate-rates", "--rates", "a"], {}, 1, None),
@@ -431,6 +439,15 @@ MALFORMED = {
     "stream-sim both events and wav": (
         ["stream-sim", "--events", os.devnull, "--wav", "{wav}"], {}, 1, None),
     "stream-sim wav at rate 3": (["stream-sim", "--wav", "{wav}", "--rate", "3"], {}, 1, None),
+    "stream-sim events at rate 3": (
+        ["stream-sim", "--events", "{e}", "--rate", "3"], {"e": '{"t": 0, "kind": "text"}\n'},
+        1, NAMES_NO_FILE),
+    "stream-sim events hangover -1": (
+        ["stream-sim", "--events", "{e}", "--hangover", "-1"], {"e": '{"t": 0, "kind": "text"}\n'},
+        1, NAMES_NO_FILE),
+    "stream-sim events chunk frames 0": (
+        ["stream-sim", "--events", "{e}", "--chunk-frames", "0"],
+        {"e": '{"t": 0, "kind": "text"}\n'}, 1, NAMES_NO_FILE),
     "stream-sim wav fmt chunk size wrong": (
         ["stream-sim", "--wav", "{bad_fmt_wav}"], {}, 1, None),
     "stream-sim frame plan without per_frame_tokens": (
@@ -499,9 +516,13 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
         "wav": str(tmp_path / "tone.wav"),
         "sizes": str(tmp_path / "sizes.json"),
         "bad_fmt_wav": str(tmp_path / "bad_fmt.wav"),
+        "pcm8_wav": str(tmp_path / "pcm8.wav"),
+        "float_wav": str(tmp_path / "float.wav"),
     }
     _write_wav(paths["wav"])
-    _write_wav_with_fmt_size(paths["bad_fmt_wav"], 18)
+    _write_wav_with_fmt_field(paths["bad_fmt_wav"], 16, 18, 4)
+    _write_wav_with_fmt_field(paths["pcm8_wav"], 34, 8)
+    _write_wav_with_fmt_field(paths["float_wav"], 20, 3)
     (tmp_path / "sizes.json").write_text('{"a": 2}')
     for key, text in files.items():
         paths[key] = str(tmp_path / f"{key}.in")
@@ -544,7 +565,7 @@ def test_wav_ending_mid_sample_is_one_error_line(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["melspec", "stream-sim"])
 def test_wav_with_a_wrong_fmt_chunk_size_is_one_error_line(command, size, tmp_path, capsys):
     path = tmp_path / "bad_fmt.wav"
-    _write_wav_with_fmt_size(path, size)
+    _write_wav_with_fmt_field(path, 16, size, 4)
     assert main([command, "--wav", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,6 +12,7 @@ from omnipipe.curation import (
     DEFAULT_PROMPT,
     TIMBRE_COUNT,
     CrossModalSample,
+    MixPlan,
     asr_roundtrip_filter,
     assign_timbres,
     gaussian_filter,
@@ -21,7 +22,7 @@ from omnipipe.curation import (
 )
 from omnipipe.errors import ContractError
 
-from oracles import edit_distance, split_one_three_two_pass
+from oracles import edit_distance, roundtrip_exact, split_one_three_two_pass
 
 
 class TestGaussianFilter:
@@ -131,8 +132,13 @@ class TestSplitOneThree:
 
     def test_default_prompt_attached(self):
         sample = split_one_three("one two three four")
-        assert sample.prompt == DEFAULT_PROMPT
+        assert sample.to_json()["prompt"] == DEFAULT_PROMPT
         assert sample.timbre_id is None
+
+    @pytest.mark.parametrize("timbre", [-1, TIMBRE_COUNT])
+    def test_timbre_outside_the_voices_rejected(self, timbre):
+        with pytest.raises(ContractError, match=rf"^timbre_id must be in \[0, 44\), got {timbre}$"):
+            CrossModalSample(audio_text="a", target_text=" b c d", timbre_id=timbre)
 
 
 class TestAssignTimbres:
@@ -171,6 +177,10 @@ class TestMixPlan:
     def test_budget_above_total_rejected(self):
         with pytest.raises(ContractError):
             mix_plan({"A": 3, "B": 4}, budget=8, seed=0)
+
+    def test_a_count_above_its_size_rejected(self):
+        with pytest.raises(ContractError, match=r"^dataset 'B': count 5 exceeds size 4$"):
+            MixPlan(names=("A", "B"), sizes=(3, 4), sample_counts=(1, 5), seed=0)
 
     def test_counts_sum_and_caps(self):
         rng = np.random.default_rng(1)
@@ -226,6 +236,24 @@ class TestMixPlan:
 
 # prompts and transcripts, some of which normalize to ""
 _ROUNDTRIP_TEXT = st.one_of(st.sampled_from(["", " ", "!?", ". ."]), st.text("ab .!", max_size=30))
+# texts that normalize to "" (empty, whitespace-only, ASCII and CJK
+# punctuation), mixed case, and Unicode whitespace runs
+_EXACT_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\t\n", "\u3000", "!?", ". .", "。", "！？，", "Ab。", "a b"]),
+    st.text("aAb .!?,;:。！？，；：\t\n\u3000", max_size=20),
+)
+
+
+@st.composite
+def _exact_pair(draw):
+    # a transcript is an independent text or a variant of its prompt in
+    # case, whitespace and trailing punctuation
+    prompt = draw(_EXACT_TEXT)
+    variant = st.sampled_from([
+        prompt.upper(), f"  {prompt}\t", prompt.replace(" ", "\u3000 "), prompt + "。",
+        prompt + " !", prompt.rstrip(".!?。"),
+    ])
+    return prompt, draw(st.one_of(_EXACT_TEXT, variant))
 
 
 class TestAsrRoundtrip:
@@ -273,9 +301,19 @@ class TestAsrRoundtrip:
             expected[0 if ok else 1].append((prompt, transcript))
         assert asr_roundtrip_filter(pairs, "cer_threshold", threshold) == expected
 
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(_exact_pair(), max_size=8), st.floats(-1.0, 2.0))
+    def test_exact_mode_equals_the_exact_rule(self, pairs, threshold):
+        # exact is the CER threshold 0, whatever threshold is passed
+        assert asr_roundtrip_filter(pairs, "exact", threshold) == roundtrip_exact(pairs)
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ContractError):
             asr_roundtrip_filter([("a", "a")], "cer_threshold", 1.5)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match=r"^unknown mode 'fuzzy'$"):
+            asr_roundtrip_filter([("a", "a")], "fuzzy")
 
     def test_normalize_transcript(self):
         assert normalize_transcript("  Hello,   WORLD!! ") == "hello, world"

@@ -18,6 +18,7 @@ from omnipipe.evalkit import (
     bleu_scores,
     cer,
     corpus_bleu,
+    corpus_error_rate,
     error_rates,
     normalize_scores,
     tokenize_words,
@@ -262,6 +263,32 @@ class TestBleuScores:
         assert main(["metrics", "--metric", "bleu", "--pairs", str(path)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == n_pairs + 1
         assert len(calls) == 1
+
+
+class TestCorpusErrorRate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["wer", "cer"]),
+           st.lists(st.tuples(st.text("ab c", max_size=12).filter(lambda t: t.split()),
+                              st.text("ab c", max_size=12)), min_size=1, max_size=8))
+    def test_the_fold_matches_a_plain_loop(self, metric, pairs):
+        tokens = tokenize_words if metric == "wer" else list
+        edits = length = 0
+        for ref, hyp in pairs:
+            edits += sum(edit_ops(tokens(ref), tokens(hyp)))
+            length += len(tokens(ref))
+        assert corpus_error_rate(error_rates(metric, pairs)) == edits / length
+
+    def test_one_pair_is_its_sentence_rate(self):
+        result = cer("abcd", "abd")
+        assert corpus_error_rate([result]) == result.value == 0.25
+
+    def test_metrics_reports_it_as_the_corpus_value(self, tmp_path, capsys):
+        pairs = [("a b c d", "a b d"), ("x y", "x y z w")]
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("".join(json.dumps({"ref": r, "hyp": h}) + "\n" for r, h in pairs))
+        assert main(["metrics", "--metric", "wer", "--pairs", str(path)]) == 0
+        aggregate = json.loads(capsys.readouterr().out.splitlines()[-1])["aggregate"]
+        assert aggregate == {"corpus_value": 3 / 6, "pairs": 2}
 
 
 class TestCorpusBleu:

@@ -339,9 +339,12 @@ def cases() -> dict[str, tuple[list[str], dict[str, bytes]]]:
         for i in range(MUTANTS_PER_READER):
             rng = random.Random(1000 * n + i)
             found[f"mutant: {reader} {i:02d}"] = (argv, {"f": mutate(base[key], rng, header)})
-    # the MALFORMED fixtures: a valid WAV, that WAV with fmt chunk size 18, sizes {"a": 2}
+    # the MALFORMED fixtures: a valid WAV, that WAV with fmt chunk size 18,
+    # with 8 bits per sample and with format 3 (IEEE float), sizes {"a": 2}
     wav = base["wav"]
     fixtures = {"wav": wav, "bad_fmt_wav": wav[:16] + (18).to_bytes(4, "little") + wav[20:],
+                "pcm8_wav": wav[:34] + (8).to_bytes(2, "little") + wav[36:],
+                "float_wav": wav[:20] + (3).to_bytes(2, "little") + wav[22:],
                 "sizes": b'{"a": 2}'}
     for name, (argv, files, _, _) in MALFORMED.items():
         found[f"malformed: {name}"] = (

@@ -16,6 +16,7 @@ from omnipipe.modality import (
     SAMPLE_RATE_HZ,
     TILE_PX,
     TOKENS_PER_TILE,
+    TilePlan,
     VadSegment,
     WINDOW_SAMPLES,
     frame_energy_db,
@@ -70,6 +71,11 @@ class TestPlanTiles:
         plan = plan_tiles(w, h, max_tiles)
         rows, cols = -(-h // TILE_PX), -(-w // TILE_PX)
         assert (plan.grid_rows, plan.grid_cols) == shrink_tile_grid(rows, cols, max_tiles)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 1), (1, 0)])
+    def test_empty_grid_rejected(self, rows, cols):
+        with pytest.raises(ContractError, match="^tile grid dimensions must be >= 1$"):
+            TilePlan(rows, cols)
 
     def test_json_shape(self):
         assert plan_tiles(500, 400).to_json() == {
@@ -299,6 +305,28 @@ class TestLoadWav(object):
         with pytest.raises(FormatError, match="mono"):
             load_wav(path)
 
+    def test_8_bit_rejected(self, tmp_path):
+        path = tmp_path / "bad.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(1)
+            w.setframerate(16000)
+            w.writeframes(bytes(range(256)))
+        with pytest.raises(FormatError, match="^WAV must be 16-bit PCM, got 8-bit$"):
+            load_wav(path)
+
+    def test_float_format_rejected_by_the_reader(self, tmp_path):
+        # wave reads only PCM (format 1): it rejects IEEE float (format 3)
+        # while it reads the fmt chunk, before any field can be checked
+        path = tmp_path / "float.wav"
+        self._write(path)
+        data = bytearray(path.read_bytes())
+        data[20:22] = (3).to_bytes(2, "little")
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as exc:
+            load_wav(path)
+        assert str(exc.value) == f"not a readable WAV file: {path} (unknown format: 3)"
+
     def test_not_wav_rejected(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"definitely not RIFF")
@@ -343,6 +371,11 @@ class TestVad:
         spec = _synthetic_spec(300, [(50, 60), (63, 80)])
         assert vad(spec, -60.0, 5) == [VadSegment(50, 80)]
         assert vad(spec, -60.0, 0) == [VadSegment(50, 60), VadSegment(63, 80)]
+
+    @pytest.mark.parametrize("start, end", [(5, 5), (6, 5)])
+    def test_empty_segment_rejected(self, start, end):
+        with pytest.raises(ContractError, match=rf"^VAD segment must be non-empty, got \[{start}, {end}\)$"):
+            VadSegment(start, end)
 
     def test_negative_hangover_rejected(self):
         with pytest.raises(ContractError):

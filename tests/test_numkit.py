@@ -99,6 +99,14 @@ class TestPointwise:
         out = sigmoid(np.array([-800.0, 800.0]))
         assert out[0] == 0.0 and out[1] == 1.0
 
+    def test_gelu_backward_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match=r"^gelu upstream gradient shape \(3,\) != input \(2,\)$"):
+            gelu_backward(np.zeros(2), np.zeros(3))
+
+    def test_sigmoid_backward_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match=r"sigmoid upstream gradient shape \(2, 1\) != output"):
+            sigmoid_backward(np.zeros((1, 2)), np.zeros((2, 1)))
+
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0])
 _FINITE = st.floats(-1e150, 1e150, allow_nan=False)

@@ -61,6 +61,23 @@ class TestConfigs:
         with pytest.raises(ContractError, match="unsupported rate"):
             ConvGmlpConfig(rate_n=3, llm_dim=8)
 
+    @pytest.mark.parametrize("in_dim, llm_dim", [(0, 4), (4, 0)])
+    def test_visual_dimensions_below_one_rejected(self, in_dim, llm_dim):
+        with pytest.raises(ContractError, match="^projector dimensions must be >= 1$"):
+            VisualProjectorConfig(variant="mlp", in_dim=in_dim, llm_dim=llm_dim)
+
+    def test_non_finite_parameters_rejected(self):
+        params = init_conv_gmlp_params(ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4), 0)
+        tensors = dict(params.tensors)
+        tensors["b_out"] = Tensor([0.0, np.nan, 0.0])
+        with pytest.raises(ContractError, match="^parameter 'b_out' contains non-finite values$"):
+            ProjectorParams(tensors, init_seed=0)
+
+    @pytest.mark.parametrize("projector", [*VISUAL_VARIANTS, "conv_gmlp"])
+    def test_every_projector_check_rejects_an_unsupported_rate(self, projector):
+        with pytest.raises(ContractError, match="^unsupported rate 3, "):
+            check_gradients(projector, seed=0, rate=3)
+
     def test_init_is_deterministic(self):
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=4, in_channels=4)
         a = init_conv_gmlp_params(cfg, 9)
@@ -521,6 +538,17 @@ class TestConvGmlpShapes:
         with pytest.raises(ShapeError):
             conv_gmlp_forward(cfg, params, Tensor(np.zeros((10, 5))))
 
+    def test_one_dimensional_input_rejected(self):
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+        params = init_conv_gmlp_params(cfg, 0)
+        with pytest.raises(ShapeError, match=r"^projector input must be 2-D, got shape \(8,\)$"):
+            conv_gmlp_forward(cfg, params, Tensor(np.zeros(8)))
+
+    def test_zero_length_shapes_rejected(self):
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
+        with pytest.raises(ContractError, match="^sequence length must be >= 1, got 0$"):
+            conv_gmlp_shapes(cfg, 0)
+
     @settings(max_examples=100, deadline=None)
     @given(
         rate=st.sampled_from([1, 2, 4, 8]),
@@ -541,8 +569,10 @@ class TestConvGmlpShapes:
 
 
 class TestConvGmlpBlocks:
-    """The public forward runs ``_GMLP_BLOCK`` windows at a time and must
-    equal the whole-array forward bit for bit."""
+    """The public forward runs ``_GMLP_BLOCK`` windows at a time. At layers
+    (rate x channels) narrower than 512 it must equal the whole-array forward
+    bit for bit; at wider ones BLAS may sum a short last block in another
+    order, so there it must agree to within 1e-14 of the largest output."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -564,6 +594,27 @@ class TestConvGmlpBlocks:
         got = conv_gmlp_forward(cfg, params, x).array
         want = _conv_gmlp_forward(cfg, params, x)[0]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rate=st.sampled_from([1, 2, 4, 8]),
+        width=st.sampled_from([512, 768, 1024]),
+        llm_dim=st.sampled_from([3, 16]),
+        # rows = blocks * (_GMLP_BLOCK * rate) + extra windows, a short last block
+        length=st.tuples(st.integers(1, 2), st.integers(2, 127)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(rate=2, width=512, llm_dim=16, length=(2, 3), seed=0)  # 262 rows
+    def test_blocked_forward_of_a_wide_layer_is_within_rounding(
+            self, rate, width, llm_dim, length, seed):
+        blocks, extra = length
+        cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=width // rate)
+        params = init_conv_gmlp_params(cfg, seed)
+        x = Tensor(np.random.default_rng(seed).normal(
+            size=((blocks * _GMLP_BLOCK + extra) * rate, cfg.in_channels)))
+        got = conv_gmlp_forward(cfg, params, x).array
+        want = _conv_gmlp_forward(cfg, params, x)[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_working_set_of_a_3000_row_input_stays_bounded(self):
         # numpy reports its buffers to tracemalloc; the whole-array forward
