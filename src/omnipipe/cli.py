@@ -383,6 +383,8 @@ def run_filter_loss(cfg: dict) -> tuple[str, int]:
 
 
 def run_split_crossmodal(cfg: dict) -> tuple[str, int]:
+    # the flag is checked first, so its error names no file
+    curation.check_seed(cfg["seed"])
     with _Input(cfg["input"]) as f:
         samples = [curation.split_one_three(text) for text, in f.jsonl({"text": str})]
     samples = curation.assign_timbres(samples, cfg["seed"])

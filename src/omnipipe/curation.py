@@ -133,10 +133,15 @@ def split_one_three(text: str) -> CrossModalSample:
     return CrossModalSample(audio_text=text[:cut], target_text=text[cut:])
 
 
-def assign_timbres(samples: list[CrossModalSample], seed: int) -> list[CrossModalSample]:
-    """Assign each sample a uniformly random voice id, deterministically."""
+def check_seed(seed: int) -> None:
+    """A curation draw takes a seed >= 0."""
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
+
+
+def assign_timbres(samples: list[CrossModalSample], seed: int) -> list[CrossModalSample]:
+    """Assign each sample a uniformly random voice id, deterministically."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, TIMBRE_COUNT, size=len(samples))
     return [replace(s, timbre_id=int(t)) for s, t in zip(samples, draws)]
@@ -173,8 +178,7 @@ def check_draw(budget: int, seed: int) -> None:
     """A mix draws a budget of samples with a seed, both >= 0."""
     if budget < 0:
         raise ContractError(f"budget must be >= 0, got {budget}")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
 
 
 def mix_plan(sizes: dict, budget: int, seed: int) -> MixPlan:

@@ -1,17 +1,17 @@
 """Evaluation metrics and score-table normalization.
 
 Word and character error rates via Levenshtein alignment with full edit
-counts (``error_rates`` aligns every pair of a call at once: the cost
-matrices of a length-sorted batch of pairs are filled together, one
-vectorised row step for all of them, then each pair is backtraced) and their
-corpus rate as a fold over those results (``corpus_error_rate``), sentence
-BLEU-4 against one reference with modified n-gram precision and brevity
-penalty (``bleu_scores`` counts the clipped n-gram matches of every pair of
-a call at once: n-grams get call-wide ids by rank, and one ``np.unique`` per
-order counts them per pair and side), corpus BLEU-4 as a fold over those
-sentence results (``corpus_bleu``), and the radar normalization
-x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per benchmark
-column. Results are values, not text: the CLI renders every report.
+counts (``error_rates`` aligns each pair on its own with Myers' bit-vector
+algorithm: one column of vertical and horizontal cost deltas per hypothesis
+token, then a backtrace that breaks ties substitution, deletion, insertion)
+and their corpus rate as a fold over those results (``corpus_error_rate``),
+sentence BLEU-4 against one reference with modified n-gram precision and
+brevity penalty (``bleu_scores`` counts the clipped n-gram matches of every
+pair of a call at once: n-grams get call-wide ids by rank, and one
+``np.unique`` per order counts them per pair and side), corpus BLEU-4 as a
+fold over those sentence results (``corpus_bleu``), and the radar
+normalization x_norm = (x - x_min + 10) / (x_max - x_min + 10) applied per
+benchmark column. Results are values, not text: the CLI renders every report.
 """
 
 from __future__ import annotations
@@ -39,89 +39,49 @@ class MetricResult:
         return {"metric": self.metric, "value": self.value, "counts": self.counts}
 
 
-# Bytes one batch of the edit-distance fill may hold in its cost matrices
-# (int32) and mismatch masks (bool). A larger budget takes fewer row steps
-# for long pairs, and raises the peak memory of a call by as much.
-_DP_BYTES = 1 << 20
+def _edit_ops(ref: list, hyp: list) -> tuple[int, int, int]:
+    """Minimal (substitutions, deletions, insertions) aligning hyp to ref.
 
-
-def _dp_bytes(n: int, m: int) -> int:
-    return 4 * (n + 1) * (m + 1) + n * m
-
-
-def _edit_ops(pairs: list) -> list[tuple[int, int, int]]:
-    """Minimal (substitutions, deletions, insertions) aligning each hyp to its
-    ref, for a list of (ref_tokens, hyp_tokens), in input order.
-
-    The pairs are sorted by length and cut into batches whose padded cost
-    matrices and masks fit in ``_DP_BYTES``; a pair larger than that runs
-    alone. Each batch fills the matrices of all its pairs together, one row
-    step for every pair, then backtraces each pair (``_align``).
+    Myers' bit-vector algorithm (Myers 1999; Hyyrö 2001 for global distance)
+    on Python ints. With c(i, j) the cost of aligning ref[:i] to hyp[:j],
+    bit i - 1 of hyp column j's vectors holds row i's deltas: pv / mv mark
+    c(i, j) - c(i - 1, j) = +1 / -1, and ph / mh mark c(i, j) - c(i, j - 1)
+    = +1 / -1, kept before the shift. The sweep keeps every column; the
+    backtrace reads the cost steps from their bits and, among cost ties,
+    prefers substitution, then deletion, then insertion.
     """
-    batches, batch, rows, cols = [], [], 0, 0
-    for k in sorted(range(len(pairs)), key=lambda k: (len(pairs[k][0]), len(pairs[k][1]))):
-        n, m = max(rows, len(pairs[k][0])), max(cols, len(pairs[k][1]))
-        if batch and (len(batch) + 1) * _dp_bytes(n, m) > _DP_BYTES:
-            batches.append(batch)
-            batch, n, m = [], len(pairs[k][0]), len(pairs[k][1])
-        batch.append(k)
-        rows, cols = n, m
-    if batch:
-        batches.append(batch)
-    ops: list = [None] * len(pairs)
-    for batch in batches:
-        for k, counts in zip(batch, _align([pairs[k] for k in batch])):
-            ops[k] = counts
-    return ops
-
-
-def _align(batch: list) -> list[tuple[int, int, int]]:
-    """Edit counts for one batch of pairs, padded on the right and bottom.
-
-    Row i of every cost matrix is filled in one step along axis 1:
-    substitution and deletion come from the row above, and the insertion
-    chain along the row is a running minimum of ``cand[k] - k``. A cell
-    depends only on cells above and to its left, so right padding cannot
-    change a pair's columns, and rows past a pair's length are never read.
-    Among cost-ties the backtrace prefers substitution, then deletion, then
-    insertion, making the counts deterministic.
-    """
-    codes: dict = {}
-    rows = max(len(ref) for ref, _ in batch)
-    cols = max(len(hyp) for _, hyp in batch)
-    ref_codes = np.full((rows, len(batch)), -1, dtype=np.int64)
-    hyp_codes = np.full((len(batch), cols), -1, dtype=np.int64)
-    for b, (ref, hyp) in enumerate(batch):
-        ref_codes[: len(ref), b] = [codes.setdefault(t, len(codes)) for t in ref]
-        hyp_codes[b, : len(hyp)] = [codes.setdefault(t, len(codes)) for t in hyp]
-    diff = ref_codes[:, :, None] != hyp_codes[None]
-    j = np.arange(cols + 1, dtype=np.int32)
-    cost = np.empty((rows + 1, len(batch), cols + 1), dtype=np.int32)
-    cost[0] = j
-    for i in range(1, rows + 1):
-        prev, row = cost[i - 1], cost[i]
-        row[:, 0] = i
-        np.minimum(prev[:, :-1] + diff[i - 1], prev[:, 1:] + 1, out=row[:, 1:])
-        np.minimum.accumulate(row - j, axis=1, out=row)
-        row += j
-    ops = []
-    for b, (ref, hyp) in enumerate(batch):
-        # .item reads a cell as a Python int, which the loop compares faster
-        c, d = cost[:, b].item, diff[:, b].item
-        subs = dels = ins = 0
-        i, j = len(ref), len(hyp)
-        while i > 0 or j > 0:
-            if i > 0 and j > 0 and c(i, j) == c(i - 1, j - 1) + d(i - 1, j - 1):
-                subs += d(i - 1, j - 1)
-                i, j = i - 1, j - 1
-            elif i > 0 and c(i, j) == c(i - 1, j) + 1:
-                dels += 1
-                i -= 1
-            else:
-                ins += 1
-                j -= 1
-        ops.append((subs, dels, ins))
-    return ops
+    mask = (1 << len(ref)) - 1
+    where: dict = {}  # token -> bit mask of its positions in ref
+    for i, token in enumerate(ref):
+        where[token] = where.get(token, 0) | 1 << i
+    pv, mv, columns = mask, 0, []
+    for token in hyp:
+        eq = where.get(token, 0)
+        xv = eq | mv
+        xh = ((eq & pv) + pv ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        shifted = ph << 1 | 1  # c(0, j) - c(0, j - 1) = 1 enters at row 0
+        pv, mv = (mh << 1 | ~(xv | shifted)) & mask, shifted & xv
+        columns.append((ph, mh, pv, mv))
+    subs = dels = ins = 0
+    i, j = len(ref), len(hyp)
+    while i and j:
+        ph, mh, pv, mv = columns[j - 1]
+        up = (pv >> i - 1 & 1) - (mv >> i - 1 & 1)  # c(i, j) - c(i - 1, j)
+        # c(i, j) - c(i - 1, j - 1): up plus row i - 1's horizontal delta
+        diagonal = up + ((ph >> i - 2 & 1) - (mh >> i - 2 & 1) if i > 1 else 1)
+        diff = ref[i - 1] != hyp[j - 1]
+        if diagonal == diff:
+            subs += diff
+            i, j = i - 1, j - 1
+        elif up == 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels + i, ins + j
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -136,10 +96,11 @@ def tokenize_words(text: str) -> list[str]:
 def error_rates(metric: str, pairs: Iterable[tuple[str, str]]) -> list[MetricResult]:
     """WER or CER for each (reference, hypothesis), in input order.
 
-    Each pair is tokenized and checked as it is drawn, so an empty reference
-    raises while its record is in use; then one ``_edit_ops`` call aligns
-    every pair. ``wer`` tokenizes with ``tokenize_words``, ``cer`` compares
-    code points, whitespace included.
+    Each pair is tokenized, checked and aligned as it is drawn, so an empty
+    reference raises while its record is in use. ``_edit_ops`` aligns a pair
+    from bit-vector columns of its cost deltas, breaking ties substitution,
+    deletion, insertion. ``wer`` tokenizes with ``tokenize_words``, ``cer``
+    compares code points, whitespace included.
     """
     if metric == "wer":
         tokens, empty = tokenize_words, "reference is empty after tokenization"
@@ -147,25 +108,15 @@ def error_rates(metric: str, pairs: Iterable[tuple[str, str]]) -> list[MetricRes
         tokens, empty = list, "reference is empty"
     else:
         raise ContractError(f"unknown error-rate metric {metric!r}")
-    token_pairs = []
+    results = []
     for reference, hypothesis in pairs:
         ref = tokens(reference)
         if not ref:
             raise ContractError(empty)
-        token_pairs.append((ref, tokens(hypothesis)))
-    return [
-        MetricResult(
-            metric=metric,
-            value=(s + d + i) / len(ref),
-            counts={
-                "substitutions": s,
-                "deletions": d,
-                "insertions": i,
-                "reference_length": len(ref),
-            },
-        )
-        for (ref, _), (s, d, i) in zip(token_pairs, _edit_ops(token_pairs))
-    ]
+        s, d, i = _edit_ops(ref, tokens(hypothesis))
+        counts = {"substitutions": s, "deletions": d, "insertions": i, "reference_length": len(ref)}
+        results.append(MetricResult(metric=metric, value=(s + d + i) / len(ref), counts=counts))
+    return results
 
 
 def wer(reference: str, hypothesis: str) -> MetricResult:

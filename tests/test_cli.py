@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from omnipipe import cli, evalkit, stream
 from omnipipe.errors import ContractError, FormatError, ProtocolError
-from omnipipe.fileio import json_value
+from omnipipe.fileio import atomic_write, json_value
 from omnipipe.cli import _COMMANDS, _jsonl, build_parser, main
 
 SUBCOMMANDS = [
@@ -475,6 +475,9 @@ MALFORMED = {
         {"i": '{"text": "one two three four"}\n{"text": "too short"}\n'}, 1, 2),
     "split-crossmodal negative seed": (
         ["split-crossmodal", "--input", os.devnull, "--seed", "-1"], {}, 1, None),
+    "split-crossmodal negative seed before a bad input": (
+        ["split-crossmodal", "--input", "{i}", "--seed", "-1"], {"i": '{"text": 5}\n'}, 1,
+        NAMES_NO_FILE),
     "mix size not a number": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": "x"}'}, 1, None),
     "mix size not integral": (["mix", "--budget", "1", "--sizes", "{s}"], {"s": '{"a": 1.5}'}, 1, None),
     "mix size past int64": (
@@ -869,6 +872,20 @@ def test_mix_flag_errors_name_no_file(flag, message, tmp_path, capsys):
     sizes.write_text('{"a": 2}')
     assert main(["mix", "--budget", "1", "--sizes", str(sizes), flag]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_failed_write_keeps_the_old_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old bytes\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        atomic_write(target, "new text\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.glob("out.json.*")) == []
 
 
 # Each file-reading flag: the argv that reads the mutated file {f}, and the

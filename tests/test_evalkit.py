@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from omnipipe import evalkit
 from omnipipe.cli import _CHUNK, main
 from omnipipe.errors import ContractError
 from omnipipe.evalkit import (
+    MetricResult,
     ScoreTable,
     _edit_ops,
     bleu,
@@ -28,61 +30,65 @@ from omnipipe.evalkit import (
 from oracles import bleu_multi_reference, corpus_bleu_loop, edit_distance, edit_ops
 
 
-_TOKENS = st.lists(st.sampled_from(["a", "b", "c"]), max_size=40)
-
-
 def _random_string(rng, vocab, max_len):
     return " ".join(str(rng.choice(vocab)) for _ in range(int(rng.integers(0, max_len))))
 
 
 class TestEditOps:
     @settings(max_examples=300, deadline=None)
-    @given(st.text("abc", max_size=40), st.text("abc", max_size=40))
+    @given(st.text("abc", max_size=100), st.text("abc", max_size=100))
     def test_characters_match_dp_oracle(self, ref, hyp):
         # a three-letter alphabet forces many cost ties in the backtrace
-        assert _edit_ops([(list(ref), list(hyp))]) == [edit_ops(list(ref), list(hyp))]
+        assert _edit_ops(list(ref), list(hyp)) == edit_ops(list(ref), list(hyp))
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.sampled_from(["a", "dog", "cat", "the"]), max_size=40),
-        st.lists(st.sampled_from(["a", "dog", "cat", "the", "uh"]), max_size=40),
+        st.lists(st.sampled_from(["a", "dog", "cat", "the"]), max_size=100),
+        st.lists(st.sampled_from(["a", "dog", "cat", "the", "uh"]), max_size=100),
     )
     def test_words_match_dp_oracle(self, ref, hyp):
-        assert _edit_ops([(ref, hyp)]) == [edit_ops(ref, hyp)]
+        assert _edit_ops(ref, hyp) == edit_ops(ref, hyp)
 
     def test_empty_hypothesis_is_all_deletions(self):
-        assert _edit_ops([(list("abca"), [])]) == [edit_ops(list("abca"), [])] == [(0, 4, 0)]
+        assert _edit_ops(list("abca"), []) == edit_ops(list("abca"), []) == (0, 4, 0)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.tuples(_TOKENS, st.one_of(st.just([]), _TOKENS)), max_size=8),
-        st.tuples(*[st.lists(st.sampled_from(["a", "b", "c"]), min_size=22, max_size=40)] * 2),
-        st.integers(0, 8),
-    )
-    def test_batches_match_dp_oracle(self, pairs, large, at):
-        # a 2 KiB budget holds about a dozen short pairs; the large pair
-        # (at least 22 x 22 tokens, 2600 bytes) must run alone
-        pairs.insert(min(at, len(pairs)), large)
-        batches = []
 
-        def spy(batch):
-            batches.append(batch)
-            return align(batch)
-
-        align = evalkit._align
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evalkit, "_DP_BYTES", 2048)
-            patch.setattr(evalkit, "_align", spy)
-            assert _edit_ops(pairs) == [edit_ops(r, h) for r, h in pairs]
-        assert sum(map(len, batches)) == len(pairs)
-        assert [large] in batches
-        for batch in batches:
-            rows = max(len(r) for r, _ in batch)
-            cols = max(len(h) for _, h in batch)
-            assert len(batch) == 1 or len(batch) * evalkit._dp_bytes(rows, cols) <= 2048
+# Token lists that join into texts of exactly those WER or CER tokens: a
+# small alphabet forces cost ties, three of its code points are not ASCII,
+# and 65-200 tokens span more than one 64-bit word of the bit masks.
+_TOKEN = st.sampled_from(["a", "b", "é", "中", "🙂"])
+_SIDE = st.one_of(st.lists(_TOKEN, max_size=12), st.lists(_TOKEN, min_size=65, max_size=200))
 
 
 class TestErrorRates:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([("wer", " "), ("cer", "")]),
+        st.lists(st.tuples(_SIDE.filter(bool), st.one_of(st.just([]), _SIDE)), max_size=5),
+    )
+    def test_a_whole_call_matches_the_oracle_pair_by_pair(self, metric_sep, pairs):
+        metric, sep = metric_sep
+        results = error_rates(metric, [(sep.join(ref), sep.join(hyp)) for ref, hyp in pairs])
+        want = []
+        for ref, hyp in pairs:
+            s, d, i = edit_ops(ref, hyp)
+            counts = {"substitutions": s, "deletions": d, "insertions": i,
+                      "reference_length": len(ref)}
+            want.append(MetricResult(metric, (s + d + i) / len(ref), counts))
+        assert results == want
+
+    def test_working_set_of_a_long_cer_pair_stays_bounded(self):
+        # four 2000-bit ints per hyp character, about 2.4 MiB
+        rng = np.random.default_rng(0)
+        ref, hyp = ("".join(rng.choice(list("abcdefgh "), 2000)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            error_rates("cer", [(ref, hyp)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_checks_each_pair_as_it_is_drawn(self):
         drawn = []
 
