@@ -367,7 +367,11 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
             records = f.jsonl({"t": int, "kind": str, "tokens": (int, 0)})
             trace = stream.run(stream.StreamEvent(*r) for r in records)
     else:
-        spec = modality.melspec(modality.load_wav(cfg["wav"]))
+        samples = modality.load_wav(cfg["wav"])
+        if samples.size > modality.CLIP_SAMPLES:  # melspec would drop the audio past 30 s
+            raise ContractError(f"WAV file longer than {modality.CLIP_SECONDS} s: {cfg['wav']} "
+                                f"({samples.size} samples, at most {modality.CLIP_SAMPLES})")
+        spec = modality.melspec(samples)
         plan = None
         if cfg["frame_plan"]:
             with _Input(cfg["frame_plan"]) as f:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ContractError
 from . import evalkit
+from .numkit import check_seed  # the package's one seed rule, for every draw here
 
 TIMBRE_COUNT = 44
 MIN_SPLIT_WORDS = 4
@@ -131,12 +132,6 @@ def split_one_three(text: str) -> CrossModalSample:
     ends = [b for b in (before, after) if 0 < b < last]
     cut = min(ends, key=lambda b: (abs(b - target_pos), b))
     return CrossModalSample(audio_text=text[:cut], target_text=text[cut:])
-
-
-def check_seed(seed: int) -> None:
-    """A curation draw takes a seed >= 0."""
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
 
 
 def assign_timbres(samples: list[CrossModalSample], seed: int) -> list[CrossModalSample]:

@@ -223,22 +223,12 @@ def mel_to_hz(mel: float) -> float:
 
 
 @functools.cache
-def _mel_edges_hz() -> np.ndarray:
-    """Edges evenly spaced in mel; filter j peaks at edge j + 1, its centre.
-    Built once and shared, so it is read-only."""
-    mel_points = np.linspace(
-        hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), MEL_BINS + 2
-    )
-    edges = np.array([mel_to_hz(m) for m in mel_points])
-    edges.flags.writeable = False
-    return edges
-
-
-@functools.cache
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters as a (WINDOW_SAMPLES // 2 + 1, MEL_BINS) matrix,
-    built once and shared, so it is read-only."""
-    hz = _mel_edges_hz()
+    built once and shared, so it is read-only. Their edges are evenly spaced
+    in mel; filter j peaks at edge j + 1, its centre."""
+    mel_points = np.linspace(hz_to_mel(MEL_FMIN_HZ), hz_to_mel(MEL_FMAX_HZ), MEL_BINS + 2)
+    hz = np.array([mel_to_hz(m) for m in mel_points])
     left, centre, right = hz[:-2], hz[1:-1], hz[2:]
     fft_freqs = (np.arange(WINDOW_SAMPLES // 2 + 1) * SAMPLE_RATE_HZ / WINDOW_SAMPLES)[:, None]
     rising = (fft_freqs - left) / (centre - left)
@@ -344,11 +334,16 @@ def frame_energy_db(spec: MelSpec) -> np.ndarray:
     return 10.0 * log_mel.mean(axis=1)
 
 
+def check_hangover(hangover_frames: int) -> None:
+    """The VAD merges runs across at most ``hangover_frames`` >= 0 frames."""
+    if hangover_frames < 0:
+        raise ContractError("hangover_frames must be >= 0")
+
+
 def vad(spec: MelSpec, threshold_db: float, hangover_frames: int) -> list[VadSegment]:
     """Frames louder than the threshold form segments; runs separated by at
     most ``hangover_frames`` silent frames are merged."""
-    if hangover_frames < 0:
-        raise ContractError(f"hangover_frames must be >= 0, got {hangover_frames}")
+    check_hangover(hangover_frames)
     active = frame_energy_db(spec) > threshold_db
     # with silence on either side of the mask, its edges alternate run start, run end
     edges = np.flatnonzero(np.diff(active, prepend=False, append=False))

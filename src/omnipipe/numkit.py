@@ -19,7 +19,8 @@ parameters against gradients the caller computed once. It passes the loss
 a chunk of probes at a time, as views of rows of copies of one flat vector,
 each name with a leading probe axis, and takes one loss per probe back. A
 probe that does not move its entry, a non-finite probe, or a check with no
-entries is an error.
+entries is an error. ``check_seed`` is the package's one seed rule, for
+projector init and every curation draw.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+def check_seed(seed: int) -> None:
+    """A seeded draw (projector init, timbres, a mix) takes a seed >= 0."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
 
 
 def _require_ndim(t: np.ndarray, ndims: tuple[int, ...], name: str) -> None:

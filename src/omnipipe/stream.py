@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ContractError, ProtocolError
-from .modality import FramePlan, MelSpec, MS_PER_MEL_FRAME, MS_PER_VIDEO_FRAME, vad
+from .modality import FramePlan, MelSpec, MS_PER_MEL_FRAME, MS_PER_VIDEO_FRAME, check_hangover, vad
 from .projectors import audio_tokens, check_rate
 
 EVENT_KINDS = ("audio_start", "audio_frame", "audio_end", "video_frame", "image", "text")
@@ -121,8 +121,7 @@ class VadConfig:
     mel_frames_per_chunk: int = 10
 
     def __post_init__(self):
-        if self.hangover_frames < 0:
-            raise ContractError("hangover_frames must be >= 0")
+        check_hangover(self.hangover_frames)
         check_rate(self.rate_n)
         if self.mel_frames_per_chunk < 1:
             raise ContractError("mel_frames_per_chunk must be >= 1")

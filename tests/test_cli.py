@@ -18,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from omnipipe import cli, evalkit, stream
+from omnipipe import cli, curation, evalkit, modality, projectors, stream
 from omnipipe.errors import ContractError, FormatError, ProtocolError
 from omnipipe.fileio import atomic_write, json_value
+from omnipipe.numkit import Tensor
 from omnipipe.cli import _COMMANDS, _jsonl, build_parser, main
 
 SUBCOMMANDS = [
@@ -236,6 +237,29 @@ class TestSubcommandBehaviour:
         audio = [l for l in lines if l["modality"] == "audio"]
         assert all(l["trigger_inference"] for l in audio)
 
+    def test_stream_sim_reads_a_wav_of_exactly_30_s(self, tmp_path, capsys):
+        wav = tmp_path / "clip.wav"
+        _write_wav(wav, seconds=30.0)
+        assert modality.load_wav(wav).size == modality.CLIP_SAMPLES
+        assert main(["stream-sim", "--wav", str(wav)]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [l["modality"] for l in lines] == ["audio"]
+
+    def test_stream_sim_rejects_a_wav_one_sample_past_30_s(self, tmp_path, capsys):
+        wav = tmp_path / "clip.wav"
+        samples = (np.arange(modality.CLIP_SAMPLES + 1) % 50 * 400 - 10000).astype("<i2")
+        with wave.open(str(wav), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+            w.writeframes(samples.tobytes())
+        assert main(["stream-sim", "--wav", str(wav)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: WAV file longer than 30 s: {wav} (480001 samples, at most 480000)\n"
+        )
+
     def test_stream_sim_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["stream-sim"]) == 1
 
@@ -335,10 +359,11 @@ class TestSubcommandBehaviour:
 HUGE = 10**400
 
 # Each case: argv (with {NAME} standing for a file written from FILES, or for
-# the fixtures {wav} and {sizes}, which are valid, and {bad_fmt_wav}, {wav}
-# with its fmt chunk size set to 18, {pcm8_wav}, {wav} declaring 8 bits per
-# sample, and {float_wav}, {wav} declaring format 3, IEEE float), the files,
-# the expected exit code, and
+# the fixtures {wav} and {sizes}, which are valid, {bad_fmt_wav}, {wav} with
+# its fmt chunk size set to 18, {pcm8_wav}, {wav} declaring 8 bits per
+# sample, {float_wav}, {wav} declaring format 3, IEEE float, {empty_wav}, a
+# WAV of no samples, and {long_wav}, one longer than 30 s), the files, the
+# expected exit code, and
 # for reader errors the failing line, or NAMES_NO_FILE for an error about a
 # file's content that names no file.
 NAMES_NO_FILE = "names no file"
@@ -367,6 +392,8 @@ MALFORMED = {
     "tile config out not a string": (
         ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"out": 5}'}, 1, None),
     "tile config unknown key": (["tile", "--config", "{c}"], {"c": '{"bogus": 1}'}, 1, None),
+    "tile width 0": (["tile", "--width", "0", "--height", "3"], {}, 1, None),
+    "tile max-tiles 0": (["tile", "--width", "3", "--height", "3", "--max-tiles", "0"], {}, 1, None),
     "tile config max_tiles not integral": (
         ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"max_tiles": 2.5}'},
         1, None),
@@ -374,11 +401,16 @@ MALFORMED = {
     "frames config duration inf": (
         ["frames", "--source-frames", "3", "--config", "{c}"], {"c": '{"duration": Infinity}'},
         1, None),
+    "frames duration 0": (["frames", "--duration", "0", "--source-frames", "3"], {}, 1, None),
+    "frames source-frames 0": (["frames", "--duration", "2", "--source-frames", "0"], {}, 1, None),
+    "frames frame-width 0": (
+        ["frames", "--duration", "2", "--source-frames", "3", "--frame-width", "0"], {}, 1, None),
     "melspec config wav not a string": (["melspec", "--config", "{c}"], {"c": '{"wav": 5}'}, 1, None),
     "melspec wav not a wav file": (["melspec", "--wav", "{w}"], {"w": "hello"}, 1, None),
     "melspec wav fmt chunk size wrong": (["melspec", "--wav", "{bad_fmt_wav}"], {}, 1, None),
     "melspec wav 8-bit": (["melspec", "--wav", "{pcm8_wav}"], {}, 1, NAMES_NO_FILE),
     "melspec wav float format": (["melspec", "--wav", "{float_wav}"], {}, 1, None),
+    "melspec wav with no samples": (["melspec", "--wav", "{empty_wav}"], {}, 1, None),
     "gradcheck config seeds bool": (
         ["gradcheck", "--projector", "mlp", "--config", "{c}"], {"c": '{"seeds": true}'}, 1, None),
     "gradcheck probe overflows": (
@@ -386,6 +418,7 @@ MALFORMED = {
     "gradcheck probe does not move a parameter": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "1e-320"], {}, 1, None),
     "gradcheck seeds 0": (["gradcheck", "--projector", "mlp", "--seeds", "0"], {}, 1, None),
+    "gradcheck eps 0": (["gradcheck", "--projector", "mlp", "--seeds", "1", "--eps", "0"], {}, 1, None),
     "gradcheck mlp rate 3": (
         ["gradcheck", "--projector", "mlp", "--seeds", "1", "--rate", "3"], {}, 1, None),
     "gradcheck negative seed": (
@@ -396,6 +429,16 @@ MALFORMED = {
         ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"], {}, 1, None),
     "ablate-rates negative lr": (
         ["ablate-rates", "--rates", "2", "--steps", "1", "--lr", "-1"], {}, 1, None),
+    "ablate-rates steps 0": (["ablate-rates", "--rates", "2", "--steps", "0"], {}, 1, None),
+    "ablate-rates length 0": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--length", "0"], {}, 1, None),
+    "ablate-rates channels 0": (
+        ["ablate-rates", "--rates", "2", "--steps", "1", "--channels", "0"], {}, 1, None),
+    # the loss turns non-finite at step 3; the update of step 0 overflows the
+    # parameters while its loss is finite
+    "ablate-rates loss diverges at step 3": (["ablate-rates", "--lr", "1e6", "--steps", "5"], {}, 1, None),
+    "ablate-rates parameters diverge at step 0": (
+        ["ablate-rates", "--lr", "1e308", "--steps", "5"], {}, 1, None),
     # sizes past memory fail at their first allocation (hundreds of PiB);
     # sizes past what numpy can address fail before it
     "ablate-rates length past memory": (
@@ -439,6 +482,7 @@ MALFORMED = {
     "stream-sim both events and wav": (
         ["stream-sim", "--events", os.devnull, "--wav", "{wav}"], {}, 1, None),
     "stream-sim wav at rate 3": (["stream-sim", "--wav", "{wav}", "--rate", "3"], {}, 1, None),
+    "stream-sim wav longer than 30 s": (["stream-sim", "--wav", "{long_wav}"], {}, 1, None),
     "stream-sim events at rate 3": (
         ["stream-sim", "--events", "{e}", "--rate", "3"], {"e": '{"t": 0, "kind": "text"}\n'},
         1, NAMES_NO_FILE),
@@ -464,10 +508,18 @@ MALFORMED = {
     "stream-sim frame plan negative frames": (
         ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
         {"p": '{"frames": [-3, -1], "per_frame_tokens": 182}'}, 1, None),
+    "stream-sim frame plan of 49 frames": (
+        ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
+        {"p": json.dumps({"frames": list(range(49)), "per_frame_tokens": 182})}, 1, None),
+    "stream-sim frame plan per_frame_tokens 100": (
+        ["stream-sim", "--wav", "{wav}", "--frame-plan", "{p}"],
+        {"p": '{"frames": [0, 30], "per_frame_tokens": 100}'}, 1, None),
     "filter-loss loss not finite": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,inf\n"}, 1, 3),
     "filter-loss duplicate id": (
         ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\nb,2\na,100\nc,3\n"}, 1, 4),
+    "filter-loss field past the csv field limit": (
+        ["filter-loss", "--losses", "{l}"], {"l": "id,loss\na,1\n" + "b" * 140_000 + ",2\n"}, 1, 3),
     "split-crossmodal text not a string": (
         ["split-crossmodal", "--input", "{i}"], {"i": '{"text": 5}\n'}, 1, 1),
     "split-crossmodal short text on line 2": (
@@ -515,18 +567,19 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
     argv, files, code, line = MALFORMED[case]
-    paths = {
-        "wav": str(tmp_path / "tone.wav"),
-        "sizes": str(tmp_path / "sizes.json"),
-        "bad_fmt_wav": str(tmp_path / "bad_fmt.wav"),
-        "pcm8_wav": str(tmp_path / "pcm8.wav"),
-        "float_wav": str(tmp_path / "float.wav"),
+    fixtures = {
+        "wav": ("tone.wav", _write_wav),
+        "sizes": ("sizes.json", lambda p: Path(p).write_text('{"a": 2}')),
+        "bad_fmt_wav": ("bad_fmt.wav", lambda p: _write_wav_with_fmt_field(p, 16, 18, 4)),
+        "pcm8_wav": ("pcm8.wav", lambda p: _write_wav_with_fmt_field(p, 34, 8)),
+        "float_wav": ("float.wav", lambda p: _write_wav_with_fmt_field(p, 20, 3)),
+        "empty_wav": ("empty.wav", lambda p: _write_wav(p, seconds=0)),
+        "long_wav": ("long.wav", lambda p: _write_wav(p, seconds=30.5)),
     }
-    _write_wav(paths["wav"])
-    _write_wav_with_fmt_field(paths["bad_fmt_wav"], 16, 18, 4)
-    _write_wav_with_fmt_field(paths["pcm8_wav"], 34, 8)
-    _write_wav_with_fmt_field(paths["float_wav"], 20, 3)
-    (tmp_path / "sizes.json").write_text('{"a": 2}')
+    paths = {key: str(tmp_path / name) for key, (name, _) in fixtures.items()}
+    for key, (_, write) in fixtures.items():
+        if any(f"{{{key}}}" in a for a in argv):
+            write(paths[key])
     for key, text in files.items():
         paths[key] = str(tmp_path / f"{key}.in")
         (tmp_path / f"{key}.in").write_text(text)
@@ -551,6 +604,54 @@ def test_malformed_input_is_one_error_line(case, tmp_path, capsys):
         (named,) = [p for k, p in paths.items() if k in files and p in err[0]]
         if line is not None:
             assert err[0].startswith(f"error: {named}:{line}: ")
+
+
+# One rule, one text: every entry point that takes a seed, and every one that
+# takes a VAD hangover, rejects a negative value with the same message.
+SEEDED_ARGV = {
+    "gradcheck": ["gradcheck", "--projector", "mlp", "--seeds", "1", "--seed", "-1"],
+    "ablate-rates": ["ablate-rates", "--rates", "2", "--steps", "1", "--seed", "-1"],
+    "split-crossmodal": ["split-crossmodal", "--input", os.devnull, "--seed", "-1"],
+    "mix": ["mix", "--budget", "1", "--seed", "-1", "--sizes", os.devnull],
+}
+SEEDED_CALLS = {
+    "init_visual_params": lambda seed: projectors.init_visual_params(
+        projectors.VisualProjectorConfig("mlp", 2, 2), seed),
+    "init_conv_gmlp_params": lambda seed: projectors.init_conv_gmlp_params(
+        projectors.ConvGmlpConfig(2, 2, 2), seed),
+    "check_gradients": lambda seed: projectors.check_gradients("mlp", seed),
+    "toy_fit": lambda seed: projectors.toy_fit(projectors.ConvGmlpConfig(2, 2, 2), 1, 1e-3, seed),
+    "assign_timbres": lambda seed: curation.assign_timbres([], seed),
+    "mix_plan": lambda seed: curation.mix_plan({"a": 1}, 1, seed),
+}
+
+
+@pytest.mark.parametrize("command", SEEDED_ARGV)
+def test_every_seeded_command_rejects_seed_minus_one_in_one_text(command, capsys):
+    assert main(SEEDED_ARGV[command]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("name", SEEDED_CALLS)
+def test_every_seeded_function_rejects_seed_minus_one_in_one_text(name):
+    with pytest.raises(ContractError) as exc:
+        SEEDED_CALLS[name](-1)
+    assert str(exc.value) == "seed must be >= 0, got -1"
+
+
+def test_every_vad_entry_point_rejects_hangover_minus_one_in_one_text(tmp_path, capsys):
+    text = "hangover_frames must be >= 0"
+    spec = modality.MelSpec(Tensor(np.zeros((4, modality.MEL_BINS))))
+    for call in (lambda: modality.vad(spec, -60.0, -1), lambda: stream.VadConfig(hangover_frames=-1)):
+        with pytest.raises(ContractError) as exc:
+            call()
+        assert str(exc.value) == text
+    wav, events = tmp_path / "tone.wav", tmp_path / "events.jsonl"
+    _write_wav(wav)
+    events.write_text('{"t": 0, "kind": "text"}\n')
+    for source in (["--events", str(events)], ["--wav", str(wav)]):
+        assert main(["stream-sim", *source, "--hangover", "-1"]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
 
 
 @pytest.mark.parametrize("command", ["melspec", "stream-sim"])

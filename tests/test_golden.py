@@ -61,7 +61,12 @@ def _wav(rng: random.Random, seconds: float = 2.0) -> bytes:
             phase = i % period
             tri = (4 * phase - period if phase < period // 2 else 3 * period - 4 * phase)
             samples.append(amp * tri // period + (rng.randint(-3, 3) if amp else 0))
-    data = b"".join(s.to_bytes(2, "little", signed=True) for s in samples[: int(16000 * seconds)])
+    return _riff(b"".join(s.to_bytes(2, "little", signed=True)
+                          for s in samples[: int(16000 * seconds)]))
+
+
+def _riff(data: bytes) -> bytes:
+    """A mono 16-bit 16 kHz PCM WAV file of the sample bytes ``data``."""
     header = (b"RIFF" + (36 + len(data)).to_bytes(4, "little") + b"WAVEfmt "
               + (16).to_bytes(4, "little") + (1).to_bytes(2, "little") + (1).to_bytes(2, "little")
               + (16000).to_bytes(4, "little") + (32000).to_bytes(4, "little")
@@ -340,15 +345,19 @@ def cases() -> dict[str, tuple[list[str], dict[str, bytes]]]:
             rng = random.Random(1000 * n + i)
             found[f"mutant: {reader} {i:02d}"] = (argv, {"f": mutate(base[key], rng, header)})
     # the MALFORMED fixtures: a valid WAV, that WAV with fmt chunk size 18,
-    # with 8 bits per sample and with format 3 (IEEE float), sizes {"a": 2}
+    # with 8 bits per sample and with format 3 (IEEE float), a WAV of no
+    # samples, its samples 16 times over (32 s), and sizes {"a": 2}; a case
+    # carries only the fixtures its argv names
     wav = base["wav"]
     fixtures = {"wav": wav, "bad_fmt_wav": wav[:16] + (18).to_bytes(4, "little") + wav[20:],
                 "pcm8_wav": wav[:34] + (8).to_bytes(2, "little") + wav[36:],
                 "float_wav": wav[:20] + (3).to_bytes(2, "little") + wav[22:],
+                "empty_wav": _riff(b""), "long_wav": _riff(wav[44:] * 16),
                 "sizes": b'{"a": 2}'}
     for name, (argv, files, _, _) in MALFORMED.items():
+        named = {k: data for k, data in fixtures.items() if any(f"{{{k}}}" in a for a in argv)}
         found[f"malformed: {name}"] = (
-            argv, {**fixtures, **{k: text.encode() for k, text in files.items()}})
+            argv, {**named, **{k: text.encode() for k, text in files.items()}})
     return found
 
 

@@ -360,7 +360,7 @@ class TestGradients:
         monkeypatch.setattr(projectors, "_conv_gmlp_backward", counted("backward", _conv_gmlp_backward))
         assert check_gradients("conv_gmlp", seed=0, rate=2).passed
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
-        entries = init_conv_gmlp_params(cfg, 0).param_count
+        entries = sum(t.size for t in init_conv_gmlp_params(cfg, 0).tensors.values())
         assert calls == {"forward": 1 + len(chunks), "backward": 1}
         # 2 rows per entry, in full chunks and then the rest
         assert sum(chunks) == 2 * entries
@@ -657,6 +657,14 @@ class TestToyFit:
         with pytest.raises(ContractError, match="step"):
             toy_fit(cfg, steps=50, lr=1e6, seed=0, seq_len=16)
 
+    @pytest.mark.parametrize("lr, step", [(1e6, 3), (1e308, 0)])
+    def test_divergence_of_the_ablation_defaults_raises_at_its_step(self, lr, step):
+        # ablate-rates' defaults at rate 2: at lr 1e6 the loss of step 3 is
+        # the first non-finite value; at lr 1e308 the update of step 0 is
+        cfg = ConvGmlpConfig(rate_n=2, llm_dim=16, in_channels=32)
+        with pytest.raises(DivergenceError, match=f"^non-finite loss at step {step}$"):
+            toy_fit(cfg, steps=5, lr=lr, seed=0)
+
     def test_non_finite_update_raises_at_its_step(self):
         # the loss at step 0 is finite; the update overflows the parameters
         cfg = ConvGmlpConfig(rate_n=2, llm_dim=4, in_channels=4)
@@ -688,7 +696,8 @@ class TestAblateRates:
         assert [r["rate"] for r in rows] == [2, 4, 8]
         assert [r["output_length_ratio"] for r in rows] == [0.5, 0.25, 0.125]
         assert [r["param_count"] for r in rows] == [
-            init_conv_gmlp_params(ConvGmlpConfig(rate, llm_dim=4, in_channels=8), 0).param_count
+            sum(t.size for t in init_conv_gmlp_params(
+                ConvGmlpConfig(rate, llm_dim=4, in_channels=8), 0).tensors.values())
             for rate in (2, 4, 8)
         ]
         assert all(np.isfinite(r["final_loss"]) for r in rows)
