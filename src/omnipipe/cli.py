@@ -335,19 +335,17 @@ def run_ablate_rates(cfg: dict) -> tuple[str, int]:
 
 
 def run_pack(cfg: dict) -> tuple[str, int]:
-    # the flag is checked first, so its error names no file; each length is
-    # checked while its record is in use, so its error names FILE:LINE
+    # the flag is checked first, so its error names no file; pack checks each
+    # length as it draws it from the reader, so its error names FILE:LINE
     capacity = cfg["capacity"]
     packing.check_capacity(capacity)
+    ids = []
     with _Input(cfg["manifest"]) as f:
-        rows = []
-        for row in f.jsonl({"id": object, "len": int}):
-            packing.check_length(row[1], capacity)
-            rows.append(row)
-    batch = packing.pack([n for _, n in rows], capacity, cfg["policy"])
+        records = f.jsonl({"id": object, "len": int})
+        batch = packing.pack((ids.append(i) or n for i, n in records), capacity, cfg["policy"])
     payload = batch.to_json()
     for bin_obj in payload["bins"]:
-        bin_obj["samples"] = [rows[i][0] for i in bin_obj["samples"]]
+        bin_obj["samples"] = [ids[i] for i in bin_obj["samples"]]
     return _jsonl([payload]), 0
 
 

@@ -52,20 +52,18 @@ def gaussian_filter(losses: dict) -> LossFilterReport:
     """Keep ids whose loss lies within one standard deviation of the mean.
 
     mu is the arithmetic mean, sigma the population standard deviation;
-    boundary values are kept (the removed sets are strictly outside). When a
-    sum or a square overflows, both are taken on the losses scaled below 1 by
-    a power of two, an exact scaling, and scaled back."""
+    boundary values are kept (the removed sets are strictly outside). Both
+    are taken on the losses scaled exactly by a power of two to a largest
+    magnitude in [1/2, 1), and scaled back: no sum overflows, and no square
+    large enough to move sigma underflows, at any magnitude."""
     if len(losses) < 2:
         raise ContractError(f"need at least 2 samples to fit, got {len(losses)}")
     values = np.array([float(v) for v in losses.values()], dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ContractError("losses must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, sigma = float(values.mean()), float(values.std())
-    if not (math.isfinite(mu) and math.isfinite(sigma)):
-        exp = math.frexp(float(np.abs(values).max()))[1]
-        scaled = np.ldexp(values, -exp)
-        mu, sigma = math.ldexp(float(scaled.mean()), exp), math.ldexp(float(scaled.std()), exp)
+    exp = math.frexp(float(np.abs(values).max()))[1]
+    scaled = np.ldexp(values, -exp)
+    mu, sigma = math.ldexp(float(scaled.mean()), exp), math.ldexp(float(scaled.std()), exp)
     kept, low, high = [], [], []
     for key in sorted(losses, key=str):
         v = float(losses[key])

@@ -17,6 +17,7 @@ block of a tile needs a mask.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,19 +91,18 @@ def check_capacity(capacity: int) -> None:
         raise ContractError(f"capacity must be >= 1, got {capacity}")
 
 
-def check_length(length: int, capacity: int, index: int | None = None) -> None:
-    """A sample holds at least one token and fits one bin; ``index``, when
-    given, numbers the sample in the error."""
-    sample = "sample" if index is None else f"sample {index}"
+def check_length(length: int, capacity: int) -> None:
+    """A sample holds at least one token and fits one bin."""
     if length < 1:
-        raise ContractError(f"{sample} has non-positive length {length}")
+        raise ContractError(f"sample has non-positive length {length}")
     if length > capacity:
-        raise ContractError(f"{sample} length {length} exceeds capacity {capacity}")
+        raise ContractError(f"sample length {length} exceeds capacity {capacity}")
 
 
-def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> PackedBatch:
+def pack(lengths: Iterable[int], capacity: int, policy: str = "first_fit") -> PackedBatch:
     """Place samples into capacity-sized bins with the first-fit heuristic.
 
+    Each length is checked as it is drawn from ``lengths``, any iterable.
     first_fit keeps arrival order; first_fit_decreasing visits samples longest
     first (ties in arrival order). Both are deterministic. Each sample finds
     its bin by one descent of a max segment tree over free space, so packing
@@ -111,21 +111,23 @@ def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> Packed
     check_capacity(capacity)
     if policy not in PACK_POLICIES:
         raise ContractError(f"unknown policy {policy!r}, expected {PACK_POLICIES}")
-    for i, length in enumerate(lengths):
-        check_length(length, capacity, i)
-    order = list(range(len(lengths)))
+    drawn = []
+    for length in lengths:
+        check_length(length, capacity)
+        drawn.append(length)
+    order = list(range(len(drawn)))
     if policy == "first_fit_decreasing":
-        order.sort(key=lambda i: (-lengths[i], i))
+        order.sort(key=lambda i: (-drawn[i], i))
     # Max segment tree over bin free space: leaf size + b is bin b, an
     # unopened bin holds the full capacity, and bins open left to right, so
     # the leftmost leaf that fits is the bin a left-to-right scan would pick.
     size = 1
-    while size < len(lengths):
+    while size < len(drawn):
         size *= 2
     tree = [capacity] * (2 * size)
     bin_ids: list[list[int]] = []
     for i in order:
-        need = lengths[i]
+        need = drawn[i]
         node = 1
         while node < size:
             node *= 2
@@ -148,7 +150,7 @@ def pack(lengths: list[int], capacity: int, policy: str = "first_fit") -> Packed
     for b, ids in enumerate(bin_ids):
         cu = [0]
         for i in ids:
-            cu.append(cu[-1] + lengths[i])
+            cu.append(cu[-1] + drawn[i])
         bins.append(
             PackedBin(sample_ids=tuple(ids), cu_seqlens=tuple(cu), pad_len=tree[size + b])
         )

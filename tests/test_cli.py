@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from omnipipe import cli, curation, evalkit, modality, projectors, stream
+from omnipipe import cli, curation, evalkit, modality, packing, projectors, stream
 from omnipipe.errors import ContractError, FormatError, ProtocolError
 from omnipipe.fileio import atomic_write, json_value
 from omnipipe.numkit import Tensor
@@ -175,6 +175,14 @@ class TestSubcommandBehaviour:
                 {"samples": ["s2"], "cu_seqlens": [0, 2], "pad": 6},
             ],
         }
+
+    def test_pack_checks_each_length_once(self, tmp_path, capsys):
+        manifest = tmp_path / "lens.jsonl"
+        manifest.write_text("".join(f'{{"id": {i}, "len": {1 + i % 8}}}\n' for i in range(50)))
+        with mock.patch.object(packing, "check_length", wraps=packing.check_length) as check:
+            assert main(["pack", "--capacity", "8", "--manifest", str(manifest)]) == 0
+        assert check.call_count == 50
+        assert sum(len(b["samples"]) for b in json.loads(capsys.readouterr().out)["bins"]) == 50
 
     def test_gradcheck_passes_small(self, capsys):
         assert main(["gradcheck", "--projector", "mlp", "--seeds", "1"]) == 0

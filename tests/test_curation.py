@@ -65,12 +65,25 @@ class TestGaussianFilter:
             assert widest.mu == pytest.approx(1e308 / 3 * 2, rel=1e-15)
             assert widest.sigma == pytest.approx(math.sqrt(2) / 3 * 1e308, rel=1e-15)
 
+    def test_underflowing_squares_give_the_true_statistics(self):
+        # every squared deviation of these losses is below the smallest
+        # double; plain statistics read sigma 0.0 and keep only "c"
+        losses = dict(zip("abcde", [1e-170, 1.5e-170, 2e-170, 2.5e-170, 3e-170]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = gaussian_filter(losses)
+        assert (report.mu, report.sigma) == (2e-170, 7.071067811865476e-171)
+        assert (report.kept_ids, report.removed_low_ids, report.removed_high_ids) == (
+            ("b", "c", "d"), ("a",), ("e",))
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-10**6, 10**6).map(float), min_size=2, max_size=30),
-           st.integers(600, 1000))
-    def test_power_of_two_scaling_is_exact_past_the_overflow(self, losses, exp):
-        # past 2**512 the plain sum of squares overflows; the statistics are
-        # the unscaled ones, scaled exactly
+           st.integers(-1000, 1000))
+    @example([1.0, 2.0, 3.0, 4.0, 5.0], -600)
+    def test_power_of_two_scaling_is_exact_at_any_magnitude(self, losses, exp):
+        # past 2**512 a plain sum of squares overflows, and below 2**-512 a
+        # plain squared deviation underflows; the statistics are the unscaled
+        # ones, scaled exactly
         plain = gaussian_filter(dict(enumerate(losses)))
         scaled = gaussian_filter({k: math.ldexp(v, exp) for k, v in enumerate(losses)})
         assert scaled.mu == math.ldexp(plain.mu, exp)

@@ -227,6 +227,9 @@ EDGE = {
                                    b"id,loss\na,1\nb,1e308\nc,1e308\n"),
     "filter-loss deviation overflows": (["filter-loss", "--losses", "{f}"],
                                         b"id,loss\na,1e200\nb,-1e200\nc,0\n"),
+    "filter-loss losses near 1e-170": (["filter-loss", "--losses", "{f}"],
+                                       b"id,loss\na,1e-170\nb,1.5e-170\nc,2e-170\n"
+                                       b"d,2.5e-170\ne,3e-170\n"),
     "filter-loss extra columns and spaced header": (["filter-loss", "--losses", "{f}"],
                                                     b"id , loss,note\na,1,x\nb,3,y\n"),
     "normalize-scores header only": (["normalize-scores", "--scores", "{f}"],
