@@ -365,10 +365,8 @@ def run_stream_sim(cfg: dict) -> tuple[str, int]:
             records = f.jsonl({"t": int, "kind": str, "tokens": (int, 0)})
             trace = stream.run(stream.StreamEvent(*r) for r in records)
     else:
-        samples = modality.load_wav(cfg["wav"])
-        if samples.size > modality.CLIP_SAMPLES:  # melspec would drop the audio past 30 s
-            raise ContractError(f"WAV file longer than {modality.CLIP_SECONDS} s: {cfg['wav']} "
-                                f"({samples.size} samples, at most {modality.CLIP_SAMPLES})")
+        # melspec would drop the audio past 30 s
+        samples = modality.load_wav(cfg["wav"], max_seconds=modality.CLIP_SECONDS)
         spec = modality.melspec(samples)
         plan = None
         if cfg["frame_plan"]:
@@ -471,7 +469,7 @@ def _command(name, help_, runner, flags, writes_out=False):
 _command("tile", "plan the tile grid and token budget for an image", run_tile, [
     _flag("width", int, "image width in pixels", required=True),
     _flag("height", int, "image height in pixels", required=True),
-    _flag("max_tiles", int, "grid tile cap", 9),
+    _flag("max_tiles", int, "grid tile cap", modality.MAX_GRID_TILES),
     _flag("out", str, "write the JSON plan to this path"),
 ])
 _command("frames", "sample video frames at 1 fps and budget tokens per frame", run_frames, [
@@ -515,10 +513,10 @@ _command("stream-sim", "replay or derive a stream and emit the injection trace",
     _flag("events", str, "raw event trace (JSON lines) to replay"),
     _flag("wav", str, "derive events from this WAV via the energy VAD"),
     _flag("frame_plan", str, "frame-plan JSON accompanying the WAV"),
-    _flag("threshold_db", float, "VAD activity threshold", -60.0),
-    _flag("hangover", int, "VAD merge gap in mel frames", 20),
-    _flag("rate", int, "audio token down-sampling rate", 2),
-    _flag("chunk_frames", int, "mel frames per audio_frame event", 10),
+    _flag("threshold_db", float, "VAD activity threshold", stream.VadConfig.threshold_db),
+    _flag("hangover", int, "VAD merge gap in mel frames", stream.VadConfig.hangover_frames),
+    _flag("rate", int, "audio token down-sampling rate", stream.VadConfig.rate_n),
+    _flag("chunk_frames", int, "mel frames per audio_frame event", stream.VadConfig.mel_frames_per_chunk),
     _flag("out", str, "write the injection trace (JSON lines) to this path"),
 ])
 _command("filter-loss", "keep samples whose loss lies within one sigma of the mean", run_filter_loss, [

@@ -4,6 +4,8 @@ Turns raw media geometry into token budgets and feature grids: grid tiling
 for images, frame sampling and per-frame token budgets for video, log-mel
 features for 16 kHz audio, and an energy-threshold voice activity detector
 that supplies audio start/end boundaries for the streaming scheduler.
+``PATCH_GRID`` is the one copy of a tile's patch grid: the token budget per
+tile is derived from it here, and the visual projectors read both.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ from .fileio import json_value
 from .numkit import Tensor
 
 TILE_PX = 384
-TOKENS_PER_TILE = 182
+# a 384 px tile is 27 x 27 patches (SigLIP at patch 14); a 2x2 pool floors the
+# rows to whole windows and makes an odd last column a window of its own
+PATCH_GRID = 27
+TOKENS_PER_TILE = (PATCH_GRID // 2) * ((PATCH_GRID + 1) // 2)
 MAX_GRID_TILES = 9
 
 VIDEO_FPS = 1.0
 MAX_VIDEO_FRAMES = 48
 FRAME_LONG_PX = 768
 FRAME_SHORT_PX = 384
-FRAME_TOKEN_CHOICES = (182, 364, 546)
+FRAME_TOKEN_CHOICES = (TOKENS_PER_TILE, 2 * TOKENS_PER_TILE, 3 * TOKENS_PER_TILE)
 
 SAMPLE_RATE_HZ = 16000
 CLIP_SECONDS = 30
@@ -275,8 +280,9 @@ def melspec(waveform) -> MelSpec:
     return MelSpec(Tensor(mel))
 
 
-def load_wav(path) -> np.ndarray:
-    """Read a mono 16-bit PCM 16 kHz WAV file as float64 samples in [-1, 1]."""
+def load_wav(path, max_seconds: int | None = None) -> np.ndarray:
+    """Read a mono 16-bit PCM 16 kHz WAV file as float64 samples in [-1, 1];
+    one whose header declares more than ``max_seconds`` is rejected unread."""
     try:
         reader = wave.open(str(path), "rb")
     except RuntimeError as exc:
@@ -300,6 +306,9 @@ def load_wav(path) -> np.ndarray:
                 f"WAV must be {SAMPLE_RATE_HZ} Hz, got {reader.getframerate()} Hz"
             )
         frames = reader.getnframes()
+        if max_seconds is not None and frames > max_seconds * SAMPLE_RATE_HZ:
+            raise ContractError(f"WAV file longer than {max_seconds} s: {path} ({frames} samples, "
+                                f"at most {max_seconds * SAMPLE_RATE_HZ})")
         raw = reader.readframes(frames)
     if len(raw) % 2:
         raise FormatError(f"truncated WAV file: {path} (its data ends mid-sample)")

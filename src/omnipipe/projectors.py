@@ -7,10 +7,11 @@ expanding channels proportionally, with a mean-pooled residual shortcut.
 Every layer is a matmul on a 2-D weight: c_abs's pointwise convolutions are
 plain linear layers, and the conv-gMLP's strided first convolution, whose
 kernel is as wide as its stride, is a matmul over windows of rate rows.
-The three pooled visual variants read one table of 2x2 windows of the grid
-(``_windows``): concat concatenates each window's four tokens, mean_pool
-(on the input) and c_abs (between its two layers) average its in-bounds
-tokens, and each backward scatters through the same table. A toy
+The grid is ``modality.PATCH_GRID`` on a side, fixed, and the three pooled
+visual variants read one table of its 2x2 windows (``_WINDOWS``), built once
+at import and read-only: concat concatenates each window's four tokens,
+mean_pool (on the input) and c_abs (between its two layers) average its
+in-bounds tokens, and each backward scatters through the same table. A toy
 gradient-descent fit and a down-sampling-rate ablation harness verify the
 backward passes end to end.
 
@@ -43,6 +44,7 @@ import numpy as np
 
 from .errors import ContractError, DivergenceError, ShapeError
 from . import numkit
+from .modality import PATCH_GRID, TOKENS_PER_TILE
 from .numkit import Tensor
 
 VISUAL_VARIANTS = ("mlp", "c_abs", "concat", "mean_pool")
@@ -78,7 +80,6 @@ class VisualProjectorConfig:
     variant: str
     in_dim: int
     llm_dim: int
-    grid: tuple[int, int] = (27, 27)
 
     def __post_init__(self):
         if self.variant not in VISUAL_VARIANTS:
@@ -88,19 +89,11 @@ class VisualProjectorConfig:
             )
         if self.in_dim < 1 or self.llm_dim < 1:
             raise ContractError("projector dimensions must be >= 1")
-        if self.grid[0] < 2 or self.grid[1] < 1:
-            raise ContractError(f"invalid patch grid {self.grid}")
-
-    @property
-    def input_tokens(self) -> int:
-        return self.grid[0] * self.grid[1]
 
     @property
     def output_tokens(self) -> int:
         """Rows of the output; the projector tests read it, the library does not."""
-        if self.variant == "mlp":
-            return self.input_tokens
-        return math.prod(_pool_size(*self.grid))
+        return _PATCHES if self.variant == "mlp" else TOKENS_PER_TILE
 
 
 @dataclass(frozen=True)
@@ -208,69 +201,67 @@ def init_conv_gmlp_params(cfg: ConvGmlpConfig, seed: int) -> ProjectorParams:
 # visual projector
 # ---------------------------------------------------------------------------
 
+_PATCHES = PATCH_GRID * PATCH_GRID
+
+
 def _check_visual_input(cfg: VisualProjectorConfig, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape != (cfg.input_tokens, cfg.in_dim):
+    if x.shape != (_PATCHES, cfg.in_dim):
         raise ShapeError(
-            f"visual projector expects {(cfg.input_tokens, cfg.in_dim)} input, "
-            f"got {x.shape}"
+            f"visual projector expects {(_PATCHES, cfg.in_dim)} input, got {x.shape}"
         )
 
 
-def _pool_size(rows: int, cols: int) -> tuple[int, int]:
-    """Windows down and across a rows x cols grid (rows >= 2)."""
-    return rows // 2, (cols + 1) // 2
-
-
-def _windows(cfg: VisualProjectorConfig) -> np.ndarray:
-    """The 2x2 window table: the four token indices of each window, -1 in a
-    slot past the grid's last column.
+def _window_table() -> np.ndarray:
+    """The four token indices of each 2x2 window, -1 in a slot past the
+    grid's last column.
 
     Window (i, j) covers rows 2i + (0, 0, 1, 1) and columns 2j + (0, 1, 0, 1).
     Rows are floored to whole windows and an odd last column is a window of
-    its own, so only a column can fall outside the grid.
+    its own, so only a column can fall outside the grid, and the windows are
+    modality's TOKENS_PER_TILE, as the reshape checks.
     """
-    rows, cols = cfg.grid
-    out_rows, out_cols = _pool_size(rows, cols)
-    r = 2 * np.arange(out_rows)[:, None, None] + np.array([0, 0, 1, 1])
-    c = 2 * np.arange(out_cols)[None, :, None] + np.array([0, 1, 0, 1])
-    return np.where(c < cols, r * cols + c, -1).reshape(-1, 4)
+    r = np.arange(0, PATCH_GRID - 1, 2)[:, None, None] + np.array([0, 0, 1, 1])
+    c = np.arange(0, PATCH_GRID, 2)[None, :, None] + np.array([0, 1, 0, 1])
+    return np.where(c < PATCH_GRID, r * PATCH_GRID + c, -1).reshape(TOKENS_PER_TILE, 4)
 
 
-def _gather(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+# built once and shared read-only: the window table and each window's
+# in-bounds slots, as a column
+_WINDOWS = _window_table()
+_COUNTS = np.count_nonzero(_WINDOWS >= 0, axis=1)[:, None]
+_WINDOWS.flags.writeable = _COUNTS.flags.writeable = False
+
+
+def _gather(tokens: np.ndarray) -> np.ndarray:
     """(..., windows, 4, channels): each window's tokens, zero in a -1 slot;
     ``tokens`` may carry a leading probe axis."""
-    windows = tokens[..., idx, :]
-    windows[..., idx < 0, :] = 0.0
+    windows = tokens[..., _WINDOWS, :]
+    windows[..., _WINDOWS < 0, :] = 0.0
     return windows
 
 
-def _scatter(g: np.ndarray, idx: np.ndarray, n_tokens: int) -> np.ndarray:
+def _scatter(g: np.ndarray) -> np.ndarray:
     """Adjoint of _gather. Windows never overlap, so each token takes at most
     one slot's gradient; the -1 slots write a dropped extra row."""
-    out = np.zeros((n_tokens + 1, g.shape[2]))
-    out[idx] = g
+    out = np.zeros((_PATCHES + 1, g.shape[2]))
+    out[_WINDOWS] = g
     return out[:-1]
 
 
-def _counts(idx: np.ndarray) -> np.ndarray:
-    """In-bounds slots of each window, as a column."""
-    return np.count_nonzero(idx >= 0, axis=1)[:, None]
-
-
-def _pool(tokens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _pool(tokens: np.ndarray) -> np.ndarray:
     """2x2 mean pool, one row per window; the mean counts in-bounds slots.
     Each sum starts at +0.0, so a window of -0.0 pools to +0.0."""
-    return _gather(tokens, idx).sum(axis=-2, initial=0.0) / _counts(idx)
+    return _gather(tokens).sum(axis=-2, initial=0.0) / _COUNTS
 
 
-def _unpool(g: np.ndarray, idx: np.ndarray, n_tokens: int) -> np.ndarray:
+def _unpool(g: np.ndarray) -> np.ndarray:
     """Adjoint of _pool: each in-bounds slot gets its window's gradient
     divided by the window's count."""
-    return _scatter((g / _counts(idx))[:, None, :], idx, n_tokens)
+    return _scatter((g / _COUNTS)[:, None, :])
 
 
 def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tensor) -> Tensor:
-    """Project a (grid tokens x in_dim) feature block to LLM embeddings."""
+    """Project a (729 patches x in_dim) feature block to LLM embeddings."""
     out, _ = _visual_forward(cfg, _arrays(params, _visual_specs(cfg)), x.array)
     return Tensor(out)
 
@@ -278,20 +269,17 @@ def visual_project(cfg: VisualProjectorConfig, params: ProjectorParams, x: Tenso
 def _visual_forward(cfg: VisualProjectorConfig, p: dict, x: np.ndarray):
     """The output and the backward's cache; ``last`` is the output layer's input."""
     _check_visual_input(cfg, x)
-    cache = {}
-    if cfg.variant != "mlp":
-        idx = cache["idx"] = _windows(cfg)
     if cfg.variant == "mean_pool":
-        first = _pool(x, idx)
+        first = _pool(x)
     elif cfg.variant == "concat":
-        first = _gather(x, idx).reshape(idx.shape[0], 4 * cfg.in_dim)
+        first = _gather(x).reshape(TOKENS_PER_TILE, 4 * cfg.in_dim)
     else:
         first = x
     z1 = numkit.matmul(first, p["w1"]) + p["b1"][..., None, :]
     last = numkit.gelu(z1)
     if cfg.variant == "c_abs":  # pools between its two layers
-        last = _pool(last, idx)
-    cache.update(first=first, z1=z1, last=last)
+        last = _pool(last)
+    cache = {"first": first, "z1": z1, "last": last}
     return numkit.matmul(last, p["w2"]) + p["b2"][..., None, :], cache
 
 
@@ -300,14 +288,13 @@ def _visual_backward(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     g_h, g_w2 = numkit.matmul_backward(cache["last"], p["w2"], grad_out)
     if cfg.variant == "c_abs":
-        g_h = _unpool(g_h, cache["idx"], cfg.input_tokens)
+        g_h = _unpool(g_h)
     g_z1 = numkit.gelu_backward(cache["z1"], g_h)
     g_x, g_w1 = numkit.matmul_backward(cache["first"], p["w1"], g_z1)
     if cfg.variant == "mean_pool":
-        g_x = _unpool(g_x, cache["idx"], cfg.input_tokens)
+        g_x = _unpool(g_x)
     elif cfg.variant == "concat":
-        idx = cache["idx"]
-        g_x = _scatter(g_x.reshape(idx.shape[0], 4, cfg.in_dim), idx, cfg.input_tokens)
+        g_x = _scatter(g_x.reshape(TOKENS_PER_TILE, 4, cfg.in_dim))
     grads = {"w1": g_w1, "b1": g_z1.sum(axis=0), "w2": g_w2, "b2": grad_out.sum(axis=0)}
     return grads, g_x
 
@@ -496,7 +483,7 @@ def check_gradients(
 ) -> numkit.GradCheckReport:
     """Finite-difference check of one projector's backward pass.
 
-    A visual projector reads the default 27x27 grid; the conv-gMLP reads
+    A visual projector reads the 27x27 grid; the conv-gMLP reads
     ``_CHECK_SEQ_LEN`` rows. The loss is half the squared Frobenius norm of
     the output, so the upstream gradient is the output itself. The backward
     runs once; each chunk of finite-difference probes runs only the forward,
@@ -515,7 +502,7 @@ def check_gradients(
     else:
         cfg = VisualProjectorConfig(projector, _CHECK_IN_DIM, _CHECK_LLM_DIM)
         params = _init(_visual_specs(cfg), seed)
-        x = rng.normal(0.0, 1.0, (cfg.input_tokens, _CHECK_IN_DIM))
+        x = rng.normal(0.0, 1.0, (_PATCHES, _CHECK_IN_DIM))
         forward, backward = _visual_forward, _visual_backward
 
     def loss(probed):

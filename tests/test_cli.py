@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 import wave
 from pathlib import Path
@@ -267,6 +268,26 @@ class TestSubcommandBehaviour:
         assert captured.err == (
             f"error: WAV file longer than 30 s: {wav} (480001 samples, at most 480000)\n"
         )
+
+    def test_stream_sim_rejects_a_long_wav_from_its_header(self, tmp_path, capsys):
+        # numpy and wave report their buffers to tracemalloc; decoding a
+        # 5-minute WAV before the length check peaked at ~46 MiB
+        wav = tmp_path / "long.wav"
+        with wave.open(str(wav), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+            w.writeframes(bytes(2 * 16000 * 300))
+        tracemalloc.start()
+        try:
+            assert main(["stream-sim", "--wav", str(wav)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            f"error: WAV file longer than 30 s: {wav} (4800000 samples, at most 480000)\n"
+        )
+        assert peak < 2 * 2**20
 
     def test_stream_sim_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["stream-sim"]) == 1

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from omnipipe.errors import ContractError, FormatError
 from omnipipe.modality import (
     CLIP_SAMPLES,
+    FRAME_TOKEN_CHOICES,
     FramePlan,
     MelSpec,
+    PATCH_GRID,
     SAMPLE_RATE_HZ,
     TILE_PX,
     TOKENS_PER_TILE,
@@ -36,6 +38,14 @@ from oracles import (
 
 
 class TestPlanTiles:
+    def test_patch_grid_and_budgets_keep_their_values(self):
+        # written out here, so that a change to the grid or to the rule that
+        # derives the budgets from it cannot pass unseen
+        assert PATCH_GRID == 27
+        assert PATCH_GRID * PATCH_GRID == 729
+        assert TOKENS_PER_TILE == 182
+        assert FRAME_TOKEN_CHOICES == (182, 364, 546)
+
     def test_single_tile(self):
         plan = plan_tiles(384, 384)
         assert (plan.grid_rows, plan.grid_cols) == (1, 1)
@@ -348,6 +358,19 @@ class TestLoadWav(object):
             load_wav(path)
         assert str(exc.value) == (
             f"truncated WAV file: {path} (its header declares 1600 samples, its data holds 1599)"
+        )
+
+    def test_length_limit_reads_the_header_only(self, tmp_path):
+        # the header's frame count decides: a file declaring 2 s whose data
+        # stops after 0.1 s gets the length error, not the truncation error
+        path = tmp_path / "long.wav"
+        self._write(path, seconds=2.0)
+        assert load_wav(path, max_seconds=2).size == 32000
+        path.write_bytes(path.read_bytes()[:44 + 3200])
+        with pytest.raises(ContractError) as exc:
+            load_wav(path, max_seconds=1)
+        assert str(exc.value) == (
+            f"WAV file longer than 1 s: {path} (32000 samples, at most 16000)"
         )
 
 

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from omnipipe import numkit, projectors
 from omnipipe.cli import main
 from omnipipe.errors import ContractError, DivergenceError, ShapeError
+from omnipipe.modality import TOKENS_PER_TILE, plan_tiles
 from omnipipe.numkit import Tensor
 from omnipipe.projectors import (
     ConvGmlpConfig,
     ProjectorParams,
     VISUAL_VARIANTS,
     VisualProjectorConfig,
+    _COUNTS,
     _GMLP_BLOCK,
+    _WINDOWS,
     _conv_gmlp_apply,
     _conv_gmlp_backward,
     _conv_gmlp_forward,
@@ -29,7 +32,6 @@ from omnipipe.projectors import (
     _visual_backward,
     _visual_forward,
     _visual_specs,
-    _windows,
     ablate_rates,
     check_gradients,
     conv_gmlp_backward,
@@ -56,6 +58,16 @@ class TestConfigs:
         for variant in ("c_abs", "concat", "mean_pool"):
             cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=4)
             assert cfg.output_tokens == 182
+
+    @pytest.mark.parametrize("variant", ["c_abs", "concat", "mean_pool"])
+    def test_pooled_rows_are_the_tile_budget(self, variant):
+        # the projector's output rows and modality's token budget per tile
+        # are one number, read from one patch grid
+        cfg = VisualProjectorConfig(variant=variant, in_dim=2, llm_dim=3)
+        x = np.random.default_rng(1).normal(size=(729, 2))
+        out, _ = _visual_forward(cfg, _init(_visual_specs(cfg), 1), x)
+        assert out.shape[0] == cfg.output_tokens == TOKENS_PER_TILE
+        assert out.shape[0] == plan_tiles(384, 384).total_tokens
 
     def test_unsupported_rate(self):
         with pytest.raises(ContractError, match="unsupported rate"):
@@ -87,7 +99,7 @@ class TestConfigs:
 
 
 def _windows_loop(rows, cols):
-    """Reference for the vectorised _windows: one window at a time."""
+    """Reference for the _WINDOWS table: one window at a time."""
     out_rows, out_cols = (rows - 2) // 2 + 1, (cols + cols % 2) // 2
     idx = np.full((out_rows * out_cols, 4), -1, dtype=np.int64)
     g = 0
@@ -103,11 +115,13 @@ def _windows_loop(rows, cols):
 
 class TestVisualProject:
     def test_concat_groups_match_loop_reference(self):
-        for rows in range(2, 12):
-            for cols in range(1, 12):
-                cfg = VisualProjectorConfig("concat", in_dim=2, llm_dim=2, grid=(rows, cols))
-                assert np.array_equal(_windows(cfg), _windows_loop(rows, cols))
-                assert cfg.output_tokens == len(_windows_loop(rows, cols))
+        assert np.array_equal(_WINDOWS, _windows_loop(27, 27))
+        assert np.array_equal(_COUNTS[:, 0], np.count_nonzero(_windows_loop(27, 27) >= 0, axis=1))
+
+    def test_window_tables_are_read_only(self):
+        for table in (_WINDOWS, _COUNTS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_full_size_mlp_keeps_729_tokens(self):
         cfg = VisualProjectorConfig(variant="mlp", in_dim=1152, llm_dim=4096)
@@ -146,80 +160,57 @@ class TestVisualProject:
         assert concat.tensors["w1"].size == 4 * mlp.tensors["w1"].size
 
 
-def _table(rows, cols):
-    return _windows(VisualProjectorConfig("mean_pool", in_dim=1, llm_dim=1, grid=(rows, cols)))
-
-
 class TestPool2x2:
     def test_constant_field(self):
-        out = _pool(np.ones((16, 1)), _table(4, 4))
-        assert out.shape == (4, 1)
+        out = _pool(np.ones((729, 1)))
+        assert out.shape == (182, 1)
         assert np.all(out == 1.0)
 
     def test_27x27_pad_cols_gives_182_positions(self):
-        idx = _table(27, 27)
-        assert idx.shape == (182, 4)
-        assert np.all(_pool(np.ones((729, 2)), idx) == 1.0)
-
-    def test_height_underflow(self):
-        for variant in ("c_abs", "concat", "mean_pool"):
-            with pytest.raises(ContractError, match="grid"):
-                VisualProjectorConfig(variant, in_dim=1, llm_dim=1, grid=(1, 4))
+        assert _WINDOWS.shape == (182, 4)
+        # the odd last column is a window of its own, half outside the grid
+        assert np.array_equal(_WINDOWS[13::14] < 0, np.tile([False, True, False, True], (13, 1)))
+        assert np.all(_pool(np.ones((729, 2))) == 1.0)
 
     def test_constant_preserved_any_shape(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            h = int(rng.integers(2, 12))
-            w = int(rng.integers(1, 12))
-            c = int(rng.integers(1, 4))
-            out = _pool(np.full((h * w, c), 2.5), _table(h, w))
-            assert np.allclose(out, 2.5)
+        for c in range(1, 5):
+            assert np.allclose(_pool(np.full((729, c), 2.5)), 2.5)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_unpool_passes_grad_check(self, seed):
-        idx = _table(5, 5)
-        x = np.random.default_rng(seed).normal(size=(25, 2))
+        x = np.random.default_rng(seed).normal(size=(729, 2))
 
         def loss(p):
-            return 0.5 * float(np.sum(_pool(p["x"], idx) ** 2))
+            return 0.5 * np.sum(_pool(p["x"]) ** 2, axis=(-2, -1))
 
-        g_x = _unpool(_pool(x, idx), idx, 25)
-        assert numkit.grad_check(per_probe(loss), {"x": x}, {"x": g_x}).passed
+        g_x = _unpool(_pool(x))
+        assert numkit.grad_check(loss, {"x": x}, {"x": g_x}).passed
 
     def test_probe_axis_pools_each_probe(self):
-        idx = _table(5, 7)
-        tokens = np.random.default_rng(9).normal(size=(3, 35, 2))
-        pooled, windows = _pool(tokens, idx), _gather(tokens, idx)
+        tokens = np.random.default_rng(9).normal(size=(3, 729, 2))
+        pooled, windows = _pool(tokens), _gather(tokens)
         for k in range(3):
-            assert pooled[k].tobytes() == _pool(tokens[k], idx).tobytes()
-            assert windows[k].tobytes() == _gather(tokens[k], idx).tobytes()
+            assert pooled[k].tobytes() == _pool(tokens[k]).tobytes()
+            assert windows[k].tobytes() == _gather(tokens[k]).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.integers(2, 12),
-        cols=st.integers(1, 12),
-        channels=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_pooled_layers_match_oracle_and_adjoint(self, rows, cols, channels, seed):
+    @given(channels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_pooled_layers_match_oracle_and_adjoint(self, channels, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(rows * cols, channels))
+        x = rng.normal(size=(729, channels))
         for variant in ("mean_pool", "c_abs"):
-            cfg = VisualProjectorConfig(
-                variant, in_dim=channels, llm_dim=channels, grid=(rows, cols)
-            )
+            cfg = VisualProjectorConfig(variant, in_dim=channels, llm_dim=channels)
             _, cache = _visual_forward(cfg, _init(_visual_specs(cfg), seed % 97), x)
             if variant == "mean_pool":
                 pooled, before = cache["first"], x
             else:
                 pooled, before = cache["last"], numkit.gelu(cache["z1"])
-            assert np.array_equal(pooled, naive_pool2x2(before.reshape(rows, cols, channels)))
-        idx = _table(rows, cols)
-        g = rng.normal(size=(len(idx), channels))
-        lhs, rhs = np.sum(_pool(x, idx) * g), np.sum(x * _unpool(g, idx, rows * cols))
+            assert np.array_equal(pooled, naive_pool2x2(before.reshape(27, 27, channels)))
+        g = rng.normal(size=(182, channels))
+        lhs, rhs = np.sum(_pool(x) * g), np.sum(x * _unpool(g))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-        g4 = rng.normal(size=(len(idx), 4, channels))
-        lhs, rhs = np.sum(_gather(x, idx) * g4), np.sum(x * _scatter(g4, idx, rows * cols))
+        g4 = rng.normal(size=(182, 4, channels))
+        lhs, rhs = np.sum(_gather(x) * g4), np.sum(x * _scatter(g4))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -270,7 +261,7 @@ class TestGradients:
                 projector, projectors._CHECK_IN_DIM, projectors._CHECK_LLM_DIM
             )
             params = _init(_visual_specs(cfg), seed)
-            x = rng.normal(0.0, 1.0, (cfg.input_tokens, projectors._CHECK_IN_DIM))
+            x = rng.normal(0.0, 1.0, (729, projectors._CHECK_IN_DIM))
             forward, backward = _visual_forward, _visual_backward
         out, cache = forward(cfg, params, x)
         grads, _ = backward(cfg, params, cache, out)
@@ -293,8 +284,9 @@ class TestGradients:
         assert not report.passed
 
     def test_full_grid_variant_passes(self):
-        # the default 27x27 grid ends in an odd column, a 2x2 window of its own
-        assert VisualProjectorConfig("mean_pool", in_dim=1, llm_dim=1).grid == (27, 27)
+        # the 27x27 grid ends in an odd column, a 2x2 window of its own, and
+        # its odd last row is floored away
+        assert np.array_equal(_WINDOWS[-1], [24 * 27 + 26, -1, 25 * 27 + 26, -1])
         report = check_gradients("mean_pool", seed=1)
         assert report.passed, report
 
@@ -307,9 +299,9 @@ class TestGradients:
             x = rng.normal(size=(13, 4))
             forward, backward = _conv_gmlp_apply, _conv_gmlp_backward
         else:
-            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 7))
+            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3)
             params = _init(_visual_specs(cfg), 3)
-            x = rng.normal(size=(cfg.input_tokens, 4))
+            x = rng.normal(size=(729, 4))
             forward, backward = _visual_forward, _visual_backward
         out, cache = forward(cfg, params, x)
 
@@ -333,9 +325,9 @@ class TestGradients:
             out = conv_gmlp_forward(cfg, params, x)
             backward = conv_gmlp_backward
         else:
-            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 5))
+            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3)
             params = init_visual_params(cfg, 4)
-            x = Tensor(rng.normal(size=(cfg.input_tokens, 4)))
+            x = Tensor(rng.normal(size=(729, 4)))
             out = visual_project(cfg, params, x)
             backward = visual_project_backward
         rows, cols = out.shape
@@ -387,9 +379,9 @@ class TestGradients:
             x = Tensor(rng.normal(size=(9, 4)))
             public, backward, forward = conv_gmlp_forward, conv_gmlp_backward, "_conv_gmlp_apply"
         else:
-            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3, grid=(5, 5))
+            cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3)
             params = init_visual_params(cfg, 5)
-            x = Tensor(rng.normal(size=(cfg.input_tokens, 4)))
+            x = Tensor(rng.normal(size=(729, 4)))
             public, backward, forward = visual_project, visual_project_backward, "_visual_forward"
         out = public(cfg, params, x)
         assert calls == [forward]
@@ -454,8 +446,8 @@ def _public_calls(projector):
         ]
         # the output layer: its weight, its bias and the shortcut's weight
         return params, ("w_out", "b_out", "w_res"), calls
-    cfg = VisualProjectorConfig(variant=projector, in_dim=4, llm_dim=3, grid=(5, 5))
-    x, up = Tensor(rng.normal(size=(25, 4))), Tensor(rng.normal(size=(cfg.output_tokens, 3)))
+    cfg = VisualProjectorConfig(variant=projector, in_dim=4, llm_dim=3)
+    x, up = Tensor(rng.normal(size=(729, 4))), Tensor(rng.normal(size=(cfg.output_tokens, 3)))
     calls = [
         lambda p: visual_project(cfg, p, x),
         lambda p: visual_project_backward(cfg, p, x, up),
