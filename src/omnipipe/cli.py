@@ -9,15 +9,15 @@ choices and whether it is required. Configuration precedence is flags >
 --config JSON file > defaults; --dump-config prints the resolved
 configuration instead of running.
 
-All outside input passes one type rule (``fileio.json_value``): int takes an
-integral number in the signed 64-bit range, float a finite number, str a
-string. Argparse applies it to argv values, resolve_config to --config values
-and the ``_Input`` readers (json, jsonl, csv) to every declared field of the
-typed records they yield, one at a time, to their consumers. An error raised
-inside ``with _Input(path)`` while a record is in use, by the reader or by
-the record's consumer, names FILE:LINE; any other names FILE. The jsonl and
-csv readers check ``_CHUNK`` lines or rows at a time and replay line by line
-only a chunk that fails a check, which raises the same error at the same line.
+All outside input passes one type rule, ``fileio.exact`` (``json_value`` on
+one value): int takes an integral number in the signed 64-bit range, float a
+finite number, str a string. Argv values and CSV cells share one text parser,
+``_text_value``; --config values and JSON fields pass json_value. The
+``_Input`` readers (json, jsonl, csv) yield typed records one at a time. An
+error raised inside ``with _Input(path)`` while a record is in use, by the
+reader or by the record's consumer, names FILE:LINE; any other names FILE.
+The jsonl and csv readers check ``_CHUNK`` lines or rows at a time with
+``exact`` and replay only a chunk that fails, raising its error at its line.
 
 The CLI renders every payload itself, as JSON lines (``_jsonl``), CSV
 (``_csv``) or the normalize-scores JSON array; the library returns values.
@@ -78,6 +78,16 @@ def _field(obj: dict, name: str, type_, default=_REQUIRED):
         return json_value(obj[name], type_)
     except FormatError as exc:
         raise FormatError(f"field {name!r} {exc}") from None
+
+
+def _text_value(type_):
+    """The type rule for text (argv values, CSV cells): type_, then json_value;
+    named after type_ so argparse's usage error reads "invalid float value: 'inf'"."""
+    def parse(text: str):
+        return json_value(type_(text), type_)
+
+    parse.__name__ = type_.__name__
+    return parse
 
 
 def _jsonl_chunk(texts, start: int, specs):
@@ -248,12 +258,12 @@ class _Input:
 
     def _replay_csv(self, lines: list, rows: list, fields: dict, key: int, first_line: dict):
         """The chunk's rows checked one at a time, each error raised at its line."""
-        types = list(fields.values())
+        parsers = list(map(_text_value, fields.values()))
         for self.line, row in zip(lines, rows):
-            if len(row) < len(types):
-                raise FormatError(f"expected {len(types)} columns, got {len(row)}")
+            if len(row) < len(parsers):
+                raise FormatError(f"expected {len(parsers)} columns, got {len(row)}")
             try:
-                record = tuple([json_value(t(cell), t) for t, cell in zip(types, row)])
+                record = tuple([parse(cell) for parse, cell in zip(parsers, row)])
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
             k = record[:key]
@@ -546,16 +556,6 @@ _command("normalize-scores", "normalize a score table per benchmark column", run
 ])
 
 
-def _argv_type(type_):
-    """The type rule for an argv value; named after type_ so argparse's
-    usage error reads "invalid float value: 'inf'"."""
-    def parse(text: str):
-        return json_value(type_(text), type_)
-
-    parse.__name__ = type_.__name__
-    return parse
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use; parse_args does not change it."""
@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
             shown = "required" if flag["required"] else flag["default"]
             sp.add_argument(
                 "--" + flag["name"].replace("_", "-"),
-                type=_argv_type(flag["type"]),
+                type=_text_value(flag["type"]),
                 default=None,
                 choices=flag["choices"],
                 help=f"{flag['help']} (default: {shown})",

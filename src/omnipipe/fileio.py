@@ -1,4 +1,5 @@
-"""Small file helpers shared by the CLI and the frame-plan reader."""
+"""File helpers shared by the CLI and the frame-plan reader, and the one type
+rule for outside input: ``exact`` on a column, ``json_value`` on one value."""
 
 from __future__ import annotations
 
@@ -16,13 +17,6 @@ _INT64 = range(-(2**63), 2**63)
 _SHOWN = 40  # characters of a rejected value that an error message shows
 
 
-def _in_range(value) -> bool:
-    """A float must be finite and an int must fit in a signed 64-bit integer."""
-    if type(value) is float:
-        return math.isfinite(value)
-    return type(value) is not int or value in _INT64
-
-
 def _head(value, depth: int):
     """value cut to ``depth`` levels of nesting and ``_SHOWN`` items per
     container. Each container level and each item adds at least one character
@@ -36,32 +30,10 @@ def _head(value, depth: int):
     return value
 
 
-def json_value(value, type_):
-    """Return a value parsed from JSON as type_, or raise FormatError.
-
-    This is the one type rule for outside input: int takes an integral
-    number in the signed 64-bit range, float a finite number, str a string,
-    object any value. A bool is never a number. Text input (argv values, CSV
-    cells) is parsed with type_ first and then checked by the same rule.
-    """
-    if type_ is object or (type(value) is type_ and _in_range(value)):
-        return value
-    if type_ is not str and type(value) in (int, float):
-        try:
-            converted = type_(value)
-        except (OverflowError, ValueError):
-            converted = None
-        if converted == value and _in_range(converted):
-            return converted
-    shown = json.dumps(_head(value, _SHOWN))
-    if len(shown) > _SHOWN:
-        shown = shown[: _SHOWN - 3] + "..."
-    raise FormatError(f"must be {_KINDS[type_]}, got {shown}")
-
-
 def exact(values: list, type_) -> bool:
-    """Whether ``json_value(v, type_)`` returns every v in values unchanged:
-    each is exactly of type_ (a bool is not an int) and in range."""
+    """The one type rule for outside input: whether every value is exactly
+    of type_ (a bool is not an int) and in range. int takes the signed
+    64-bit range, float a finite number, str a string, object any value."""
     if type_ is object or not values:
         return True
     if set(map(type, values)) != {type_}:
@@ -69,6 +41,28 @@ def exact(values: list, type_) -> bool:
     if type_ is int:
         return min(values) in _INT64 and max(values) in _INT64
     return type_ is str or all(map(math.isfinite, values))
+
+
+def json_value(value, type_):
+    """Return a value parsed from JSON as type_, or raise FormatError.
+
+    The one-value form of ``exact``: value itself when it passes, else the
+    int or float it converts to without loss when that passes, so an
+    integral float reads as an int and an int as a float.
+    """
+    if exact([value], type_):
+        return value
+    if type(value) in (int, float):
+        try:
+            converted = type_(value)
+        except (OverflowError, ValueError):
+            converted = None
+        if converted == value and exact([converted], type_):
+            return converted
+    shown = json.dumps(_head(value, _SHOWN))
+    if len(shown) > _SHOWN:
+        shown = shown[: _SHOWN - 3] + "..."
+    raise FormatError(f"must be {_KINDS[type_]}, got {shown}")
 
 
 def atomic_write(path, text: str) -> None:

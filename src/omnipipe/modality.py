@@ -244,7 +244,7 @@ def mel_filterbank() -> np.ndarray:
 
 
 def melspec(waveform) -> MelSpec:
-    """Log-mel features of a 16 kHz waveform, padded or trimmed to 30 s.
+    """Log-mel features of a 1-D 16 kHz waveform, padded or trimmed to 30 s.
 
     400-sample Hann window, 160-sample hop, 128 triangular mel filters over
     0-8000 Hz on the magnitude spectrum; log10 clamped eight decades below
@@ -253,7 +253,9 @@ def melspec(waveform) -> MelSpec:
     array, and the log and the clamp run in place on it, so no temporary
     the size of the whole clip is made.
     """
-    samples = np.asarray(waveform, dtype=np.float64).reshape(-1)
+    samples = np.asarray(waveform, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ContractError(f"waveform must be 1-D, got shape {samples.shape}")
     if samples.size == 0:
         raise ContractError("waveform is empty")
     if not np.all(np.isfinite(samples)):
@@ -281,8 +283,8 @@ def melspec(waveform) -> MelSpec:
 
 
 def load_wav(path, max_seconds: int | None = None) -> np.ndarray:
-    """Read a mono 16-bit PCM 16 kHz WAV file as float64 samples in [-1, 1];
-    one whose header declares more than ``max_seconds`` is rejected unread."""
+    """At most the first 30 s (one clip) of a mono 16-bit PCM 16 kHz WAV file as float64 samples
+    in [-1, 1]; one whose header declares more than ``max_seconds`` is rejected unread."""
     try:
         reader = wave.open(str(path), "rb")
     except RuntimeError as exc:
@@ -309,10 +311,11 @@ def load_wav(path, max_seconds: int | None = None) -> np.ndarray:
         if max_seconds is not None and frames > max_seconds * SAMPLE_RATE_HZ:
             raise ContractError(f"WAV file longer than {max_seconds} s: {path} ({frames} samples, "
                                 f"at most {max_seconds * SAMPLE_RATE_HZ})")
-        raw = reader.readframes(frames)
+        wanted = min(frames, CLIP_SAMPLES)
+        raw = reader.readframes(wanted)
     if len(raw) % 2:
         raise FormatError(f"truncated WAV file: {path} (its data ends mid-sample)")
-    if len(raw) != 2 * frames:
+    if len(raw) != 2 * wanted:
         raise FormatError(
             f"truncated WAV file: {path} (its header declares {frames} samples, "
             f"its data holds {len(raw) // 2})"

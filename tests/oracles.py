@@ -18,7 +18,8 @@ loops: BLEU over a set of references (n-gram counts max-merged across them,
 the closest reference length), corpus BLEU summed pair by pair, the 1:3
 split that counts words with ``str.split``
 and finds the cut with a second, regex pass, and the round-trip filter's
-exact rule, a comparison of normalized texts.
+exact rule, a comparison of normalized texts. ``passes_type_rule`` states
+the input type rule on one value, one case per type.
 """
 
 from __future__ import annotations
@@ -439,3 +440,17 @@ def roundtrip_exact(pairs) -> tuple[list, list]:
         (kept if normalize(prompt) == normalize(transcript) else removed).append(
             (prompt, transcript))
     return kept, removed
+
+
+def passes_type_rule(value, type_) -> bool:
+    """Whether one value is exactly of type_ and in range: an int (not a
+    bool) in [-2**63, 2**63), a finite float, any str; object takes all."""
+    if type_ is object:
+        return True
+    if type(value) is not type_:
+        return False
+    if type_ is int:
+        return -(2**63) <= value <= 2**63 - 1
+    if type_ is float:
+        return not (math.isnan(value) or math.isinf(value))
+    return True

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 
 from omnipipe import cli, curation, evalkit, modality, packing, projectors, stream
 from omnipipe.errors import ContractError, FormatError, ProtocolError
-from omnipipe.fileio import atomic_write, json_value
+from omnipipe.fileio import atomic_write, exact, json_value
 from omnipipe.numkit import Tensor
 from omnipipe.cli import _COMMANDS, _jsonl, build_parser, main
+from oracles import passes_type_rule
 
 SUBCOMMANDS = [
     "tile",
@@ -289,6 +291,28 @@ class TestSubcommandBehaviour:
         )
         assert peak < 2 * 2**20
 
+    def test_melspec_reads_one_clip_of_a_long_wav(self, tmp_path, capsys):
+        # decoding a whole 5-minute WAV before trimming it to 30 s peaked at
+        # ~46 MiB; its output is that of its first 30 s
+        samples = (np.arange(16000 * 300) % 50 * 400 - 10000).astype("<i2")
+        runs, peaks = [], []
+        for name, n in (("long.wav", samples.size), ("clip.wav", modality.CLIP_SAMPLES)):
+            wav = tmp_path / name
+            with wave.open(str(wav), "wb") as w:
+                w.setnchannels(1)
+                w.setsampwidth(2)
+                w.setframerate(16000)
+                w.writeframes(samples[:n].tobytes())
+            tracemalloc.start()
+            try:
+                assert main(["melspec", "--wav", str(wav)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] and runs[0].err == ""
+        assert peaks[0] < 16 * 2**20
+
     def test_stream_sim_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["stream-sim"]) == 1
 
@@ -412,6 +436,12 @@ MALFORMED = {
     "pack len over capacity after a blank line": (
         ["pack", "--capacity", "8", "--manifest", "{m}"],
         {"m": '{"id": "a", "len": 2}\n\n{"id": "b", "len": 9}\n'}, 1, 3),
+    "pack len an object": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"], {"m": '{"id": 1, "len": {"a": [1, 2]}}\n'},
+        1, 1),
+    "pack len an object nested 60 deep": (
+        ["pack", "--capacity", "8", "--manifest", "{m}"],
+        {"m": '{"id": 1, "len": ' + '{"a": ' * 60 + "1" + "}" * 61 + "\n"}, 1, 1),
     "pack capacity 0": (["pack", "--capacity", "0", "--manifest", os.devnull], {}, 1, None),
     "pack capacity 0 before a bad manifest": (
         ["pack", "--capacity", "0", "--manifest", "{m}"], {"m": "[1, 2]\n"}, 1, NAMES_NO_FILE),
@@ -421,6 +451,8 @@ MALFORMED = {
     "tile config out not a string": (
         ["tile", "--width", "3", "--height", "3", "--config", "{c}"], {"c": '{"out": 5}'}, 1, None),
     "tile config unknown key": (["tile", "--config", "{c}"], {"c": '{"bogus": 1}'}, 1, None),
+    "tile config width an object": (
+        ["tile", "--config", "{c}"], {"c": '{"width": {"w": 3}, "height": 3}'}, 1, None),
     "tile width 0": (["tile", "--width", "0", "--height", "3"], {}, 1, None),
     "tile max-tiles 0": (["tile", "--width", "3", "--height", "3", "--max-tiles", "0"], {}, 1, None),
     "tile config max_tiles not integral": (
@@ -991,6 +1023,65 @@ def test_a_deeply_nested_len_gets_its_type_error(tmp_path, capsys):
         err = capsys.readouterr().err
         # past the parser's own depth limit the line is rejected as it is read
         assert err == type_error or "while decoding" in err
+
+
+# the type rule's edges: ints around the 64-bit bounds, signed zeros,
+# integral, non-finite and huge floats, bools, text, null and containers
+_EDGE_INTS = [2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1, -(2**63), -(2**63) + 1, 10**400]
+_EDGE_FLOATS = [0.0, -0.0, 3.0, math.inf, -math.inf, math.nan, 1e300, -1e300]
+_SCALARS = st.one_of(st.integers(), st.sampled_from(_EDGE_INTS), st.floats(),
+                     st.sampled_from(_EDGE_FLOATS), st.booleans(), st.text(max_size=4), st.none())
+_JSON_VALUES = _SCALARS | st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_JSON_VALUES, max_size=5))
+def test_json_value_is_exact_on_one_value(column):
+    for type_ in (int, float, str, object):
+        for value in column:
+            assert exact([value], type_) == passes_type_rule(value, type_)
+            try:
+                got = json_value(value, type_)
+            except FormatError:
+                assert not exact([value], type_)
+                continue
+            assert (got is value) == exact([value], type_)
+            assert exact([got], type_)
+        assert exact(column, type_) == all(exact([v], type_) for v in column)
+
+
+@pytest.mark.parametrize("value, type_, want", [
+    (True, int, None), (False, float, None), (2**63 - 1, int, 2**63 - 1), (2**63, int, None),
+    (-(2**63) - 1, int, None), (-0.0, int, 0), (3.0, int, 3), (3.5, int, None), (5, float, 5.0),
+    (math.inf, int, None), (math.inf, float, None), (math.nan, int, None),
+    (math.nan, float, None), (10**400, float, None), ("5", int, None), (5, str, None),
+])
+def test_json_value_converts_only_without_loss(value, type_, want):
+    if want is None:
+        with pytest.raises(FormatError):
+            json_value(value, type_)
+    else:
+        got = json_value(value, type_)
+        assert got == want and type(got) is type_
+
+
+@pytest.mark.parametrize("case, shown", [
+    ("pack len an object", 'field \'len\' must be a 64-bit integer, got {"a": [1, 2]}'),
+    ("pack len an object nested 60 deep",
+     "field 'len' must be a 64-bit integer, got " + ('{"a": ' * 7)[:37] + "..."),
+    ("tile config width an object", 'field \'width\' must be a 64-bit integer, got {"w": 3}'),
+])
+def test_a_rejected_object_is_shown_as_json(case, shown, tmp_path, capsys):
+    argv, files, _, line = MALFORMED[case]
+    ((key, text),) = files.items()
+    path = tmp_path / key
+    path.write_text(text)
+    assert main([a.replace(f"{{{key}}}", str(path)) for a in argv]) == 1
+    where = str(path) if line is None else f"{path}:{line}"
+    assert capsys.readouterr().err == f"error: {where}: {shown}\n"
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -202,6 +202,14 @@ class TestMelspec:
         with pytest.raises(ContractError):
             melspec(bad)
 
+    @pytest.mark.parametrize("shape", [(), (1600, 2), (1, 1600), (2, 800, 1)])
+    def test_waveform_that_is_not_1d_rejected(self, shape):
+        # a stereo (n, 2) array is not read as one interleaved channel, nor a
+        # scalar as a one-sample clip
+        with pytest.raises(ContractError) as exc:
+            melspec(np.zeros(shape))
+        assert str(exc.value) == f"waveform must be 1-D, got shape {shape}"
+
     def test_frames_and_bins_come_from_the_data(self):
         spec = MelSpec(Tensor(np.zeros((7, 128))))
         assert (spec.frames, spec.bins) == (7, 128)
@@ -359,6 +367,40 @@ class TestLoadWav(object):
         assert str(exc.value) == (
             f"truncated WAV file: {path} (its header declares 1600 samples, its data holds 1599)"
         )
+
+    def _declare(self, path, frames):
+        """Set the data chunk's declared size (bytes 40-43) to ``frames`` samples."""
+        data = bytearray(path.read_bytes())
+        data[40:44] = (2 * frames).to_bytes(4, "little")
+        path.write_bytes(data)
+
+    def test_reads_at_most_one_clip(self, tmp_path):
+        path = tmp_path / "long.wav"
+        self._write(path, seconds=31.0)
+        samples = load_wav(path)
+        assert samples.size == CLIP_SAMPLES
+        want = np.frombuffer(path.read_bytes()[44:44 + 2 * CLIP_SAMPLES], dtype="<i2") / 32768.0
+        assert np.array_equal(samples, want)
+
+    def test_a_long_header_over_short_data_names_the_header_count(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        self._write(path, seconds=2.0)
+        self._declare(path, 1_801_472)
+        with pytest.raises(FormatError) as exc:
+            load_wav(path)
+        assert str(exc.value) == (
+            f"truncated WAV file: {path} (its header declares 1801472 samples, its data holds 32000)"
+        )
+
+    def test_one_clip_of_data_under_a_longer_header_reads_that_clip(self, tmp_path):
+        # only the first 30 s are read, so data that holds them passes; a
+        # length limit still rejects the file from its header
+        path = tmp_path / "cut.wav"
+        self._write(path, seconds=31.0)
+        self._declare(path, 40 * SAMPLE_RATE_HZ)
+        assert load_wav(path).size == CLIP_SAMPLES
+        with pytest.raises(ContractError, match="^WAV file longer than 30 s: "):
+            load_wav(path, max_seconds=30)
 
     def test_length_limit_reads_the_header_only(self, tmp_path):
         # the header's frame count decides: a file declaring 2 s whose data
