@@ -18,9 +18,14 @@ backward passes end to end.
 Each projector has one array-level forward (``_visual_forward``,
 ``_conv_gmlp_apply``) that checks its input, runs every layer and returns
 ``(out, cache)``; the private backward reads the cache and runs no forward
-op; the public conv-gMLP forward, which needs no cache, runs its forward on
-blocks of ``_GMLP_BLOCK`` windows. These work on plain float64 arrays, with
-the parameters as a dict of name -> array, and so does the toy fit. The
+op. The public conv-gMLP forward needs no cache: it projects the first
+window of each run of windows with the same bytes (a padded last window is
+never merged), ``_GMLP_BLOCK`` kept windows at a time, and repeats its row
+over the run. A repeated window's row is bit-equal to the row before it and
+every row is within 1e-14 of max |out| of the whole-array forward's; with no
+repeated window it is that forward's output bit for bit at layers under 512
+wide. These work on plain float64 arrays, with the parameters as a dict of
+name -> array, and so does the toy fit. The
 forwards also take parameters with a leading probe axis (bias adds index
 ``b[..., None, :]`` and the matmuls broadcast), giving each probe the output
 of its own 2-D forward;
@@ -400,23 +405,44 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
     llm_dim, and a block-mean-pooled linear shortcut of the input is added.
 
     Each output row reads only its own window of rate rows, so the forward
-    runs on ``_GMLP_BLOCK`` windows at a time and keeps no backward cache;
-    only the last block can pad. Its output is ``_conv_gmlp_forward``'s bit
-    for bit at layers (rate x in_channels) under 512 wide; at wider ones BLAS
-    may sum a short last block in another order, within 1e-14 of max |out|.
+    keeps no backward cache and projects each run of repeated windows once: a
+    whole window whose bytes equal the window before it takes that window's
+    output row. Bytes, not values: a window that differs only by -0.0 against
+    +0.0 is projected on its own, and a padded last window is never merged,
+    since its block mean divides by fewer rows. The first windows of the runs
+    go through ``_GMLP_BLOCK`` at a time, so a repeated window's row is
+    bit-equal to the row before it, and every row is within 1e-14 of max
+    |out| of ``_conv_gmlp_forward``'s. An input
+    with no repeated window gives that forward's output bit for bit at layers
+    (rate x in_channels) under 512 wide; a wider layer, or a run merged at any
+    width (llm_dim 3 too), can move a row by an ulp, since BLAS may sum a row
+    in another order at another position in a block.
     """
     p = _arrays(params, _conv_gmlp_specs(cfg))
     x = x.array
     _check_conv_gmlp_input(cfg, x)
-    windows = audio_tokens(x.shape[0], cfg.rate_n)
-    cuts = list(range(_GMLP_BLOCK, windows, _GMLP_BLOCK))
+    rate, (length, c) = cfg.rate_n, x.shape
+    windows, whole = audio_tokens(length, rate), length // rate
+    # the first window of each run, and a padded last window
+    w = x[: whole * rate].reshape(whole, rate * c).view(np.int64)
+    first = np.ones(windows, dtype=bool)
+    first[1:whole] = np.any(w[1:] != w[:-1], axis=1)
+    kept = np.flatnonzero(first)
+    cuts = list(range(_GMLP_BLOCK, len(kept), _GMLP_BLOCK))
     # numpy runs a one-row matmul as a matrix-vector product, whose sums can
     # differ in the last bit from a matrix product's, so a lone last window
     # joins the block before it
-    if cuts and cuts[-1] == windows - 1:
+    if cuts and cuts[-1] == len(kept) - 1:
         cuts.pop()
-    blocks = np.split(x, [c * cfg.rate_n for c in cuts])
-    return Tensor(np.concatenate([_conv_gmlp_apply(cfg, p, b)[0] for b in blocks]))
+    outs = []
+    for block in np.split(kept, cuts):
+        if block[-1] - block[0] == len(block) - 1:  # consecutive windows
+            rows = x[block[0] * rate : (block[-1] + 1) * rate]
+        else:  # only the last window can run past the input
+            idx = (block[:, None] * rate + np.arange(rate)).ravel()
+            rows = x[idx[idx < length]]
+        outs.append(_conv_gmlp_apply(cfg, p, rows)[0])
+    return Tensor(np.repeat(np.concatenate(outs), np.diff(kept, append=windows), axis=0))
 
 
 def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):

@@ -71,6 +71,7 @@ class InjectionTrace:
         return tuple(e for e in self.entries if e.modality == "audio")
 
     def visual_text_entries(self) -> tuple[TraceEntry, ...]:
+        """The visual and text entries; the stream tests read it, the library does not."""
         return tuple(e for e in self.entries if e.modality != "audio")
 
 

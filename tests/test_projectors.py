@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omnipipe import numkit, projectors
+from omnipipe import modality, numkit, projectors
 from omnipipe.cli import main
 from omnipipe.errors import ContractError, DivergenceError, ShapeError
 from omnipipe.modality import TOKENS_PER_TILE, plan_tiles
@@ -561,10 +561,15 @@ class TestConvGmlpShapes:
 
 
 class TestConvGmlpBlocks:
-    """The public forward runs ``_GMLP_BLOCK`` windows at a time. At layers
-    (rate x channels) narrower than 512 it must equal the whole-array forward
-    bit for bit; at wider ones BLAS may sum a short last block in another
-    order, so there it must agree to within 1e-14 of the largest output."""
+    """The public forward projects the first window of each run of windows
+    with the same bytes, ``_GMLP_BLOCK`` kept windows at a time, and repeats
+    its row for the rest of the run; a padded last window is never merged.
+    A repeated window's row must be bit-equal to the row before it, and every
+    row within 1e-14 of the largest output of the whole-array forward. With
+    no repeated window, at layers (rate x channels) narrower than 512, it must
+    equal the whole-array forward bit for bit; a wider layer, or a merged run
+    at any width, may move a row by an ulp, since BLAS may sum a row in
+    another order at another position in a block."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -608,12 +613,100 @@ class TestConvGmlpBlocks:
         want = _conv_gmlp_forward(cfg, params, x)[0]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rate=st.sampled_from([1, 2, 4, 8]),
+        # layers (rate x channels) from 1 to 1024 wide, either side of 512
+        channels=st.sampled_from([1, 3, 6, 80, 128]),
+        llm_dim=st.sampled_from([3, 16, 64]),
+        # whole windows per run; each run's window differs from the last run's
+        runs=st.lists(st.integers(1, 12), min_size=1, max_size=30),
+        # rows of a padded last window, taken modulo the rate
+        tail=st.integers(0, 7),
+        fill=st.sampled_from(["normal", "silent", "signed_zero"]),
+        seed=st.integers(0, 2**16),
+    )
+    # an all-silent mel at the ingest shape: one window is projected
+    @example(rate=4, channels=128, llm_dim=64, runs=[750], tail=0, fill="silent", seed=0)
+    # a run over windows 100-159 crosses the first 128-window block boundary
+    @example(rate=2, channels=6, llm_dim=16, runs=[1] * 100 + [60] + [1] * 40, tail=1,
+             fill="normal", seed=1)
+    # runs of +0.0 and -0.0 windows differ in bytes alone, and stay apart
+    @example(rate=1, channels=3, llm_dim=3, runs=[2, 3, 1], tail=0, fill="signed_zero", seed=2)
+    def test_each_run_of_repeated_windows_is_projected_once(
+            self, rate, channels, llm_dim, runs, tail, fill, seed):
+        rng = np.random.default_rng(seed)
+        tail %= rate
+        if fill == "normal":
+            firsts = rng.normal(size=(len(runs), rate * channels))
+        elif fill == "silent":  # every window is the one silent mel window
+            firsts = np.full((len(runs), rate * channels), -1.0)
+        else:
+            firsts = np.zeros((len(runs), rate * channels))
+            firsts[1::2] = -0.0
+        # the windows that start a run of equal bytes, then the padded tail
+        kept = firsts[:1] if fill == "silent" else firsts
+        rows = np.concatenate([np.repeat(firsts, runs, axis=0).reshape(-1, channels),
+                               rng.normal(size=(tail, channels))])
+        cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=channels)
+        params = init_conv_gmlp_params(cfg, seed)
+        projected = []
+
+        def spy(cfg, p, x):
+            projected.append(x)
+            return _conv_gmlp_apply(cfg, p, x)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(projectors, "_conv_gmlp_apply", spy)
+            got = conv_gmlp_forward(cfg, params, Tensor(rows)).array
+        want_rows = np.concatenate([kept.reshape(-1, channels), rows[len(rows) - tail:]])
+        assert np.array_equal(np.concatenate(projected).view(np.uint64),
+                              want_rows.view(np.uint64))
+        starts = np.cumsum([0, *runs[:-1]]) if fill != "silent" else [0]
+        repeated = np.ones(sum(runs), dtype=bool)
+        repeated[starts] = False
+        bits = got.view(np.uint64)
+        assert np.array_equal(bits[1:sum(runs)][repeated[1:]], bits[:sum(runs) - 1][repeated[1:]])
+        want = _conv_gmlp_forward(cfg, params, Tensor(rows))[0]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_a_padded_5_s_clip_projects_at_most_127_windows(self, monkeypatch):
+        # 500 frames of noise, then 2500 frames of padding that clamp to one
+        # mel row: 125 windows of noise, one where the noise ends, one of padding
+        cfg = ConvGmlpConfig(rate_n=4, llm_dim=64, in_channels=128)
+        params = init_conv_gmlp_params(cfg, 0)
+        clip = np.random.default_rng(0).normal(0.0, 0.1, 5 * modality.SAMPLE_RATE_HZ)
+        mel = modality.melspec(clip).data
+        rows = []
+
+        def spy(cfg, p, x):
+            rows.append(x.shape[0])
+            return _conv_gmlp_apply(cfg, p, x)
+
+        monkeypatch.setattr(projectors, "_conv_gmlp_apply", spy)
+        out = conv_gmlp_forward(cfg, params, mel)
+        assert out.shape == (750, 64)
+        assert sum(rows) <= 127 * cfg.rate_n
+
     def test_working_set_of_a_3000_row_input_stays_bounded(self):
         # numpy reports its buffers to tracemalloc; the whole-array forward
         # and its cache peaked at ~21 MiB, blocks of windows at ~4 MiB
         cfg = ConvGmlpConfig(rate_n=4, llm_dim=64, in_channels=128)
         params = init_conv_gmlp_params(cfg, 0)
         x = Tensor(np.random.default_rng(0).normal(size=(3000, 128)))
+        tracemalloc.start()
+        try:
+            conv_gmlp_forward(cfg, params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    def test_working_set_of_a_silent_3000_row_input_stays_bounded(self):
+        # an all-silent mel projects one window and repeats its row 750 times
+        cfg = ConvGmlpConfig(rate_n=4, llm_dim=64, in_channels=128)
+        params = init_conv_gmlp_params(cfg, 0)
+        x = Tensor(np.full((3000, 128), -1.0))
         tracemalloc.start()
         try:
             conv_gmlp_forward(cfg, params, x)
