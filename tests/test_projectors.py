@@ -639,7 +639,7 @@ class TestConvGmlpBlocks:
         tail %= rate
         if fill == "normal":
             firsts = rng.normal(size=(len(runs), rate * channels))
-        elif fill == "silent":  # every window is the one silent mel window
+        elif fill == "silent":  # one constant window: silence clamps to one mel row
             firsts = np.full((len(runs), rate * channels), -1.0)
         else:
             firsts = np.zeros((len(runs), rate * channels))
@@ -672,7 +672,8 @@ class TestConvGmlpBlocks:
 
     def test_a_padded_5_s_clip_projects_at_most_127_windows(self, monkeypatch):
         # 500 frames of noise, then 2500 frames of padding that clamp to one
-        # mel row: 125 windows of noise, one where the noise ends, one of padding
+        # mel row: 125 windows of noise and one of padding, and 127 leaves
+        # room for a window where the noise ends
         cfg = ConvGmlpConfig(rate_n=4, llm_dim=64, in_channels=128)
         params = init_conv_gmlp_params(cfg, 0)
         clip = np.random.default_rng(0).normal(0.0, 0.1, 5 * modality.SAMPLE_RATE_HZ)
