@@ -209,8 +209,11 @@ def _bleu_value(matches, totals, hyp_length: int, ref_length: int) -> float:
 
 def corpus_error_rate(results: Iterable[MetricResult]) -> float:
     """Corpus WER or CER of ``error_rates`` results: the total edits
-    (S + D + I) over the total reference length, a fold over the counts."""
+    (S + D + I) over the total reference length, a fold over the counts.
+    No results have no rate, and raise ContractError."""
     counts = [r.counts for r in results]
+    if not counts:
+        raise ContractError("corpus error rate needs at least one result")
     edits = sum(c["substitutions"] + c["deletions"] + c["insertions"] for c in counts)
     return edits / sum(c["reference_length"] for c in counts)
 

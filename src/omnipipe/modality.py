@@ -166,6 +166,8 @@ def plan_frames(
     """Sample source frames at 1 fps, at least one frame, at most 48."""
     if not duration_s > 0:
         raise ContractError(f"duration must be positive, got {duration_s}")
+    if not math.isfinite(duration_s):
+        raise ContractError(f"duration must be finite, got {duration_s}")
     if total_source_frames < 1:
         raise ContractError(
             f"total_source_frames must be >= 1, got {total_source_frames}"

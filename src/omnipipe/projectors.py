@@ -18,14 +18,16 @@ backward passes end to end.
 Each projector has one array-level forward (``_visual_forward``,
 ``_conv_gmlp_apply``) that checks its input, runs every layer and returns
 ``(out, cache)``; the private backward reads the cache and runs no forward
-op. The public conv-gMLP forward needs no cache: it projects the first
-window of each run of windows with the same bytes (a padded last window is
-never merged), ``_GMLP_BLOCK`` kept windows at a time, and repeats its row
-over the run. A repeated window's row is bit-equal to the row before it and
-every row is within 1e-14 of max |out| of the whole-array forward's; with no
-repeated window it is that forward's output bit for bit at layers under 512
-wide. These work on plain float64 arrays, with the parameters as a dict of
-name -> array, and so does the toy fit. The
+op. One function owns the conv-gMLP's window layout (``_windows``): it checks
+the input, right-zero-pads it to whole windows of rate rows and counts each
+window's real rows, and ``_conv_gmlp_apply`` runs the layers on its windows.
+The public conv-gMLP forward needs no cache and projects each run of
+repeated windows once: a window whose bytes and real rows equal the window
+before it takes that window's row. A repeated window's row is bit-equal to
+the row before it and every row is within 1e-14 of max |out| of the
+whole-array forward's; with no repeated window it is that forward's output
+bit for bit at layers under 512 wide. These work on plain float64 arrays,
+with the parameters as a dict of name -> array, and so does the toy fit. The
 forwards also take parameters with a leading probe axis (bias adds index
 ``b[..., None, :]`` and the matmuls broadcast), giving each probe the output
 of its own 2-D forward;
@@ -341,36 +343,36 @@ def conv_gmlp_shapes(cfg: ConvGmlpConfig, seq_len: int) -> dict:
     }
 
 
-def _blocks(x: np.ndarray, rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x right-zero-padded to whole blocks of ``rate`` rows, as a
-    (blocks, rate, channels) array, the number of real rows per block, and
-    each block's mean over its real rows."""
-    length, c = x.shape
-    pad = (-length) % rate
-    if pad:
-        x = np.concatenate([x, np.zeros((pad, c))])
-    blocks = x.reshape(-1, rate, c)
-    counts = np.full(blocks.shape[0], rate, dtype=np.float64)
-    counts[-1] -= pad
-    return blocks, counts, blocks.sum(axis=1) / counts[:, None]
-
-
-def _check_conv_gmlp_input(cfg: ConvGmlpConfig, x: np.ndarray) -> None:
+def _windows(cfg: ConvGmlpConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conv-gMLP window layout: ``x`` checked, right-zero-padded to whole
+    windows of rate rows, as a (windows, rate x in_channels) array, and each
+    window's count of real rows."""
     if x.ndim != 2:
         raise ShapeError(f"projector input must be 2-D, got shape {x.shape}")
     if x.shape[1] != cfg.in_channels:
         raise ShapeError(
             f"projector expects {cfg.in_channels} channels, input has {x.shape[1]}"
         )
+    rate, (length, c) = cfg.rate_n, x.shape
+    pad = (-length) % rate
+    if pad:
+        x = np.concatenate([x, np.zeros((pad, c))])
+    counts = np.full(len(x) // rate, rate, dtype=np.float64)
+    counts[-1] -= pad
+    return x.reshape(-1, rate * c), counts
 
 
-def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
-    """The output and the backward's cache: every value before the output layer."""
-    _check_conv_gmlp_input(cfg, x)
-    # the strided first convolution: its kernel is as wide as its stride
-    blocks, counts, mp = _blocks(x, cfg.rate_n)
+def _means(cfg: ConvGmlpConfig, windows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each window's mean over its real rows."""
+    return windows.reshape(-1, cfg.rate_n, cfg.in_channels).sum(axis=1) / counts[:, None]
+
+
+def _conv_gmlp_layers(cfg: ConvGmlpConfig, p: dict, windows: np.ndarray, counts: np.ndarray):
+    """The output of each window and the backward's cache: every value before
+    the output layer. The first layer, a matmul over windows, is the strided
+    convolution: its kernel is as wide as its stride."""
     width = cfg.hidden_channels
-    windows = blocks.reshape(-1, width)
+    mp = _means(cfg, windows, counts)
     z1 = numkit.matmul(windows, p["w_in"]) + p["b_in"][..., None, :]
     h = numkit.gelu(z1)
     pre2 = numkit.matmul(h, p["w_mid"]) + p["b_mid"][..., None, :]
@@ -383,7 +385,6 @@ def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
         + numkit.matmul(mp, p["w_res"])
     )
     return out, {
-        "x": x,
         "windows": windows,
         "z1": z1,
         "h": h,
@@ -395,6 +396,11 @@ def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
     }
 
 
+def _conv_gmlp_apply(cfg: ConvGmlpConfig, p: dict, x: np.ndarray):
+    """The layers on the windows of ``x``: the output and the backward's cache."""
+    return _conv_gmlp_layers(cfg, p, *_windows(cfg, x))
+
+
 def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -> Tensor:
     """Shorten an (L x in_channels) sequence to ceil(L / rate) LLM embeddings.
 
@@ -404,29 +410,20 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
     for a value path and a sigmoid gate path, their product is projected to
     llm_dim, and a block-mean-pooled linear shortcut of the input is added.
 
-    Each output row reads only its own window of rate rows, so the forward
-    keeps no backward cache and projects each run of repeated windows once: a
-    whole window whose bytes equal the window before it takes that window's
-    output row. Bytes, not values: a window that differs only by -0.0 against
-    +0.0 is projected on its own, and a padded last window is never merged,
-    since its block mean divides by fewer rows. The first windows of the runs
-    go through ``_GMLP_BLOCK`` at a time, so a repeated window's row is
-    bit-equal to the row before it, and every row is within 1e-14 of max
-    |out| of ``_conv_gmlp_forward``'s. An input
-    with no repeated window gives that forward's output bit for bit at layers
-    (rate x in_channels) under 512 wide; a wider layer, or a run merged at any
-    width (llm_dim 3 too), can move a row by an ulp, since BLAS may sum a row
-    in another order at another position in a block.
+    Each output row reads only its own window, so a window whose bytes and
+    real rows equal the window before it takes that window's row (bytes, not
+    values: -0.0 and +0.0 stay apart). The kept windows go ``_GMLP_BLOCK`` at
+    a time; every row is within 1e-14 of max |out| of ``_conv_gmlp_forward``'s,
+    and bit-equal to it at layers (rate x in_channels) under 512 wide when no
+    window repeats. A wider layer or a merged run (llm_dim 3 too) can move a
+    row by an ulp: BLAS may sum a row in another order elsewhere in a block.
     """
     p = _arrays(params, _conv_gmlp_specs(cfg))
-    x = x.array
-    _check_conv_gmlp_input(cfg, x)
-    rate, (length, c) = cfg.rate_n, x.shape
-    windows, whole = audio_tokens(length, rate), length // rate
-    # the first window of each run, and a padded last window
-    w = x[: whole * rate].reshape(whole, rate * c).view(np.int64)
-    first = np.ones(windows, dtype=bool)
-    first[1:whole] = np.any(w[1:] != w[:-1], axis=1)
+    windows, counts = _windows(cfg, x.array)
+    # the first window of each run of equal bytes and real rows
+    w = windows.view(np.int64)
+    first = np.ones(len(windows), dtype=bool)
+    first[1:] = np.any(w[1:] != w[:-1], axis=1) | (counts[1:] != counts[:-1])
     kept = np.flatnonzero(first)
     cuts = list(range(_GMLP_BLOCK, len(kept), _GMLP_BLOCK))
     # numpy runs a one-row matmul as a matrix-vector product, whose sums can
@@ -437,12 +434,9 @@ def conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor) -
     outs = []
     for block in np.split(kept, cuts):
         if block[-1] - block[0] == len(block) - 1:  # consecutive windows
-            rows = x[block[0] * rate : (block[-1] + 1) * rate]
-        else:  # only the last window can run past the input
-            idx = (block[:, None] * rate + np.arange(rate)).ravel()
-            rows = x[idx[idx < length]]
-        outs.append(_conv_gmlp_apply(cfg, p, rows)[0])
-    return Tensor(np.repeat(np.concatenate(outs), np.diff(kept, append=windows), axis=0))
+            block = slice(block[0], block[-1] + 1)
+        outs.append(_conv_gmlp_layers(cfg, p, windows[block], counts[block])[0])
+    return Tensor(np.repeat(np.concatenate(outs), np.diff(kept, append=len(windows)), axis=0))
 
 
 def _conv_gmlp_forward(cfg: ConvGmlpConfig, params: ProjectorParams, x: Tensor):
@@ -477,10 +471,10 @@ def _conv_gmlp_backward(
         "b_out": grad_out.sum(axis=0),
         "w_res": g_w_res,
     }
-    # both paths meet in the block layout; the padding rows drop
-    length, c = cache["x"].shape
-    g_blocks = g_windows.reshape(-1, cfg.rate_n, c) + per_row[:, None, :]
-    return grads, g_blocks.reshape(-1, c)[:length]
+    # both paths meet in the window layout; the padding rows drop
+    c = cfg.in_channels
+    g_rows = (g_windows.reshape(-1, cfg.rate_n, c) + per_row[:, None, :]).reshape(-1, c)
+    return grads, g_rows[: int(cache["counts"].sum())]
 
 
 def conv_gmlp_backward(
@@ -577,14 +571,15 @@ def toy_fit(
     x = rng.normal(0.0, _TOY_INPUT_SCALE, (seq_len, cfg.in_channels))
     w_target = rng.normal(0.0, 1.0, (cfg.in_channels, cfg.llm_dim))
     w_target /= math.sqrt(cfg.in_channels)
-    target = _blocks(x, cfg.rate_n)[2] @ w_target
+    windows, counts = _windows(cfg, x)
+    target = _means(cfg, windows, counts) @ w_target
     t_len = target.shape[0]
 
     params = _init(_conv_gmlp_specs(cfg), seed)
     losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
-            out, cache = _conv_gmlp_apply(cfg, params, x)
+            out, cache = _conv_gmlp_layers(cfg, params, windows, counts)
             err = out - target
             loss = 0.5 * float(np.sum(err * err)) / t_len
             grads, _ = _conv_gmlp_backward(cfg, params, cache, err / t_len)

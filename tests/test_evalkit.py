@@ -288,6 +288,13 @@ class TestCorpusErrorRate:
         result = cer("abcd", "abd")
         assert corpus_error_rate([result]) == result.value == 0.25
 
+    def test_no_results_is_a_contract_error(self):
+        # no reference tokens give no rate, not a vacuous 0; corpus BLEU of
+        # nothing stays 0.0
+        with pytest.raises(ContractError, match="^corpus error rate needs at least one result$"):
+            corpus_error_rate([])
+        assert corpus_bleu([]) == 0.0
+
     def test_metrics_reports_it_as_the_corpus_value(self, tmp_path, capsys):
         pairs = [("a b c d", "a b d"), ("x y", "x y z w")]
         path = tmp_path / "pairs.jsonl"

@@ -111,6 +111,14 @@ class TestPlanFrames:
         with pytest.raises(ContractError):
             plan_frames(0.0, 10)
 
+    def test_infinite_duration_is_a_contract_error(self):
+        # zero, negative and NaN durations keep their message
+        for duration in (0.0, -1.0, float("-inf"), float("nan")):
+            with pytest.raises(ContractError, match=f"^duration must be positive, got {duration}$"):
+                plan_frames(duration, 10)
+        with pytest.raises(ContractError, match="^duration must be finite, got inf$"):
+            plan_frames(float("inf"), 10)
+
     def test_never_more_than_48_never_duplicated(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

@@ -23,6 +23,7 @@ from omnipipe.projectors import (
     _conv_gmlp_apply,
     _conv_gmlp_backward,
     _conv_gmlp_forward,
+    _conv_gmlp_layers,
     _conv_gmlp_specs,
     _gather,
     _init,
@@ -370,14 +371,14 @@ class TestGradients:
 
             return wrapper
 
-        monkeypatch.setattr(projectors, "_conv_gmlp_apply", counted(_conv_gmlp_apply))
+        monkeypatch.setattr(projectors, "_conv_gmlp_layers", counted(_conv_gmlp_layers))
         monkeypatch.setattr(projectors, "_visual_forward", counted(_visual_forward))
         rng = np.random.default_rng(5)
         if variant == "conv_gmlp":
             cfg = ConvGmlpConfig(rate_n=2, llm_dim=3, in_channels=4)
             params = init_conv_gmlp_params(cfg, 5)
             x = Tensor(rng.normal(size=(9, 4)))
-            public, backward, forward = conv_gmlp_forward, conv_gmlp_backward, "_conv_gmlp_apply"
+            public, backward, forward = conv_gmlp_forward, conv_gmlp_backward, "_conv_gmlp_layers"
         else:
             cfg = VisualProjectorConfig(variant=variant, in_dim=4, llm_dim=3)
             params = init_visual_params(cfg, 5)
@@ -561,10 +562,10 @@ class TestConvGmlpShapes:
 
 
 class TestConvGmlpBlocks:
-    """The public forward projects the first window of each run of windows
-    with the same bytes, ``_GMLP_BLOCK`` kept windows at a time, and repeats
-    its row for the rest of the run; a padded last window is never merged.
-    A repeated window's row must be bit-equal to the row before it, and every
+    """The public forward projects each run of repeated windows once: a window
+    whose bytes and real rows equal the window before it takes that window's
+    row. The kept windows go through ``_GMLP_BLOCK`` at a time. A repeated
+    window's row must be bit-equal to the row before it, and every
     row within 1e-14 of the largest output of the whole-array forward. With
     no repeated window, at layers (rate x channels) narrower than 512, it must
     equal the whole-array forward bit for bit; a wider layer, or a merged run
@@ -623,7 +624,7 @@ class TestConvGmlpBlocks:
         runs=st.lists(st.integers(1, 12), min_size=1, max_size=30),
         # rows of a padded last window, taken modulo the rate
         tail=st.integers(0, 7),
-        fill=st.sampled_from(["normal", "silent", "signed_zero"]),
+        fill=st.sampled_from(["normal", "silent", "signed_zero", "echo"]),
         seed=st.integers(0, 2**16),
     )
     # an all-silent mel at the ingest shape: one window is projected
@@ -633,35 +634,43 @@ class TestConvGmlpBlocks:
              fill="normal", seed=1)
     # runs of +0.0 and -0.0 windows differ in bytes alone, and stay apart
     @example(rate=1, channels=3, llm_dim=3, runs=[2, 3, 1], tail=0, fill="signed_zero", seed=2)
+    # a window [r, 0, 0, 0], then a tail r padded to the same bytes: its one
+    # real row keeps it apart
+    @example(rate=4, channels=3, llm_dim=3, runs=[2, 1], tail=1, fill="echo", seed=3)
     def test_each_run_of_repeated_windows_is_projected_once(
             self, rate, channels, llm_dim, runs, tail, fill, seed):
         rng = np.random.default_rng(seed)
         tail %= rate
-        if fill == "normal":
+        if fill in ("normal", "echo"):
             firsts = rng.normal(size=(len(runs), rate * channels))
         elif fill == "silent":  # one constant window: silence clamps to one mel row
             firsts = np.full((len(runs), rate * channels), -1.0)
         else:
             firsts = np.zeros((len(runs), rate * channels))
             firsts[1::2] = -0.0
-        # the windows that start a run of equal bytes, then the padded tail
-        kept = firsts[:1] if fill == "silent" else firsts
+        # the padded last window: tail rows, then zeros
+        last = np.zeros((rate, channels))
+        last[:tail] = rng.normal(size=(tail, channels))
+        if fill == "echo":  # the last run's window has the padded window's bytes
+            firsts[-1] = last.ravel()
         rows = np.concatenate([np.repeat(firsts, runs, axis=0).reshape(-1, channels),
-                               rng.normal(size=(tail, channels))])
+                               last[:tail]])
+        # the windows that start a run of equal bytes and real rows
+        kept = firsts[:1] if fill == "silent" else firsts
+        if tail:
+            kept = np.concatenate([kept, last.reshape(1, -1)])
         cfg = ConvGmlpConfig(rate_n=rate, llm_dim=llm_dim, in_channels=channels)
         params = init_conv_gmlp_params(cfg, seed)
         projected = []
 
-        def spy(cfg, p, x):
-            projected.append(x)
-            return _conv_gmlp_apply(cfg, p, x)
+        def spy(cfg, p, windows, counts):
+            projected.append(windows)
+            return _conv_gmlp_layers(cfg, p, windows, counts)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(projectors, "_conv_gmlp_apply", spy)
+            m.setattr(projectors, "_conv_gmlp_layers", spy)
             got = conv_gmlp_forward(cfg, params, Tensor(rows)).array
-        want_rows = np.concatenate([kept.reshape(-1, channels), rows[len(rows) - tail:]])
-        assert np.array_equal(np.concatenate(projected).view(np.uint64),
-                              want_rows.view(np.uint64))
+        assert np.array_equal(np.concatenate(projected).view(np.uint64), kept.view(np.uint64))
         starts = np.cumsum([0, *runs[:-1]]) if fill != "silent" else [0]
         repeated = np.ones(sum(runs), dtype=bool)
         repeated[starts] = False
@@ -678,16 +687,16 @@ class TestConvGmlpBlocks:
         params = init_conv_gmlp_params(cfg, 0)
         clip = np.random.default_rng(0).normal(0.0, 0.1, 5 * modality.SAMPLE_RATE_HZ)
         mel = modality.melspec(clip).data
-        rows = []
+        projected = []
 
-        def spy(cfg, p, x):
-            rows.append(x.shape[0])
-            return _conv_gmlp_apply(cfg, p, x)
+        def spy(cfg, p, windows, counts):
+            projected.append(len(windows))
+            return _conv_gmlp_layers(cfg, p, windows, counts)
 
-        monkeypatch.setattr(projectors, "_conv_gmlp_apply", spy)
+        monkeypatch.setattr(projectors, "_conv_gmlp_layers", spy)
         out = conv_gmlp_forward(cfg, params, mel)
         assert out.shape == (750, 64)
-        assert sum(rows) <= 127 * cfg.rate_n
+        assert projected and sum(projected) <= 127
 
     def test_working_set_of_a_3000_row_input_stays_bounded(self):
         # numpy reports its buffers to tracemalloc; the whole-array forward
